@@ -28,7 +28,7 @@ from .inclusion import (
     RIF_AXIOM_ORDER,
     InclusionFunction,
     check_rif_axiom,
-    classify,
+    class_from_axioms,
     random_kappa,
     verify_prif,
 )
@@ -226,8 +226,8 @@ def classify_cmd(space_file, term, relation, env_path, fmt, out):
         config = RunConfig(fmt, out)
         s = _load(space_file)
         f = _eval(s, term, env_path)
-        named = classify(f, relation)
         reports = [check_rif_axiom(f, ax, relation) for ax in RIF_AXIOM_ORDER]
+        named = class_from_axioms({r.axiom: r.holds for r in reports})
         payload = {
             "term": term,
             "class": named,

@@ -5,6 +5,17 @@ in [0,1].  The axioms U1, R0, R1, R2, R3, R4, R5, R6, IR0, IR4 and RB are
 checked by exhaustive enumeration; axioms that mention the partial join or
 meet skip (and count) instances where the operation is undefined.
 
+The scans run over element indices.  A function is scanned as rank rows:
+each distinct value gets its position in the sorted image, so comparing
+ranks is comparing the exact Fractions, and equality to 0, to 1 or to
+1 - v (R6's f(a,b) + f(a,c) == 1) is equality to a precomputed rank.  No
+value is rounded or converted.  The rows are built once per function, and
+the relation rows, meet table and join-to-top pairs once per space, so the
+triple scans visit only the (b, c) pairs their guard admits: f(b,c) == 1
+for R2, related pairs for R3, pairs joining to top for R6.  Witnesses come
+out in element order of a, then b, then c, as an exhaustive loop over the
+elements would list them.
+
 Class names: RIF requires R1 and R2, qRIF requires R0 and R2, wqRIF
 requires R0 and R3.  classify returns the most specific one.
 """
@@ -13,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from random import Random
 from typing import Mapping, Optional
 
@@ -77,6 +90,12 @@ class InclusionFunction:
         """Largest value strictly below 1, None when the image is {1} or empty."""
         below = [v for v in self.values.values() if v < 1]
         return max(below) if below else None
+
+    @cached_property
+    def _ranked(self) -> "_RankedRows":
+        # Built on the first axiom check and shared by the later ones; the
+        # values are never changed after construction.
+        return _RankedRows(self)
 
     def pointwise_equal(self, other: "InclusionFunction") -> bool:
         return self.values == other.values
@@ -156,118 +175,198 @@ def _carriers_of(s: GranularSpace) -> dict[str, frozenset[str]]:
 # -- axiom checking ----------------------------------------------------------
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+# (numerator, denominator) identifies a Fraction exactly, since Fractions are
+# kept in lowest terms, and hashes far faster than the Fraction does.
+_exact_key = attrgetter("numerator", "denominator")
+
+
+class _RankedRows:
+    """f by element index, with its values replaced by their ranks.
+
+    rows[i][j] is the rank of f(a_i, a_j) in f's sorted image, so ranks
+    compare exactly as the values do.  one and zero are the ranks of 1 and
+    0 (-1 when absent), comp[r] is the rank of 1 - (value of rank r) (-1
+    when absent) and one_masks[i] has bit j set iff f(a_i, a_j) == 1.
+    """
+
+    def __init__(self, f: InclusionFunction):
+        n = len(f.space.elements)
+        # InclusionFunction stores its values row by row in element order.
+        flat = list(f.values.values())
+        keys = list(map(_exact_key, flat))
+        image = sorted(dict(zip(keys, flat)).values())
+        rank = {_exact_key(v): r for r, v in enumerate(image)}
+        ranks = list(map(rank.__getitem__, keys))
+        self.rows = [ranks[i * n:(i + 1) * n] for i in range(n)]
+        self.one = one = rank.get(_exact_key(ONE), -1)
+        self.zero = rank.get(_exact_key(ZERO), -1)
+        self.comp = [rank.get(_exact_key(ONE - v), -1) for v in image]
+        self.one_masks = []
+        for row in self.rows:
+            mask = 0
+            for j, r in enumerate(row):
+                if r == one:
+                    mask |= 1 << j
+            self.one_masks.append(mask)
+
+
+class _SpaceRows:
+    """What the axiom scans need from a space under one relation, by
+    element index: the relation as row bitmasks and as (b, [c...]) groups,
+    the elements strictly above bottom, the meet table (-1 where undefined),
+    and the (b, [c...]) groups whose join is top, with the number of
+    undefined joins."""
+
+    def __init__(self, s: GranularSpace, relation: str):
+        idx = s._index
+        n = len(s.elements)
+        self.rel_masks = [0] * n
+        for a, b in (s.parthood if relation == "parthood" else s.order):
+            self.rel_masks[idx[a]] |= 1 << idx[b]
+        self.rel_groups = [(j, _bits(m)) for j, m in enumerate(self.rel_masks) if m]
+        self.bottom = bot = idx[s.bottom]
+        self.proper_bottom = [
+            i for i in range(n) if self.rel_masks[bot] >> i & 1 and not self.rel_masks[i] >> bot & 1
+        ]
+        top = s.top
+        self.meet_rows = []
+        self.top_groups = []
+        self.undefined_joins = 0
+        for j, b in enumerate(s.elements):
+            self.meet_rows.append([idx.get(s.meet_of(b, c), -1) for c in s.elements])
+            ks = []
+            for k, c in enumerate(s.elements):
+                joined = s.join_of(b, c)
+                if joined is None:
+                    self.undefined_joins += 1
+                elif joined == top:
+                    ks.append(k)
+            if ks:
+                self.top_groups.append((j, ks))
+
+
+def _space_rows(s: GranularSpace, relation: str) -> _SpaceRows:
+    key = ("axiom rows", relation)
+    if key not in s._derived:
+        s._derived[key] = _SpaceRows(s, relation)
+    return s._derived[key]
+
+
+def _order_witnesses(els, rows, groups) -> list[tuple[str, str, str]]:
+    """(a, b, c) with f(a,b) > f(a,c), for every a and every (b, c) in
+    groups, in element order."""
+    witnesses = []
+    for a, row in zip(els, rows):
+        for j, ks in groups:
+            rj = row[j]
+            for k in ks:
+                if row[k] < rj:
+                    witnesses.append((a, els[j], els[k]))
+    return witnesses
+
+
 def check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood") -> RifAxiomReport:
     """Exhaustively check one axiom of f against the chosen relation.
 
     relation selects which binary relation plays the parthood role:
     "parthood" (default) or "order".
     """
-    s = f.space
-    if relation == "parthood":
-        rel = s.part
-    elif relation == "order":
-        rel = s.leq
-    else:
+    if relation not in ("parthood", "order"):
         raise InputError(f"relation must be 'parthood' or 'order', got {relation!r}")
-
-    bottom = s.bottom
-
-    def proper_bottom(a: str) -> bool:
-        return rel(bottom, a) and not rel(a, bottom)
-
+    if axiom not in RIF_AXIOM_ORDER:
+        raise InputError(f"unknown axiom {axiom!r}")
+    s = f.space
+    sp = _space_rows(s, relation)
+    fr = f._ranked
     els = s.elements
+    rows, one, zero = fr.rows, fr.one, fr.zero
+    bot = sp.bottom
     witnesses: list[tuple[str, ...]] = []
     skipped = 0
 
     if axiom == "U1":
-        witnesses = [(a,) for a in els if f(a, a) != ONE]
+        witnesses = [(a,) for i, a in enumerate(els) if rows[i][i] != one]
 
-    elif axiom == "R0":
-        witnesses = [(a, b) for a in els for b in els if rel(a, b) and f(a, b) != ONE]
-
-    elif axiom == "R1":
-        witnesses = [(a, b) for a in els for b in els if (f(a, b) == ONE) != rel(a, b)]
+    elif axiom in ("R0", "R1", "IR0"):
+        for a, ones, rel in zip(els, fr.one_masks, sp.rel_masks):
+            if axiom == "R0":
+                bad = rel & ~ones
+            elif axiom == "R1":
+                bad = rel ^ ones
+            else:
+                bad = ones & ~rel
+            witnesses.extend((a, els[j]) for j in _bits(bad))
 
     elif axiom == "R2":
-        for a in els:
-            for b in els:
-                for c in els:
-                    if f(b, c) == ONE and f(a, b) > f(a, c):
-                        witnesses.append((a, b, c))
+        ones = [(j, _bits(m)) for j, m in enumerate(fr.one_masks) if m]
+        witnesses = _order_witnesses(els, rows, ones)
 
     elif axiom == "R3":
-        for a in els:
-            for b in els:
-                for c in els:
-                    if rel(b, c) and f(a, b) > f(a, c):
-                        witnesses.append((a, b, c))
+        witnesses = _order_witnesses(els, rows, sp.rel_groups)
 
     elif axiom == "R4":
-        for a in els:
-            for b in els:
-                if f(a, b) != ZERO:
+        for a, row, meets in zip(els, rows, sp.meet_rows):
+            for j, r in enumerate(row):
+                if r != zero:
                     continue
-                m = s.meet_of(a, b)
-                if m is None:
+                m = meets[j]
+                if m < 0:
                     skipped += 1
-                elif m != bottom:
-                    witnesses.append((a, b))
+                elif m != bot:
+                    witnesses.append((a, els[j]))
 
     elif axiom == "IR4":
-        for a in els:
-            if not proper_bottom(a):
-                continue
-            for b in els:
-                m = s.meet_of(a, b)
-                if m is None:
+        for i in sp.proper_bottom:
+            row = rows[i]
+            for j, m in enumerate(sp.meet_rows[i]):
+                if m < 0:
                     skipped += 1
-                elif m == bottom and f(a, b) != ZERO:
-                    witnesses.append((a, b))
+                elif m == bot and row[j] != zero:
+                    witnesses.append((els[i], els[j]))
 
     elif axiom == "RB":
-        witnesses = [(a,) for a in els if proper_bottom(a) and f(a, bottom) != ZERO]
+        witnesses = [(els[i],) for i in sp.proper_bottom if rows[i][bot] != zero]
 
     elif axiom == "R5":
         # the proper-bottom condition guards the whole biconditional;
         # read as a conjunct on the left it is unsatisfiable wherever
         # bottom meets are defined, which would break prif6 everywhere
-        for a in els:
-            if not proper_bottom(a):
-                continue
-            for b in els:
-                m = s.meet_of(a, b)
-                if m is None:
+        for i in sp.proper_bottom:
+            row = rows[i]
+            for j, m in enumerate(sp.meet_rows[i]):
+                if m < 0:
                     skipped += 1
-                elif (f(a, b) == ZERO) != (m == bottom):
-                    witnesses.append((a, b))
+                elif (row[j] == zero) != (m == bot):
+                    witnesses.append((els[i], els[j]))
 
-    elif axiom == "R6":
-        for a in els:
-            if not proper_bottom(a):
-                continue
-            for b in els:
-                for c in els:
-                    j = s.join_of(b, c)
-                    if j is None:
-                        skipped += 1
-                    elif j == s.top and f(a, b) + f(a, c) != ONE:
-                        witnesses.append((a, b, c))
-
-    elif axiom == "IR0":
-        witnesses = [(a, b) for a in els for b in els if f(a, b) == ONE and not rel(a, b)]
-
-    else:
-        raise InputError(f"unknown axiom {axiom!r}")
+    else:  # R6: f(a,b) + f(a,c) == 1 exactly when f(a,c) has the rank comp[f(a,b)]
+        comp = fr.comp
+        for i in sp.proper_bottom:
+            a, row = els[i], rows[i]
+            skipped += sp.undefined_joins
+            for j, ks in sp.top_groups:
+                want = comp[row[j]]
+                for k in ks:
+                    if row[k] != want:
+                        witnesses.append((a, els[j], els[k]))
 
     wit = tuple(witnesses)
     return RifAxiomReport(axiom=axiom, holds=not wit, witnesses=wit, skipped=skipped)
 
 
-def classify(f: InclusionFunction, relation: str = "parthood") -> str:
-    """Most specific of RIF, qRIF, wqRIF, or 'none'."""
-    holds = {
-        ax: check_rif_axiom(f, ax, relation).holds for ax in ("R0", "R1", "R2", "R3")
-    }
+def class_from_axioms(holds: Mapping[str, bool]) -> str:
+    """Most specific of RIF, qRIF, wqRIF, or 'none', from which of R0, R1,
+    R2 and R3 hold."""
     if holds["R1"] and holds["R2"]:
         return "RIF"
     if holds["R0"] and holds["R2"]:
@@ -275,6 +374,13 @@ def classify(f: InclusionFunction, relation: str = "parthood") -> str:
     if holds["R0"] and holds["R3"]:
         return "wqRIF"
     return "none"
+
+
+def classify(f: InclusionFunction, relation: str = "parthood") -> str:
+    """Most specific of RIF, qRIF, wqRIF, or 'none'."""
+    return class_from_axioms(
+        {ax: check_rif_axiom(f, ax, relation).holds for ax in ("R0", "R1", "R2", "R3")}
+    )
 
 
 def class_rank(name: str) -> int:
@@ -304,10 +410,14 @@ class PrifVerdict:
 
 def complement_closed_set_hgos(s: GranularSpace) -> bool:
     """Set-HGOS whose carrier family is closed under complement in top."""
-    if classify_flavor(s) != "setHGOS":
-        return False
-    universe = s.carriers[s.top]
-    return all(s.element_with_carrier(universe - s.carriers[x]) is not None for x in s.elements)
+    key = "complement closed"
+    if key not in s._derived:
+        closed = classify_flavor(s) == "setHGOS"
+        if closed:
+            universe = s.carriers[s.top]
+            closed = all(s.element_with_carrier(universe - s.carriers[x]) is not None for x in s.elements)
+        s._derived[key] = closed
+    return s._derived[key]
 
 
 def verify_prif(f: InclusionFunction, relation: str = "parthood") -> list[PrifVerdict]:

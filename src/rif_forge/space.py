@@ -141,6 +141,10 @@ class GranularSpace:
         self.flavor = flavor
         self._index = {eid: i for i, eid in enumerate(self.elements)}
         self._enforce_flavor()
+        # Data other modules derive from the space on first use and keep
+        # (the index tables of the inclusion axiom scans).  Nothing changes
+        # a space after construction, so what is kept stays valid.
+        self._derived: dict = {}
 
     @staticmethod
     def _check_relation(name, pairs, known) -> frozenset[tuple[str, str]]:
@@ -633,6 +637,8 @@ def space_from_dict(raw: dict) -> GranularSpace:
         if key not in raw:
             raise SpaceFormatError(f"missing key {key!r}")
 
+    if not isinstance(raw["elements"], list):
+        raise SpaceFormatError("elements must be an array")
     elements = []
     carriers = {}
     for i, entry in enumerate(raw["elements"]):
@@ -643,9 +649,14 @@ def space_from_dict(raw: dict) -> GranularSpace:
             raise SpaceFormatError(f"elements[{i}].id must be a string")
         elements.append(eid)
         if "carrier" in entry:
-            if not isinstance(entry["carrier"], list):
-                raise SpaceFormatError(f"elements[{i}].carrier must be an array")
-            carriers[eid] = frozenset(entry["carrier"])
+            carrier = entry["carrier"]
+            if not (isinstance(carrier, list) and all(isinstance(x, str) for x in carrier)):
+                raise SpaceFormatError(f"elements[{i}].carrier must be an array of strings")
+            carriers[eid] = frozenset(carrier)
+
+    granulation = raw["granulation"]
+    if not (isinstance(granulation, list) and all(isinstance(g, str) for g in granulation)):
+        raise SpaceFormatError("granulation must be an array of string ids")
 
     parthood = _pairs_from(raw, "parthood")
     order = _pairs_from(raw, "order")
@@ -661,7 +672,7 @@ def space_from_dict(raw: dict) -> GranularSpace:
             order=order,
             join=join,
             meet=meet,
-            granulation=raw["granulation"],
+            granulation=granulation,
             lower=lower,
             upper=upper,
             bottom=raw["bottom"],
@@ -683,7 +694,10 @@ def _pairs_from(raw, key):
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SpaceFormatError(f"{key}[{i}] must be a two-element array")
-        out.append((pair[0], pair[1]))
+        a, b = pair
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise SpaceFormatError(f"{key}[{i}] must hold string ids")
+        out.append((a, b))
     return out
 
 
@@ -695,7 +709,10 @@ def _table_from(raw, key):
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 3):
             raise SpaceFormatError(f"{key}[{i}] must be a three-element array")
-        out[(row[0], row[1])] = row[2]
+        a, b, r = row
+        if not (isinstance(a, str) and isinstance(b, str) and isinstance(r, str)):
+            raise SpaceFormatError(f"{key}[{i}] must hold string ids")
+        out[(a, b)] = r
     return out
 
 

@@ -23,6 +23,7 @@ from rif_forge import (
     otimes,
     power,
     random_alpha,
+    random_kappa,
     random_set_hgos,
     rif_failure_search,
     satisfies_class,
@@ -171,6 +172,18 @@ class TestLawChecks:
     def test_alpha_validation(self, fixture_space):
         with pytest.raises(ParameterError):
             check_laws(fixture_space, [k0(fixture_space)], [F(2)])
+
+    def test_same_label_functions_keep_their_own_images(self):
+        # two random kappas are both labelled "kappa"; each must be
+        # compared with its own sharp image, not with the other's
+        rng = Random(2)
+        s = random_set_hgos(rng)
+        f, g = random_kappa(s, rng), random_kappa(s, rng)
+
+        def sharp_comp(fns):
+            return {r.law: r for r in check_laws(s, fns, [])}["WeakSharpComp"].witnesses
+
+        assert sharp_comp([f, g]) == sharp_comp([f]) + sharp_comp([g])
 
     def test_foreign_function_rejected(self, fixture_space, two_block_space):
         with pytest.raises(InputError):

@@ -54,6 +54,31 @@ class TestValidate:
         assert result.exit_code == 2
         assert "not found" in result.stderr
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.__setitem__("elements", None),
+            lambda d: d["elements"][1].__setitem__("carrier", [["a"]]),
+            lambda d: d["join"][0].__setitem__(0, [d["join"][0][0]]),
+            lambda d: d["meet"][0].__setitem__(2, 7),
+            lambda d: d["parthood"][0].__setitem__(1, ["bot"]),
+            lambda d: d.update(lower="granular", granulation=None),
+        ],
+        ids=[
+            "elements-null", "carrier-item-list", "join-id-list", "meet-id-int", "parthood-id-list",
+            "granular-lower-granulation-null",
+        ],
+    )
+    def test_malformed_document_is_an_input_error(self, runner, tmp_path, mutate):
+        d = fixture_dict()
+        mutate(d)
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(d), encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(bad)])
+        assert result.exit_code == 2, result.exception
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
     def test_packaged_fixture_by_bare_name(self, runner):
         result = runner.invoke(main, ["validate", "abstract_example.json"])
         assert result.exit_code == 0

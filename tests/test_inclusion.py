@@ -8,6 +8,7 @@ from rif_forge import (
     InclusionFunction,
     InputError,
     ParameterError,
+    RifAxiomReport,
     check_rif_axiom,
     classify,
     complement_closed_set_hgos,
@@ -15,11 +16,12 @@ from rif_forge import (
     k1,
     k2,
     kst,
+    powerset_space,
     random_kappa,
     satisfies_class,
     verify_prif,
 )
-from rif_forge.inclusion import RIF_AXIOM_ORDER
+from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO
 
 
 class TestConcreteFunctions:
@@ -235,3 +237,164 @@ def test_axiom_reports_are_self_consistent(seed, two_block_space):
     for axiom in RIF_AXIOM_ORDER:
         report = check_rif_axiom(f, axiom)
         assert report.holds == (not report.witnesses)
+
+
+# -- reference scan ------------------------------------------------------------
+
+
+def naive_check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood") -> RifAxiomReport:
+    """The exhaustive element-by-element scan the ranked kernel replaced,
+    kept as the reference it must agree with report for report."""
+    s = f.space
+    if relation == "parthood":
+        rel = s.part
+    elif relation == "order":
+        rel = s.leq
+    else:
+        raise InputError(f"relation must be 'parthood' or 'order', got {relation!r}")
+
+    bottom = s.bottom
+
+    def proper_bottom(a: str) -> bool:
+        return rel(bottom, a) and not rel(a, bottom)
+
+    els = s.elements
+    witnesses: list[tuple[str, ...]] = []
+    skipped = 0
+
+    if axiom == "U1":
+        witnesses = [(a,) for a in els if f(a, a) != ONE]
+
+    elif axiom == "R0":
+        witnesses = [(a, b) for a in els for b in els if rel(a, b) and f(a, b) != ONE]
+
+    elif axiom == "R1":
+        witnesses = [(a, b) for a in els for b in els if (f(a, b) == ONE) != rel(a, b)]
+
+    elif axiom == "R2":
+        for a in els:
+            for b in els:
+                for c in els:
+                    if f(b, c) == ONE and f(a, b) > f(a, c):
+                        witnesses.append((a, b, c))
+
+    elif axiom == "R3":
+        for a in els:
+            for b in els:
+                for c in els:
+                    if rel(b, c) and f(a, b) > f(a, c):
+                        witnesses.append((a, b, c))
+
+    elif axiom == "R4":
+        for a in els:
+            for b in els:
+                if f(a, b) != ZERO:
+                    continue
+                m = s.meet_of(a, b)
+                if m is None:
+                    skipped += 1
+                elif m != bottom:
+                    witnesses.append((a, b))
+
+    elif axiom == "IR4":
+        for a in els:
+            if not proper_bottom(a):
+                continue
+            for b in els:
+                m = s.meet_of(a, b)
+                if m is None:
+                    skipped += 1
+                elif m == bottom and f(a, b) != ZERO:
+                    witnesses.append((a, b))
+
+    elif axiom == "RB":
+        witnesses = [(a,) for a in els if proper_bottom(a) and f(a, bottom) != ZERO]
+
+    elif axiom == "R5":
+        for a in els:
+            if not proper_bottom(a):
+                continue
+            for b in els:
+                m = s.meet_of(a, b)
+                if m is None:
+                    skipped += 1
+                elif (f(a, b) == ZERO) != (m == bottom):
+                    witnesses.append((a, b))
+
+    elif axiom == "R6":
+        for a in els:
+            if not proper_bottom(a):
+                continue
+            for b in els:
+                for c in els:
+                    j = s.join_of(b, c)
+                    if j is None:
+                        skipped += 1
+                    elif j == s.top and f(a, b) + f(a, c) != ONE:
+                        witnesses.append((a, b, c))
+
+    elif axiom == "IR0":
+        witnesses = [(a, b) for a in els for b in els if f(a, b) == ONE and not rel(a, b)]
+
+    else:
+        raise InputError(f"unknown axiom {axiom!r}")
+
+    wit = tuple(witnesses)
+    return RifAxiomReport(axiom=axiom, holds=not wit, witnesses=wit, skipped=skipped)
+
+
+def naive_classify(holds) -> str:
+    if holds["R1"] and holds["R2"]:
+        return "RIF"
+    if holds["R0"] and holds["R2"]:
+        return "qRIF"
+    if holds["R0"] and holds["R3"]:
+        return "wqRIF"
+    return "none"
+
+
+@st.composite
+def powerset_spaces(draw):
+    """Power sets of 2 to 4 objects under a random partition."""
+    objects = [f"x{i}" for i in range(draw(st.integers(min_value=2, max_value=4)))]
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(objects), max_size=len(objects)))
+    blocks = {}
+    for obj, label in zip(objects, labels):
+        blocks.setdefault(label, []).append(obj)
+    return powerset_space(objects, list(blocks.values()))
+
+
+FUNCTION_KINDS = ("kappa", "kappa-unit-diagonal", "k0", "k1", "k2", "kst")
+
+
+def build_function(kind: str, s, seed: int, lo: F, hi: F) -> InclusionFunction:
+    if kind == "kappa":
+        return random_kappa(s, Random(seed))
+    if kind == "kappa-unit-diagonal":
+        values = dict(random_kappa(s, Random(seed)).values)
+        values.update({(a, a): F(1) for a in s.elements})
+        return InclusionFunction(s, values, kind)
+    if kind == "kst":
+        return kst((k0, k1, k2)[seed % 3](s), lo, hi)
+    return {"k0": k0, "k1": k1, "k2": k2}[kind](s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(FUNCTION_KINDS),
+    seed=st.integers(min_value=0, max_value=10_000),
+    bounds=st.tuples(st.fractions(0, 1, max_denominator=6), st.fractions(0, 1, max_denominator=6))
+    .filter(lambda b: b[0] < b[1]),
+)
+def test_ranked_scan_matches_naive_scan(data, kind, seed, bounds, fixture_space):
+    s = data.draw(st.one_of(st.just(fixture_space), powerset_spaces()), label="space")
+    f = build_function(kind, s, seed, *bounds)
+    for relation in ("parthood", "order"):
+        expected = {ax: naive_check_rif_axiom(f, ax, relation) for ax in RIF_AXIOM_ORDER}
+        for axiom in RIF_AXIOM_ORDER:
+            assert check_rif_axiom(f, axiom, relation) == expected[axiom], (axiom, relation)
+        holds = {ax: r.holds for ax, r in expected.items()}
+        assert classify(f, relation) == naive_classify(holds)
+        for verdict in verify_prif(f, relation):
+            assert dict(verdict.axioms) == {ax: holds[ax] for ax in verdict.axioms}, verdict.name
