@@ -54,7 +54,6 @@ from .table import (
 from .inclusion import (
     InclusionFunction,
     PrifVerdict,
-    RifAxiomReport,
     check_rif_axiom,
     classify,
     complement_closed_set_hgos,
@@ -94,7 +93,6 @@ from .algebra import (
     top_function,
 )
 from .sampling import (
-    random_alpha,
     random_partition,
     random_set_hgos,
     random_thresholds,

@@ -77,8 +77,9 @@ def otimes(f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
 
 def oplus(alpha, f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
     alpha = _check_alpha(alpha)
+    beta = 1 - alpha
     s = _same_space(f, g)
-    values = {p: alpha * f.values[p] + (1 - alpha) * g.values[p] for p in s.pairs()}
+    values = {p: alpha * f.values[p] + beta * g.values[p] for p in s.pairs()}
     return InclusionFunction(s, values, f"oplus({alpha},{f.label},{g.label})")
 
 

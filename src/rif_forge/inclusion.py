@@ -35,7 +35,7 @@ from .errors import (
     InputError,
     ParameterError,
 )
-from .space import GranularSpace, classify_flavor
+from .space import AxiomReport, GranularSpace, classify_flavor
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -43,18 +43,6 @@ ZERO = Fraction(0)
 RIF_AXIOM_ORDER = ("U1", "R0", "R1", "R2", "R3", "R4", "R5", "R6", "IR0", "IR4", "RB")
 
 CLASS_ORDER = ("none", "wqRIF", "qRIF", "RIF")
-
-
-@dataclass(frozen=True)
-class RifAxiomReport:
-    axiom: str
-    holds: bool
-    witnesses: tuple[tuple[str, ...], ...]
-    skipped: int = 0
-
-    def __post_init__(self):
-        if self.holds != (len(self.witnesses) == 0):
-            raise ValueError("holds must mirror witness emptiness")
 
 
 class InclusionFunction:
@@ -275,7 +263,7 @@ def _order_witnesses(els, rows, groups) -> list[tuple[str, str, str]]:
     return witnesses
 
 
-def check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood") -> RifAxiomReport:
+def check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood") -> AxiomReport:
     """Exhaustively check one axiom of f against the chosen relation.
 
     relation selects which binary relation plays the parthood role:
@@ -360,8 +348,7 @@ def check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood"
                     if row[k] != want:
                         witnesses.append((a, els[j], els[k]))
 
-    wit = tuple(witnesses)
-    return RifAxiomReport(axiom=axiom, holds=not wit, witnesses=wit, skipped=skipped)
+    return AxiomReport.of(axiom, witnesses, skipped)
 
 
 def class_from_axioms(holds: Mapping[str, bool]) -> str:

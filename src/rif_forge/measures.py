@@ -16,7 +16,7 @@ from .errors import CarrierError, ParameterError, UndefinedMeasureError
 from .inclusion import InclusionFunction
 from .space import GranularSpace
 
-ONE = Fraction(1)
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -36,35 +36,21 @@ class VprsParams:
             )
 
 
-def _overlap(a: frozenset, b: frozenset) -> Fraction:
-    # k0 on raw carriers, with the empty-first-argument convention
-    return Fraction(len(a & b), len(a)) if a else ONE
-
-
 def accuracy_degree(s: GranularSpace, x: str) -> Fraction:
     """Size ratio of the lower to the upper approximation of x."""
     lower = s.carrier_of(s.lower_of(x))
     upper = s.carrier_of(s.upper_of(x))
     if not upper:
         raise UndefinedMeasureError(f"upper approximation of {x!r} is empty")
-    value = Fraction(len(lower), len(upper))
-    assert value == _overlap(upper, lower)
-    return value
+    return Fraction(len(lower), len(upper))
 
 
 def misclassification(s: GranularSpace, a: str, b: str) -> Fraction:
-    """Complement of the overlap degree of a in b."""
+    """Complement of the overlap degree of a in b: the share of a outside
+    b, and 0 when a is empty (its overlap degree is 1)."""
     ca = s.carrier_of(a)
     cb = s.carrier_of(b)
-    value = ONE - _overlap(ca, cb)
-    # For nonempty a this equals the overlap of a with b's complement;
-    # the empty-carrier convention breaks the identity at a = empty.
-    if ca:
-        universe = s.carrier_of(s.top)
-        other = s.element_with_carrier(universe - cb)
-        if other is not None:
-            assert value == _overlap(ca, s.carrier_of(other))
-    return value
+    return Fraction(len(ca - cb), len(ca)) if ca else ZERO
 
 
 def rough_leq(s: GranularSpace, a: str, b: str) -> bool:

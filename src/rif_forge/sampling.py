@@ -10,20 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
+from typing import Callable
 
 from .space import GranularSpace, powerset_space
-from .terms import (
-    AlgebraTerm,
-    AlphaSumTerm,
-    BaseTerm,
-    FlatTerm,
-    KstTerm,
-    PowerTerm,
-    ProductTerm,
-    SharpTerm,
-    SigmaTerm,
-    TopTerm,
-)
+from .terms import OPERATORS, AlgebraTerm, BaseTerm, TopTerm
 
 BASE_LABELS = ("k0", "k1", "k2")
 
@@ -51,15 +41,33 @@ def random_unit_rational(rng: Random, max_denominator: int = 12) -> Fraction:
     return Fraction(rng.randint(0, den), den)
 
 
-def random_alpha(rng: Random, max_denominator: int = 12) -> Fraction:
-    return random_unit_rational(rng, max_denominator)
-
-
 def random_thresholds(rng: Random, max_denominator: int = 12) -> tuple[Fraction, Fraction]:
     """A strictly interior pair 0 < s < t < 1."""
     den = rng.randint(3, max_denominator)
     low, high = sorted(rng.sample(range(1, den), 2))
     return Fraction(low, den), Fraction(high, den)
+
+
+def _kst_args(rng: Random, child: Callable[[], AlgebraTerm]) -> tuple:
+    low, high = random_thresholds(rng)
+    if rng.random() < 0.3:
+        high = Fraction(1)
+    return child(), low, high
+
+
+# The arguments of each operator of the term language, in its field order,
+# drawn from rng; child() draws a subterm.  The draw order is part of what
+# a seed fixes: pow draws its child before its exponent, kst its
+# thresholds before its child.
+_ARGUMENT_DRAWS: dict[str, Callable[[Random, Callable[[], AlgebraTerm]], tuple]] = {
+    "otimes": lambda rng, child: (child(), child()),
+    "oplus": lambda rng, child: (random_unit_rational(rng), child(), child()),
+    "sharp": lambda rng, child: (child(),),
+    "flat": lambda rng, child: (child(),),
+    "sigma": lambda rng, child: (child(),),
+    "pow": lambda rng, child: (child(), rng.randint(1, 3)),
+    "kst": _kst_args,
+}
 
 
 def random_wqrif_term(rng: Random, depth: int = 2) -> AlgebraTerm:
@@ -69,24 +77,6 @@ def random_wqrif_term(rng: Random, depth: int = 2) -> AlgebraTerm:
         if rng.random() < 0.15:
             return TopTerm()
         return BaseTerm(rng.choice(BASE_LABELS))
-    kind = rng.choice(("otimes", "oplus", "sharp", "flat", "sigma", "pow", "kst"))
-    if kind == "otimes":
-        return ProductTerm(random_wqrif_term(rng, depth - 1), random_wqrif_term(rng, depth - 1))
-    if kind == "oplus":
-        return AlphaSumTerm(
-            random_alpha(rng),
-            random_wqrif_term(rng, depth - 1),
-            random_wqrif_term(rng, depth - 1),
-        )
-    if kind == "sharp":
-        return SharpTerm(random_wqrif_term(rng, depth - 1))
-    if kind == "flat":
-        return FlatTerm(random_wqrif_term(rng, depth - 1))
-    if kind == "sigma":
-        return SigmaTerm(random_wqrif_term(rng, depth - 1))
-    if kind == "pow":
-        return PowerTerm(random_wqrif_term(rng, depth - 1), rng.randint(1, 3))
-    low, high = random_thresholds(rng)
-    if rng.random() < 0.3:
-        high = Fraction(1)
-    return KstTerm(random_wqrif_term(rng, depth - 1), low, high)
+    word = rng.choice(tuple(OPERATORS))
+    args = _ARGUMENT_DRAWS[word](rng, lambda: random_wqrif_term(rng, depth - 1))
+    return OPERATORS[word].node(*args)

@@ -74,6 +74,12 @@ class AxiomReport:
         if self.holds != (len(self.witnesses) == 0):
             raise ValueError("holds must mirror witness emptiness")
 
+    @classmethod
+    def of(cls, axiom: str, witnesses: Iterable[tuple[str, ...]], skipped: int = 0) -> "AxiomReport":
+        """The report listing these witness tuples; it holds iff there are none."""
+        wit = tuple(witnesses)
+        return cls(axiom=axiom, holds=not wit, witnesses=wit, skipped=skipped)
+
 
 class GranularSpace:
     """Explicit finite model of a general granular operator space."""
@@ -190,18 +196,11 @@ class GranularSpace:
             raise StructuralError(f"flavor {self.flavor} requires total join and meet")
         if self.flavor == "HGOS":
             return
-        # setHGOS: extensional, operations are union/intersection, P is inclusion
         if not self.is_set_extensional:
             raise StructuralError("flavor setHGOS requires a carrier on every element")
-        for a in self.elements:
-            for b in self.elements:
-                ca, cb = self.carriers[a], self.carriers[b]
-                if ((a, b) in self.parthood) != (ca <= cb):
-                    raise StructuralError("flavor setHGOS requires parthood == inclusion")
-                if self.carriers[self.join[(a, b)]] != ca | cb:
-                    raise StructuralError("flavor setHGOS requires join == union")
-                if self.carriers[self.meet[(a, b)]] != ca & cb:
-                    raise StructuralError("flavor setHGOS requires meet == intersection")
+        failure = _extensionality_failure(self)
+        if failure:
+            raise StructuralError(f"flavor setHGOS requires {failure}")
 
     # -- queries ---------------------------------------------------------
 
@@ -298,7 +297,7 @@ def validate_space(s: GranularSpace) -> list[AxiomReport]:
     reports = []
 
     wit = [(x,) for x in els if not s.part(x, x)]
-    reports.append(_report("PT1", wit))
+    reports.append(AxiomReport.of("PT1", wit))
 
     wit = [
         (a, b)
@@ -306,7 +305,7 @@ def validate_space(s: GranularSpace) -> list[AxiomReport]:
         for b in els[i + 1 :]
         if s.part(a, b) and s.part(b, a)
     ]
-    reports.append(_report("PT2", wit))
+    reports.append(AxiomReport.of("PT2", wit))
 
     wit, skipped = [], 0
     for i, a in enumerate(els):
@@ -317,7 +316,7 @@ def validate_space(s: GranularSpace) -> list[AxiomReport]:
                 skipped += 1
             if not (weak_equal(lj, rj) and weak_equal(lm, rm)):
                 wit.append((a, b))
-    reports.append(_report("G1", wit, skipped))
+    reports.append(AxiomReport.of("G1", wit, skipped))
 
     wit, skipped = [], 0
     for a in els:
@@ -328,31 +327,31 @@ def validate_space(s: GranularSpace) -> list[AxiomReport]:
                 skipped += 1
             if not (weak_equal(absorbed_join, a) and weak_equal(absorbed_meet, a)):
                 wit.append((a, b))
-    reports.append(_report("G2", wit, skipped))
+    reports.append(AxiomReport.of("G2", wit, skipped))
 
     wit, skipped = [], 0
     for a in els:
         for b in els:
             for c in els:
                 lhs = _apply(jn, mt((a, b)), c)
-                rhs = _apply2(mt, jn((a, c)), jn((b, c)))
+                rhs = _apply(mt, jn((a, c)), jn((b, c)))
                 if lhs is None or rhs is None:
                     skipped += 1
                 if not weak_equal(lhs, rhs):
                     wit.append((a, b, c))
-    reports.append(_report("G3", wit, skipped))
+    reports.append(AxiomReport.of("G3", wit, skipped))
 
     wit, skipped = [], 0
     for a in els:
         for b in els:
             for c in els:
                 lhs = _apply(mt, jn((a, b)), c)
-                rhs = _apply2(jn, mt((a, c)), mt((b, c)))
+                rhs = _apply(jn, mt((a, c)), mt((b, c)))
                 if lhs is None or rhs is None:
                     skipped += 1
                 if not weak_equal(lhs, rhs):
                     wit.append((a, b, c))
-    reports.append(_report("G4", wit, skipped))
+    reports.append(AxiomReport.of("G4", wit, skipped))
 
     wit, skipped = [], 0
     for a in els:
@@ -368,14 +367,14 @@ def validate_space(s: GranularSpace) -> list[AxiomReport]:
                 ok = False
             if not ok:
                 wit.append((a, b))
-    reports.append(_report("G5", wit, skipped))
+    reports.append(AxiomReport.of("G5", wit, skipped))
 
     wit = []
     for a in els:
         la, ua = s.lower[a], s.upper[a]
         if not (s.part(la, a) and s.lower[la] == la and s.part(ua, s.upper[ua])):
             wit.append((a,))
-    reports.append(_report("UL1", wit))
+    reports.append(AxiomReport.of("UL1", wit))
 
     wit = []
     for a in els:
@@ -383,17 +382,17 @@ def validate_space(s: GranularSpace) -> list[AxiomReport]:
             if s.part(a, b):
                 if not (s.part(s.lower[a], s.lower[b]) and s.part(s.upper[a], s.upper[b])):
                     wit.append((a, b))
-    reports.append(_report("UL2", wit))
+    reports.append(AxiomReport.of("UL2", wit))
 
     wit = []
     if not (s.lower[s.bottom] == s.bottom and s.upper[s.bottom] == s.bottom):
         wit.append((s.bottom,))
     if not (s.part(s.lower[s.top], s.top) and s.part(s.upper[s.top], s.top)):
         wit.append((s.top,))
-    reports.append(_report("UL3", wit))
+    reports.append(AxiomReport.of("UL3", wit))
 
     wit = [(a,) for a in els if not (s.part(s.bottom, a) and s.part(a, s.top))]
-    reports.append(_report("TB", wit))
+    reports.append(AxiomReport.of("TB", wit))
 
     return reports
 
@@ -402,15 +401,6 @@ def _apply(table_get, x: Optional[str], y: Optional[str]) -> Optional[str]:
     if x is None or y is None:
         return None
     return table_get((x, y))
-
-
-def _apply2(table_get, x: Optional[str], y: Optional[str]) -> Optional[str]:
-    return _apply(table_get, x, y)
-
-
-def _report(axiom: str, witnesses, skipped: int = 0) -> AxiomReport:
-    wit = tuple(tuple(w) for w in witnesses)
-    return AxiomReport(axiom=axiom, holds=not wit, witnesses=wit, skipped=skipped)
 
 
 def representable_elements(s: GranularSpace, term_depth: int = 1) -> frozenset[str]:
@@ -471,7 +461,7 @@ def check_admissibility(s: GranularSpace, term_depth: int = 1) -> list[AxiomRepo
             ):
                 fu.append((x, a))
 
-    return [_report("WRA", wra), _report("LS", ls), _report("FU", fu)]
+    return [AxiomReport.of("WRA", wra), AxiomReport.of("LS", ls), AxiomReport.of("FU", fu)]
 
 
 # -- granular approximations ---------------------------------------------
@@ -519,26 +509,26 @@ def classify_flavor(s: GranularSpace) -> str:
         return "GGS"
     if not s.operations_total():
         return "GS"
-    if s.is_set_extensional:
-        extensional = True
-        for a in s.elements:
-            ca = s.carriers[a]
-            for b in s.elements:
-                cb = s.carriers[b]
-                if ((a, b) in s.parthood) != (ca <= cb):
-                    extensional = False
-                    break
-                if s.carriers[s.join[(a, b)]] != ca | cb:
-                    extensional = False
-                    break
-                if s.carriers[s.meet[(a, b)]] != ca & cb:
-                    extensional = False
-                    break
-            if not extensional:
-                break
-        if extensional:
-            return "setHGOS"
+    if s.is_set_extensional and _extensionality_failure(s) is None:
+        return "setHGOS"
     return "HGOS"
+
+
+def _extensionality_failure(s: GranularSpace) -> Optional[str]:
+    """The first setHGOS condition to fail on a carried space with total
+    operations, in element order of the pair, or None when parthood is
+    inclusion, join is union and meet is intersection."""
+    for a in s.elements:
+        ca = s.carriers[a]
+        for b in s.elements:
+            cb = s.carriers[b]
+            if ((a, b) in s.parthood) != (ca <= cb):
+                return "parthood == inclusion"
+            if s.carriers[s.join[(a, b)]] != ca | cb:
+                return "join == union"
+            if s.carriers[s.meet[(a, b)]] != ca & cb:
+                return "meet == intersection"
+    return None
 
 
 # -- power-set construction ----------------------------------------------
@@ -559,7 +549,7 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
             f"power-set universe capped at {POWERSET_OBJECT_CAP} objects, got {len(objs)}"
         )
     blks = [frozenset(b) for b in blocks]
-    _check_partition(objs, blks)
+    check_partition(blks, frozenset(objs), "exactly the base objects")
 
     ordered = sorted(objs)
     universe: list[frozenset[str]] = []
@@ -604,7 +594,9 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
     )
 
 
-def _check_partition(objects: Sequence[str], blocks: Sequence[frozenset[str]]):
+def check_partition(blocks: Iterable[frozenset[str]], carrier: frozenset[str], cover: str) -> None:
+    """Raise InputError unless the blocks are nonempty, pairwise disjoint
+    and cover the carrier; cover names the carrier in that message."""
     seen: set[str] = set()
     for b in blocks:
         if not b:
@@ -612,8 +604,8 @@ def _check_partition(objects: Sequence[str], blocks: Sequence[frozenset[str]]):
         if b & seen:
             raise InputError("partition blocks must be disjoint")
         seen |= b
-    if seen != set(objects):
-        raise InputError("partition blocks must cover exactly the base objects")
+    if seen != carrier:
+        raise InputError(f"partition blocks must cover {cover}")
 
 
 # -- serialization --------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .space import GranularSpace, powerset_space
+from .space import GranularSpace, check_partition, powerset_space
 
 CSV_OBJECT_COLUMN = "object"
 
@@ -47,15 +47,7 @@ class EquivalenceRelation:
     blocks: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for b in self.blocks:
-            if not b:
-                raise InputError("partition blocks must be nonempty")
-            if b & seen:
-                raise InputError("partition blocks must be disjoint")
-            seen |= b
-        if seen != self.carrier:
-            raise InputError("partition blocks must cover the carrier")
+        check_partition(self.blocks, self.carrier, "the carrier")
 
     def block_of(self, x: str) -> frozenset[str]:
         for b in self.blocks:

@@ -12,23 +12,27 @@ Grammar, whitespace-insensitive:
               | "kst"    "(" term "," rational "," rational ")"
     rational := INT | INT "/" INT
 
-The constructor words are reserved and cannot name base functions.  Parse
-errors carry the offending position and the token set expected there.
+Each constructor is one row of OPERATORS: its node dataclass, the kinds of
+its arguments in field order, and the function that builds its value.
+The parser, the evaluator, RESERVED and the random term sampler all read
+that table.  The constructor words are reserved and cannot name base
+functions.  Operators nest at most MAX_TERM_DEPTH deep.  Parse errors
+carry the offending position and the token set expected there.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
-from . import algebra
+from . import algebra, inclusion
 from .errors import InputError, ParameterError, ResolutionError, TermParseError
-from .inclusion import InclusionFunction, k0, k1, k2, kst
+from .inclusion import InclusionFunction, k0, k1, k2
 from .space import GranularSpace
 
-RESERVED = ("top", "otimes", "oplus", "sharp", "flat", "sigma", "pow", "kst")
+MAX_TERM_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,41 @@ AlgebraTerm = Union[
 ]
 
 
+@dataclass(frozen=True)
+class Operator:
+    """One term constructor.
+
+    kinds gives each argument's kind in the node's field order: "term",
+    "rational" or "integer", which is also the name of the parser method
+    that reads it.  build takes the evaluated arguments in the same order.
+    """
+
+    node: type
+    kinds: tuple[str, ...]
+    build: Callable[..., InclusionFunction]
+
+
+def _late(module, name: str) -> Callable[..., InclusionFunction]:
+    # The builder is looked up on every call, so a wrapper bound to
+    # module.name later on (a profiler's, say) sees the calls made here.
+    return lambda *args: getattr(module, name)(*args)
+
+
+OPERATORS: dict[str, Operator] = {
+    "otimes": Operator(ProductTerm, ("term", "term"), _late(algebra, "otimes")),
+    "oplus": Operator(AlphaSumTerm, ("rational", "term", "term"), _late(algebra, "oplus")),
+    "sharp": Operator(SharpTerm, ("term",), _late(algebra, "sharp")),
+    "flat": Operator(FlatTerm, ("term",), _late(algebra, "flat")),
+    "sigma": Operator(SigmaTerm, ("term",), _late(algebra, "sigma")),
+    "pow": Operator(PowerTerm, ("term", "integer"), _late(algebra, "power")),
+    "kst": Operator(KstTerm, ("term", "rational", "rational"), _late(inclusion, "kst")),
+}
+
+_BY_NODE = {op.node: op for op in OPERATORS.values()}
+
+RESERVED = ("top",) + tuple(OPERATORS)
+
+
 # -- lexing -------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+)|(?P<sym>[(),/]))")
@@ -143,6 +182,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -174,54 +214,21 @@ class _Parser:
         if tok.kind != "name":
             self.fail(("name",) + RESERVED[1:] + ("'top'",))
         self.advance()
-        word = tok.text
-        if word == "top":
-            return TopTerm()
-        if word == "otimes":
-            self.expect_symbol("(")
-            left = self.term()
-            self.expect_symbol(",")
-            right = self.term()
-            self.expect_symbol(")")
-            return ProductTerm(left, right)
-        if word == "oplus":
-            self.expect_symbol("(")
-            alpha = self.rational()
-            self.expect_symbol(",")
-            left = self.term()
-            self.expect_symbol(",")
-            right = self.term()
-            self.expect_symbol(")")
-            return AlphaSumTerm(alpha, left, right)
-        if word == "sharp":
-            return SharpTerm(self.unary())
-        if word == "flat":
-            return FlatTerm(self.unary())
-        if word == "sigma":
-            return SigmaTerm(self.unary())
-        if word == "pow":
-            self.expect_symbol("(")
-            inner = self.term()
-            self.expect_symbol(",")
-            n = self.integer()
-            self.expect_symbol(")")
-            return PowerTerm(inner, n)
-        if word == "kst":
-            self.expect_symbol("(")
-            inner = self.term()
-            self.expect_symbol(",")
-            low = self.rational()
-            self.expect_symbol(",")
-            high = self.rational()
-            self.expect_symbol(")")
-            return KstTerm(inner, low, high)
-        return BaseTerm(word)
-
-    def unary(self) -> AlgebraTerm:
+        op = OPERATORS.get(tok.text)
+        if op is None:
+            return TopTerm() if tok.text == "top" else BaseTerm(tok.text)
+        if self.depth == MAX_TERM_DEPTH:
+            raise TermParseError(f"operators nest more than {MAX_TERM_DEPTH} deep", tok.position)
+        self.depth += 1
         self.expect_symbol("(")
-        inner = self.term()
+        args = []
+        for i, kind in enumerate(op.kinds):
+            if i:
+                self.expect_symbol(",")
+            args.append(getattr(self, kind)())
         self.expect_symbol(")")
-        return inner
+        self.depth -= 1
+        return op.node(*args)
 
     def integer(self) -> int:
         tok = self.peek()
@@ -267,34 +274,25 @@ def eval_term(
     env: Mapping[str, InclusionFunction],
     s: GranularSpace,
 ) -> InclusionFunction:
-    if isinstance(term, BaseTerm):
-        try:
-            f = env[term.label]
-        except KeyError:
-            bound = ", ".join(sorted(env)) or "nothing"
-            raise ResolutionError(f"name {term.label!r} is not bound (have: {bound})") from None
-        if f.space != s:
-            raise InputError(f"function {term.label!r} is bound over a different space")
-        return f
+    op = _BY_NODE.get(type(term))
+    if op is not None:
+        args = []
+        for kind, field in zip(op.kinds, fields(term)):
+            value = getattr(term, field.name)
+            args.append(eval_term(value, env, s) if kind == "term" else value)
+        return op.build(*args)
     if isinstance(term, TopTerm):
         return algebra.top_function(s)
-    if isinstance(term, ProductTerm):
-        return algebra.otimes(eval_term(term.left, env, s), eval_term(term.right, env, s))
-    if isinstance(term, AlphaSumTerm):
-        return algebra.oplus(
-            term.alpha, eval_term(term.left, env, s), eval_term(term.right, env, s)
-        )
-    if isinstance(term, SharpTerm):
-        return algebra.sharp(eval_term(term.inner, env, s))
-    if isinstance(term, FlatTerm):
-        return algebra.flat(eval_term(term.inner, env, s))
-    if isinstance(term, SigmaTerm):
-        return algebra.sigma(eval_term(term.inner, env, s))
-    if isinstance(term, PowerTerm):
-        return algebra.power(eval_term(term.inner, env, s), term.n)
-    if isinstance(term, KstTerm):
-        return kst(eval_term(term.inner, env, s), term.low, term.high)
-    raise InputError(f"unknown term node {term!r}")
+    if not isinstance(term, BaseTerm):
+        raise InputError(f"unknown term node {term!r}")
+    try:
+        f = env[term.label]
+    except KeyError:
+        bound = ", ".join(sorted(env)) or "nothing"
+        raise ResolutionError(f"name {term.label!r} is not bound (have: {bound})") from None
+    if f.space != s:
+        raise InputError(f"function {term.label!r} is bound over a different space")
+    return f
 
 
 def evaluate(text: str, s: GranularSpace, env: Optional[Mapping[str, InclusionFunction]] = None) -> InclusionFunction:

@@ -10,7 +10,7 @@ from random import Random
 
 from click.testing import CliRunner
 
-from conftest import FIXTURE_PATH, APPROXIMATION_ROWS
+from fixture_data import FIXTURE_PATH, APPROXIMATION_ROWS
 from rif_forge import (
     VprsParams,
     accuracy_degree,
@@ -30,7 +30,7 @@ from rif_forge import (
     misclassification,
     oplus,
     otimes,
-    random_alpha,
+    random_unit_rational,
     random_set_hgos,
     random_thresholds,
     random_kappa,
@@ -96,7 +96,7 @@ def test_criterion_4():
         s = random_set_hgos(rng)
         env = default_env(s)
         fns = [eval_term(random_wqrif_term(rng), env, s) for _ in range(3)]
-        reports = check_laws(s, fns, [random_alpha(rng)])
+        reports = check_laws(s, fns, [random_unit_rational(rng)])
         named = {r.law: r for r in reports}
         for law in required:
             assert named[law].holds, (i, law, named[law].witnesses[:2])

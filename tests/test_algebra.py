@@ -22,7 +22,7 @@ from rif_forge import (
     oplus,
     otimes,
     power,
-    random_alpha,
+    random_unit_rational,
     random_kappa,
     random_set_hgos,
     rif_failure_search,
@@ -266,7 +266,7 @@ def test_blends_of_rifs_keep_r1_and_r2(seed):
     products = [otimes(f, g) for i, f in enumerate(base) for g in base[i:]]
     pool = [f for f in base + products if classify(f) == "RIF"]
     assert pool
-    alpha = random_alpha(rng)
+    alpha = random_unit_rational(rng)
     for f in pool:
         for g in pool:
             blend = oplus(alpha, f, g)

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from conftest import FIXTURE_PATH, APPROXIMATION_ROWS
+from fixture_data import FIXTURE_PATH, APPROXIMATION_ROWS
 from rif_forge import powerset_space, save_space, space_from_dict, space_to_dict, validate_space
 from rif_forge.cli import main
 

@@ -8,7 +8,7 @@ from rif_forge import (
     InclusionFunction,
     InputError,
     ParameterError,
-    RifAxiomReport,
+    AxiomReport,
     check_rif_axiom,
     classify,
     complement_closed_set_hgos,
@@ -242,7 +242,7 @@ def test_axiom_reports_are_self_consistent(seed, two_block_space):
 # -- reference scan ------------------------------------------------------------
 
 
-def naive_check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood") -> RifAxiomReport:
+def naive_check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood") -> AxiomReport:
     """The exhaustive element-by-element scan the ranked kernel replaced,
     kept as the reference it must agree with report for report."""
     s = f.space
@@ -340,7 +340,7 @@ def naive_check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "par
         raise InputError(f"unknown axiom {axiom!r}")
 
     wit = tuple(witnesses)
-    return RifAxiomReport(axiom=axiom, holds=not wit, witnesses=wit, skipped=skipped)
+    return AxiomReport(axiom=axiom, holds=not wit, witnesses=wit, skipped=skipped)
 
 
 def naive_classify(holds) -> str:

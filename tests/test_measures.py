@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 from itertools import product
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rif_forge import (
     ParameterError,
@@ -12,6 +14,7 @@ from rif_forge import (
     k0,
     misclassification,
     powerset_space,
+    random_set_hgos,
     regions,
     rough_eq,
     rough_leq,
@@ -171,3 +174,23 @@ class TestVprs:
         f = k0(s)
         lo, up = vprs(s, f, VprsParams(F(1, 4), F(1, 2)), "{u}")
         assert lo == frozenset({"u"}) and up == frozenset({"u"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_measures_are_overlap_degrees(seed):
+    """On power sets, accuracy is k0(upper, lower), and misclassification of
+    a nonempty a in b is k0(a, complement of b); an empty a is never
+    misclassified."""
+    s = random_set_hgos(Random(seed), max_objects=5)
+    f = k0(s)
+    universe = s.carrier_of(s.top)
+    for x in s.elements:
+        if s.carrier_of(s.upper_of(x)):
+            assert accuracy_degree(s, x) == f(s.upper_of(x), s.lower_of(x))
+    for a, b in s.pairs():
+        if s.carrier_of(a):
+            complement = s.element_with_carrier(universe - s.carrier_of(b))
+            assert misclassification(s, a, b) == f(a, complement)
+        else:
+            assert misclassification(s, a, b) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from rif_forge import (
     CarrierError,
     ClosureError,
+    EquivalenceRelation,
     GranularSpace,
     InputError,
     SizeError,
@@ -29,7 +30,7 @@ from rif_forge import (
 )
 from rif_forge.space import AxiomReport, representable_elements
 
-from conftest import APPROXIMATION_ROWS
+from fixture_data import APPROXIMATION_ROWS
 
 
 def chain_space(total_ops=True, carriers=None, flavor="GS"):
@@ -254,6 +255,31 @@ class TestFlavors:
         s = chain_space(carriers={"bot": frozenset(), "m": frozenset("x"), "top": frozenset("y")})
         assert classify_flavor(s) == "HGOS"
 
+    @pytest.mark.parametrize(
+        "breaks, failure",
+        [
+            ([("parthood", "{x1}", "{x1,x2}")], "parthood == inclusion"),
+            ([("join", "{x1}", "{x2}", "{x1}")], "join == union"),
+            ([("meet", "{x1}", "{x2}", "{x1}")], "meet == intersection"),
+            # the first failing pair in element order decides, whatever its condition
+            ([("join", "{x1}", "{x2}", "{x1}"), ("meet", "{}", "{x1}", "{x1}")], "meet == intersection"),
+            ([("meet", "{x2}", "{x1,x2}", "{}"), ("parthood", "{x2}", "{x1,x2}")], "parthood == inclusion"),
+        ],
+    )
+    def test_set_hgos_flavor_names_the_first_failed_condition(self, singleton_space, breaks, failure):
+        d = space_to_dict(singleton_space)
+        for key, a, b, *result in breaks:
+            if key == "parthood":
+                d["parthood"].remove([a, b])
+                d["order"].remove([a, b])
+            else:
+                d[key] = [[x, y, result[0] if (x, y) == (a, b) else r] for x, y, r in d[key]]
+        with pytest.raises(StructuralError) as exc:
+            space_from_dict(d)
+        assert str(exc.value) == f"flavor setHGOS requires {failure}"
+        d["flavor"] = "HGOS"
+        assert classify_flavor(space_from_dict(d)) == "HGOS"
+
 
 class TestPowerset:
     def test_universe_and_ids(self, singleton_space):
@@ -284,6 +310,22 @@ class TestPowerset:
             powerset_space(["a", "b"], [["a"]])
         with pytest.raises(InputError):
             powerset_space(["a"], [["a"], ["a"]])
+
+    def test_partition_messages(self):
+        # the power-set and the table partitions share one validator but
+        # name what the blocks must cover in their own terms
+        with pytest.raises(InputError, match="^partition blocks must cover exactly the base objects$"):
+            powerset_space(["a", "b"], [["a"]])
+        with pytest.raises(InputError, match="^partition blocks must cover the carrier$"):
+            EquivalenceRelation(frozenset({"a", "b"}), (frozenset({"a"}),))
+        for build in (
+            lambda blocks: powerset_space(["a", "b"], blocks),
+            lambda blocks: EquivalenceRelation(frozenset({"a", "b"}), tuple(map(frozenset, blocks))),
+        ):
+            with pytest.raises(InputError, match="^partition blocks must be nonempty$"):
+                build([["a", "b"], []])
+            with pytest.raises(InputError, match="^partition blocks must be disjoint$"):
+                build([["a", "b"], ["b"]])
 
     def test_axioms_hold(self, two_block_space):
         for report in validate_space(two_block_space) + check_admissibility(two_block_space):
