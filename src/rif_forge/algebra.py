@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from random import Random
 from typing import Iterable, Optional, Sequence
 
@@ -25,20 +26,6 @@ from .inclusion import (
     k2,
 )
 from .space import GranularSpace, classify_flavor
-
-LAW_ORDER = (
-    "Comm",
-    "Assoc",
-    "Identity",
-    "Idempotence",
-    "Distributivity",
-    "Order1",
-    "Order2",
-    "Top",
-    "WeakSharpComp",
-    "WeakFlatComp",
-    "R0Plus",
-)
 
 
 @dataclass(frozen=True)
@@ -122,142 +109,155 @@ def leq(f: InclusionFunction, g: InclusionFunction) -> bool:
 # -- law verification --------------------------------------------------------
 
 
-def check_laws(
-    s: GranularSpace,
-    fns: Sequence[InclusionFunction],
-    alphas: Sequence[Fraction],
-) -> list[LawReport]:
+class _LawInputs:
+    """The functions as the law checks read them (the axiom scans' ranks, in pair order,
+    and sorted images), and products or blends of two per distinct rank pair."""
+
+    def __init__(self, s: GranularSpace, fns: Sequence[InclusionFunction], alphas: Sequence[Fraction]):
+        self.s, self.fns, self.pairs = s, list(fns), list(s.pairs())
+        for f in self.fns:
+            if f.space != s:
+                raise InputError(f"function {f.label!r} is not over the given space")
+        self.weights = [(alpha, 1 - alpha) for alpha in map(_check_alpha, alphas)]
+        self.cols = [f._ranked.ranks for f in self.fns]
+        self.images = [f._ranked.image for f in self.fns]
+        self.made = {}
+
+    def distinct(self, idx):
+        """The distinct rank tuples of the functions idx over all pairs."""
+        return set(zip(*[self.cols[i] for i in idx]))
+
+    def pairwise(self, w, i, j):
+        """f_i * f_j (w None) or their blend at weight w, per distinct rank pair."""
+        if (w, i, j) not in self.made:
+            fi, fj = self.images[i], self.images[j]
+            alpha, beta = (None, None) if w is None else self.weights[w]
+            self.made[w, i, j] = {
+                (x, y): fi[x] * fj[y] if w is None else alpha * fi[x] + beta * fj[y]
+                for x, y in self.distinct((i, j))
+            }
+        return self.made[w, i, j]
+
+    def combos(self, arity):
+        """All operand index tuples of the arity; for 0, (f, h, f2, h2) with f <= h, f2 <= h2."""
+        ops = range(len(self.fns))
+        if arity:
+            return product(ops, repeat=arity)
+        ims = self.images
+        below = [(i, j) for i in ops for j in ops
+                 if all(ims[i][x] <= ims[j][y] for x, y in self.distinct((i, j)))]
+        return [c + d for c in below for d in below]
+
+
+# The pointwise laws: each takes the inputs, a weight index (None for an
+# unweighted law), the distinct rank tuples of the operands and their
+# indices, and returns the tuples that falsify the law.
+
+
+def _comm(inp, w, tuples, i, j):
+    ij, ji = inp.pairwise(None, i, j), inp.pairwise(None, j, i)
+    return {(x, y) for x, y in tuples if ij[x, y] != ji[y, x]}
+
+
+def _assoc(inp, w, tuples, i, j, k):
+    fi, fk, ij, jk = inp.images[i], inp.images[k], inp.pairwise(None, i, j), inp.pairwise(None, j, k)
+    return {(x, y, z) for x, y, z in tuples if fi[x] * jk[y, z] != ij[x, y] * fk[z]}
+
+
+def _identity(inp, w, tuples, i):
+    fi = inp.images[i]
+    return {(x,) for x, in tuples if fi[x] * ONE != fi[x]}
+
+
+def _idempotence(inp, w, tuples, i):
+    fi, ii = inp.images[i], inp.pairwise(w, i, i)
+    return {(x,) for x, in tuples if ii[x, x] != fi[x]}
+
+
+def _distributivity(inp, w, tuples, i, j, k):
+    (alpha, beta), fi = inp.weights[w], inp.images[i]
+    ij, ik, jk = inp.pairwise(None, i, j), inp.pairwise(None, i, k), inp.pairwise(w, j, k)
+    return {(x, y, z) for x, y, z in tuples if fi[x] * jk[y, z] != alpha * ij[x, y] + beta * ik[x, z]}
+
+
+def _order(inp, w, tuples, i, j, k, l):
+    ik, jl = inp.pairwise(w, i, k), inp.pairwise(w, j, l)
+    return {(x, y, z, u) for x, y, z, u in tuples if ik[x, z] > jl[y, u]}
+
+
+def _scan(inp, test, arity, weighted):
+    """Witnesses of a pointwise law over inp.combos(arity), and every weight
+    when weighted.  A failing combination is a witness once per pair
+    carrying a failing tuple, in element order; for the order laws
+    (arity 0) it is one."""
+    wit = []
+    for idx in inp.combos(arity):
+        tuples = inp.distinct(idx)
+        labels = tuple(inp.fns[i].label for i in idx)
+        for w in range(len(inp.weights)) if weighted else [None]:
+            tag = labels + (str(inp.weights[w][0]),) if weighted else labels
+            bad = test(inp, w, tuples, *idx)
+            if bad:
+                carried = zip(inp.pairs, zip(*[inp.cols[i] for i in idx]))
+                wit += [tag + p for p, t in carried if t in bad] if arity else [tag]
+    return wit
+
+
+def _weak_comp(inp, inward):
+    """WeakSharpComp (inward): a part of lower(a), f(lower(a), lower(b)) > f(a, b).
+    WeakFlatComp: upper(a) part of a, f(a, b) > f(upper(a), upper(b))."""
+    s, els = inp.s, inp.s.elements
+    own, mapped = range(len(els)), [s._index[(s.lower if inward else s.upper)[a]] for a in els]
+    first, second = (own, mapped) if inward else (mapped, own)
+    wit = []
+    for f in inp.fns:
+        rows = f._ranked.rows
+        for i in own:
+            if s.part(els[first[i]], els[second[i]]):
+                hi, lo = rows[second[i]], rows[first[i]]
+                wit += [(f.label, els[i], els[j]) for j in own if hi[second[j]] > lo[first[j]]]
+    return wit
+
+
+def _r0_plus(inp):
+    wit = []
+    for f in inp.fns:
+        gf = sigma(f).values
+        wit += [(f.label, a, b) for a, b in inp.pairs if inp.s.part(a, b) and gf[a, b] != ONE]
+    return wit
+
+
+# Each law's check, which returns its witnesses, and the check's arguments after the inputs.
+_LAW_CHECKS = {
+    "Comm": (_scan, _comm, 2, False),
+    "Assoc": (_scan, _assoc, 3, False),
+    "Identity": (_scan, _identity, 1, False),
+    "Idempotence": (_scan, _idempotence, 1, True),
+    "Distributivity": (_scan, _distributivity, 3, True),
+    "Order1": (_scan, _order, 0, False),
+    "Order2": (_scan, _order, 0, True),
+    "Top": (lambda inp: [(f.label,) for f, im in zip(inp.fns, inp.images) if im[-1] > ONE],),
+    "WeakSharpComp": (_weak_comp, True),
+    "WeakFlatComp": (_weak_comp, False),
+    "R0Plus": (_r0_plus,),
+}
+
+LAW_ORDER = tuple(_LAW_CHECKS)
+
+
+def check_laws(s: GranularSpace, fns: Sequence[InclusionFunction], alphas: Sequence[Fraction]) -> list[LawReport]:
     """Exhaustively verify the eleven algebra laws over fns and alphas.
 
     Everything is exact rational equality; a law report carries every
-    falsifying tuple found.
+    falsifying tuple found, ordered by operands, weight, then element pair.
+    The pointwise laws (Comm to Top) build no product or blend function:
+    per operand combination they collect the distinct rank tuples over all
+    pairs in integers, evaluate the law in Fractions once per tuple (and
+    weight), and list the pairs carrying a failing tuple, in element order.
+    Order1 and Order2 range over the pairs of pointwise comparable operands.
     """
-    fns = list(fns)
-    for f in fns:
-        if f.space != s:
-            raise InputError(f"function {f.label!r} is not over the given space")
-    alphas = [_check_alpha(a) for a in alphas]
-    pairs = list(s.pairs())
-    top = top_function(s)
-    # Each image, product and blend is built once per call.  The caches key
-    # on operand identity, not label, because labels can repeat; every
-    # operand stays alive (in fns, as top, or in a cache) so ids are never
-    # reused.
-    sharps = {id(f): sharp(f) for f in fns}
-    flats = {id(f): flat(f) for f in fns}
-    sigmas = {id(f): sigma(f) for f in fns}
-    products: dict[tuple[int, int], InclusionFunction] = {}
-    blends: dict[tuple[Fraction, int, int], InclusionFunction] = {}
-
-    def prod(f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
-        key = (id(f), id(g))
-        if key not in products:
-            products[key] = otimes(f, g)
-        return products[key]
-
-    def blend(alpha: Fraction, f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
-        key = (alpha, id(f), id(g))
-        if key not in blends:
-            blends[key] = oplus(alpha, f, g)
-        return blends[key]
-
-    reports = []
-
-    wit = []
-    for f in fns:
-        for h in fns:
-            fh = prod(f, h)
-            hf = prod(h, f)
-            wit.extend((f.label, h.label, a, b) for a, b in pairs if fh.values[(a, b)] != hf.values[(a, b)])
-    reports.append(_law("Comm", wit))
-
-    wit = []
-    for f in fns:
-        for h in fns:
-            for t in fns:
-                left = prod(f, prod(h, t))
-                right = prod(prod(f, h), t)
-                wit.extend(
-                    (f.label, h.label, t.label, a, b)
-                    for a, b in pairs
-                    if left.values[(a, b)] != right.values[(a, b)]
-                )
-    reports.append(_law("Assoc", wit))
-
-    wit = []
-    for f in fns:
-        ft = prod(f, top)
-        wit.extend((f.label, a, b) for a, b in pairs if ft.values[(a, b)] != f.values[(a, b)])
-    reports.append(_law("Identity", wit))
-
-    wit = []
-    for f in fns:
-        for alpha in alphas:
-            ff = blend(alpha, f, f)
-            wit.extend(
-                (f.label, str(alpha), a, b) for a, b in pairs if ff.values[(a, b)] != f.values[(a, b)]
-            )
-    reports.append(_law("Idempotence", wit))
-
-    wit = []
-    for f in fns:
-        for t in fns:
-            for h in fns:
-                for alpha in alphas:
-                    left = prod(f, blend(alpha, t, h))
-                    right = blend(alpha, prod(f, t), prod(f, h))
-                    wit.extend(
-                        (f.label, t.label, h.label, str(alpha), a, b)
-                        for a, b in pairs
-                        if left.values[(a, b)] != right.values[(a, b)]
-                    )
-    reports.append(_law("Distributivity", wit))
-
-    comparable = [(f, h) for f in fns for h in fns if leq(f, h)]
-
-    wit = []
-    for f, h in comparable:
-        for f2, h2 in comparable:
-            if not leq(prod(f, f2), prod(h, h2)):
-                wit.append((f.label, h.label, f2.label, h2.label))
-    reports.append(_law("Order1", wit))
-
-    wit = []
-    for f, h in comparable:
-        for f2, h2 in comparable:
-            for alpha in alphas:
-                if not leq(blend(alpha, f, f2), blend(alpha, h, h2)):
-                    wit.append((f.label, h.label, f2.label, h2.label, str(alpha)))
-    reports.append(_law("Order2", wit))
-
-    reports.append(_law("Top", [(f.label,) for f in fns if not leq(f, top)]))
-
-    wit = []
-    for f in fns:
-        sf = sharps[id(f)]
-        for a, b in pairs:
-            if s.part(a, s.lower_of(a)) and sf.values[(a, b)] > f.values[(a, b)]:
-                wit.append((f.label, a, b))
-    reports.append(_law("WeakSharpComp", wit))
-
-    wit = []
-    for f in fns:
-        bf = flats[id(f)]
-        for a, b in pairs:
-            if s.part(s.upper_of(a), a) and f.values[(a, b)] > bf.values[(a, b)]:
-                wit.append((f.label, a, b))
-    reports.append(_law("WeakFlatComp", wit))
-
-    wit = []
-    for f in fns:
-        gf = sigmas[id(f)]
-        for a, b in pairs:
-            if s.part(a, b) and gf.values[(a, b)] != ONE:
-                wit.append((f.label, a, b))
-    reports.append(_law("R0Plus", wit))
-
-    assert [r.law for r in reports] == list(LAW_ORDER)
-    return reports
+    inp = _LawInputs(s, fns, alphas)
+    return [_law(law, check(inp, *args)) for law, (check, *args) in _LAW_CHECKS.items()]
 
 
 def _law(law: str, witnesses: Iterable[tuple[str, ...]]) -> LawReport:

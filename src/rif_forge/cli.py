@@ -251,6 +251,8 @@ main.add_command(classify_cmd, name="classify")
 @_exits
 def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, fmt, out):
     """Verify the eleven algebra laws over the given functions."""
+    if random_terms < 0:
+        raise ParameterError(f"--random-terms must not be negative, got {random_terms}")
     s = _load(space_file)
     texts = list(term_list) or ["k0", "k1", "k2"]
     env = _function_env(s, env_path)
@@ -291,6 +293,8 @@ def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, 
 @_exits
 def prif_verify(space_file, term, trials, seed, relation, fmt, out):
     """Check the implication battery, on one function or random ones."""
+    if trials < 1:
+        raise ParameterError(f"--trials must be positive, got {trials}")
     s = _load(space_file)
     if term is not None:
         batteries = [(term, verify_prif(_eval(s, term), relation))]

@@ -181,10 +181,11 @@ _exact_key = attrgetter("numerator", "denominator")
 class _RankedRows:
     """f by element index, with its values replaced by their ranks.
 
-    rows[i][j] is the rank of f(a_i, a_j) in f's sorted image, so ranks
-    compare exactly as the values do.  one and zero are the ranks of 1 and
-    0 (-1 when absent), comp[r] is the rank of 1 - (value of rank r) (-1
-    when absent) and one_masks[i] has bit j set iff f(a_i, a_j) == 1.
+    image is f's sorted image and rows[i][j] the rank of f(a_i, a_j) in it,
+    so ranks compare exactly as the values do; ranks holds the same ranks
+    in s.pairs() order.  one and zero are the ranks of 1 and 0 (-1 when
+    absent), comp[r] is the rank of 1 - image[r] (-1 when absent) and
+    one_masks[i] has bit j set iff f(a_i, a_j) == 1.
     """
 
     def __init__(self, f: InclusionFunction):
@@ -192,9 +193,9 @@ class _RankedRows:
         # InclusionFunction stores its values row by row in element order.
         flat = list(f.values.values())
         keys = list(map(_exact_key, flat))
-        image = sorted(dict(zip(keys, flat)).values())
+        self.image = image = sorted(dict(zip(keys, flat)).values())
         rank = {_exact_key(v): r for r, v in enumerate(image)}
-        ranks = list(map(rank.__getitem__, keys))
+        self.ranks = ranks = list(map(rank.__getitem__, keys))
         self.rows = [ranks[i * n:(i + 1) * n] for i in range(n)]
         self.one = one = rank.get(_exact_key(ONE), -1)
         self.zero = rank.get(_exact_key(ZERO), -1)

@@ -16,8 +16,9 @@ Each constructor is one row of OPERATORS: its node dataclass, the kinds of
 its arguments in field order, and the function that builds its value.
 The parser, the evaluator, RESERVED and the random term sampler all read
 that table.  The constructor words are reserved and cannot name base
-functions.  Operators nest at most MAX_TERM_DEPTH deep.  Parse errors
-carry the offending position and the token set expected there.
+functions.  Operators nest at most MAX_TERM_DEPTH deep and a pow exponent
+is at most MAX_POW_EXPONENT.  Parse errors carry the offending position
+and the token set expected there.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .inclusion import InclusionFunction, k0, k1, k2
 from .space import GranularSpace
 
 MAX_TERM_DEPTH = 200
+MAX_POW_EXPONENT = 64
 
 
 @dataclass(frozen=True)
@@ -230,29 +232,34 @@ class _Parser:
         self.depth -= 1
         return op.node(*args)
 
-    def integer(self) -> int:
+    def number(self, expected: str) -> int:
         tok = self.peek()
         if tok.kind != "num":
-            self.fail(("integer",))
+            self.fail((expected,))
         self.advance()
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise TermParseError(f"integer literal of {len(tok.text)} digits is too long", tok.position) from None
+
+    def integer(self) -> int:
+        # the only integer argument is a pow exponent
+        position = self.peek().position
+        n = self.number("integer")
+        if n > MAX_POW_EXPONENT:
+            raise TermParseError(f"pow exponent exceeds the limit of {MAX_POW_EXPONENT}", position)
+        return n
 
     def rational(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "num":
-            self.fail(("rational",))
-        self.advance()
-        numerator = int(tok.text)
+        numerator = self.number("rational")
         nxt = self.peek()
         if nxt.kind == "sym" and nxt.text == "/":
             self.advance()
-            den_tok = self.peek()
-            if den_tok.kind != "num":
-                self.fail(("integer denominator",))
-            self.advance()
-            if int(den_tok.text) == 0:
-                raise TermParseError("zero denominator", den_tok.position, ("nonzero integer",))
-            return Fraction(numerator, int(den_tok.text))
+            position = self.peek().position
+            denominator = self.number("integer denominator")
+            if denominator == 0:
+                raise TermParseError("zero denominator", position, ("nonzero integer",))
+            return Fraction(numerator, denominator)
         return Fraction(numerator)
 
 

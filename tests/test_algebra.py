@@ -1,17 +1,24 @@
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
+from itertools import product
 from random import Random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rif_forge import (
+    GranularSpace,
+    InclusionFunction,
     InputError,
+    LawReport,
     LAW_ORDER,
     ParameterError,
     check_laws,
     check_rif_axiom,
     classify,
     convex_polynomial,
+    default_env,
+    eval_term,
     fit_alpha,
     flat,
     k0,
@@ -23,6 +30,7 @@ from rif_forge import (
     otimes,
     power,
     random_unit_rational,
+    random_wqrif_term,
     random_kappa,
     random_set_hgos,
     rif_failure_search,
@@ -32,6 +40,8 @@ from rif_forge import (
     space_from_dict,
     top_function,
 )
+from rif_forge.algebra import _LawInputs, _check_alpha, _law, _scan
+from rif_forge.inclusion import ONE
 
 SINGLE_ELEMENT = {
     "flavor": "HGOS",
@@ -304,3 +314,241 @@ class TestFitAlpha:
             fit_alpha(
                 k0(fixture_space), k1(fixture_space), [(("ab", "bc"), F(5, 4))]
             )
+
+
+# -- the distinct-tuple law kernel against the pair-by-pair loop -------------
+#
+# naive_check_laws is check_laws as it was before the pointwise laws were
+# evaluated once per distinct value tuple: it builds every product and
+# blend as a function and compares them pair by pair.  It is kept
+# verbatim as the oracle for the reports, witnesses and witness order.
+
+
+def naive_check_laws(
+    s: GranularSpace,
+    fns: Sequence[InclusionFunction],
+    alphas: Sequence[Fraction],
+) -> list[LawReport]:
+    """Exhaustively verify the eleven algebra laws over fns and alphas.
+
+    Everything is exact rational equality; a law report carries every
+    falsifying tuple found.
+    """
+    fns = list(fns)
+    for f in fns:
+        if f.space != s:
+            raise InputError(f"function {f.label!r} is not over the given space")
+    alphas = [_check_alpha(a) for a in alphas]
+    pairs = list(s.pairs())
+    top = top_function(s)
+    # Each image, product and blend is built once per call.  The caches key
+    # on operand identity, not label, because labels can repeat; every
+    # operand stays alive (in fns, as top, or in a cache) so ids are never
+    # reused.
+    sharps = {id(f): sharp(f) for f in fns}
+    flats = {id(f): flat(f) for f in fns}
+    sigmas = {id(f): sigma(f) for f in fns}
+    products: dict[tuple[int, int], InclusionFunction] = {}
+    blends: dict[tuple[Fraction, int, int], InclusionFunction] = {}
+
+    def prod(f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
+        key = (id(f), id(g))
+        if key not in products:
+            products[key] = otimes(f, g)
+        return products[key]
+
+    def blend(alpha: Fraction, f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
+        key = (alpha, id(f), id(g))
+        if key not in blends:
+            blends[key] = oplus(alpha, f, g)
+        return blends[key]
+
+    reports = []
+
+    wit = []
+    for f in fns:
+        for h in fns:
+            fh = prod(f, h)
+            hf = prod(h, f)
+            wit.extend((f.label, h.label, a, b) for a, b in pairs if fh.values[(a, b)] != hf.values[(a, b)])
+    reports.append(_law("Comm", wit))
+
+    wit = []
+    for f in fns:
+        for h in fns:
+            for t in fns:
+                left = prod(f, prod(h, t))
+                right = prod(prod(f, h), t)
+                wit.extend(
+                    (f.label, h.label, t.label, a, b)
+                    for a, b in pairs
+                    if left.values[(a, b)] != right.values[(a, b)]
+                )
+    reports.append(_law("Assoc", wit))
+
+    wit = []
+    for f in fns:
+        ft = prod(f, top)
+        wit.extend((f.label, a, b) for a, b in pairs if ft.values[(a, b)] != f.values[(a, b)])
+    reports.append(_law("Identity", wit))
+
+    wit = []
+    for f in fns:
+        for alpha in alphas:
+            ff = blend(alpha, f, f)
+            wit.extend(
+                (f.label, str(alpha), a, b) for a, b in pairs if ff.values[(a, b)] != f.values[(a, b)]
+            )
+    reports.append(_law("Idempotence", wit))
+
+    wit = []
+    for f in fns:
+        for t in fns:
+            for h in fns:
+                for alpha in alphas:
+                    left = prod(f, blend(alpha, t, h))
+                    right = blend(alpha, prod(f, t), prod(f, h))
+                    wit.extend(
+                        (f.label, t.label, h.label, str(alpha), a, b)
+                        for a, b in pairs
+                        if left.values[(a, b)] != right.values[(a, b)]
+                    )
+    reports.append(_law("Distributivity", wit))
+
+    comparable = [(f, h) for f in fns for h in fns if leq(f, h)]
+
+    wit = []
+    for f, h in comparable:
+        for f2, h2 in comparable:
+            if not leq(prod(f, f2), prod(h, h2)):
+                wit.append((f.label, h.label, f2.label, h2.label))
+    reports.append(_law("Order1", wit))
+
+    wit = []
+    for f, h in comparable:
+        for f2, h2 in comparable:
+            for alpha in alphas:
+                if not leq(blend(alpha, f, f2), blend(alpha, h, h2)):
+                    wit.append((f.label, h.label, f2.label, h2.label, str(alpha)))
+    reports.append(_law("Order2", wit))
+
+    reports.append(_law("Top", [(f.label,) for f in fns if not leq(f, top)]))
+
+    wit = []
+    for f in fns:
+        sf = sharps[id(f)]
+        for a, b in pairs:
+            if s.part(a, s.lower_of(a)) and sf.values[(a, b)] > f.values[(a, b)]:
+                wit.append((f.label, a, b))
+    reports.append(_law("WeakSharpComp", wit))
+
+    wit = []
+    for f in fns:
+        bf = flats[id(f)]
+        for a, b in pairs:
+            if s.part(s.upper_of(a), a) and f.values[(a, b)] > bf.values[(a, b)]:
+                wit.append((f.label, a, b))
+    reports.append(_law("WeakFlatComp", wit))
+
+    wit = []
+    for f in fns:
+        gf = sigmas[id(f)]
+        for a, b in pairs:
+            if s.part(a, b) and gf.values[(a, b)] != ONE:
+                wit.append((f.label, a, b))
+    reports.append(_law("R0Plus", wit))
+
+    assert [r.law for r in reports] == list(LAW_ORDER)
+    return reports
+
+
+def _law_case(kind: str, seed: int, fixture_space):
+    """Functions and weights for one oracle comparison: wqRIF terms on the
+    GGS fixture or on a power set of 2-4 objects (the laws-wqrif workload's
+    shape), or random kappas, which break WeakSharpComp, WeakFlatComp and
+    R0Plus.  Sometimes one operand is passed twice."""
+    rng = Random(seed)
+    s = fixture_space if kind == "fixture" else random_set_hgos(rng)
+    env = default_env(s)
+    if kind == "kappa":
+        fns = [random_kappa(s, rng) for _ in range(rng.randint(1, 3))] + [env["k0"]]
+    else:
+        fns = [eval_term(random_wqrif_term(rng), env, s) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        fns.append(fns[0])
+    alphas = [random_unit_rational(rng) for _ in range(rng.randint(0, 2))]
+    return s, fns, alphas
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["wqrif", "fixture", "kappa"]), seed=st.integers(0, 10_000))
+def test_law_reports_match_pairwise_loop(fixture_space, kind, seed):
+    s, fns, alphas = _law_case(kind, seed, fixture_space)
+    got = [(r.law, r.holds, r.witnesses) for r in check_laws(s, fns, alphas)]
+    assert got == [(r.law, r.holds, r.witnesses) for r in naive_check_laws(s, fns, alphas)]
+    # Order1 and Order2 range over the pairs leq finds comparable
+    below = [(i, j) for i, f in enumerate(fns) for j, h in enumerate(fns) if leq(f, h)]
+    assert _LawInputs(s, fns, alphas).combos(0) == [c + d for c in below for d in below]
+
+
+def test_oracle_cases_include_failing_laws(fixture_space):
+    failing = set()
+    for seed in range(20):
+        s, fns, alphas = _law_case("kappa", seed, fixture_space)
+        failing |= {r.law for r in check_laws(s, fns, alphas) if not r.holds}
+    assert {"WeakSharpComp", "WeakFlatComp", "R0Plus"} <= failing
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), arity=st.integers(0, 3), weighted=st.booleans())
+def test_scan_traces_failing_tuples_like_a_pair_loop(seed, arity, weighted):
+    # The pointwise laws cannot fail on [0,1] values, so the tracing of
+    # failing tuples back to operands, weights and pairs is checked with a
+    # test that does fail: the operands' values plus the weight exceed a
+    # limit.  Arity 0 stands for the comparable quadruples of the order
+    # laws, whose witnesses name no pairs.
+    rng = Random(seed)
+    s = random_set_hgos(rng)
+    fns = [InclusionFunction(s, random_kappa(s, rng).values, f"kappa{i}") for i in range(2)]
+    fns.append(InclusionFunction(s, {p: min(v * 2, ONE) for p, v in fns[0].values.items()}, "double"))
+    alphas = [random_unit_rational(rng) for _ in range(2)]
+    limit = random_unit_rational(rng) * max(arity, 4)
+
+    def test(inp, w, tuples, *idx):
+        shift = 0 if w is None else inp.weights[w][0]
+        ims = [inp.images[i] for i in idx]
+        return {t for t in tuples if sum(im[r] for im, r in zip(ims, t)) + shift > limit}
+
+    inp = _LawInputs(s, fns, alphas)
+    got = _scan(inp, test, arity, weighted)
+    want = []
+    for idx in product(range(len(fns)), repeat=arity or 4):
+        if not arity and not (leq(fns[idx[0]], fns[idx[1]]) and leq(fns[idx[2]], fns[idx[3]])):
+            continue
+        for alpha in alphas if weighted else [0]:
+            tag = tuple(fns[i].label for i in idx) + ((str(alpha),) if weighted else ())
+            bad = [p for p in s.pairs() if sum(fns[i].values[p] for i in idx) + alpha > limit]
+            want += [tag + p for p in bad] if arity else [tag] * bool(bad)
+    assert got == want
+
+
+_units = st.fractions(0, 1, max_denominator=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_units, min_size=4, max_size=4), alpha=_units)
+def test_pointwise_laws_hold_on_the_unit_interval(values, alpha):
+    # The paper's ordered-hemiring claim stated on values: products and
+    # blends of numbers in [0,1] satisfy the eight pointwise laws.
+    x, y, z, w = values
+    beta = 1 - alpha
+    assert x * y == y * x
+    assert x * (y * z) == (x * y) * z
+    assert x * ONE == x
+    assert alpha * x + beta * x == x
+    assert x * (alpha * y + beta * z) == alpha * (x * y) + beta * (x * z)
+    lo, hi = sorted((x, y))
+    lo2, hi2 = sorted((z, w))
+    assert lo * lo2 <= hi * hi2
+    assert alpha * lo + beta * lo2 <= alpha * hi + beta * hi2
+    assert x <= ONE

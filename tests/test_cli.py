@@ -212,6 +212,16 @@ class TestCheckLaws:
         assert first.output == second.output
 
 
+    @pytest.mark.parametrize("count", ["-3", "-1"])
+    def test_negative_random_terms_is_an_input_error(self, runner, count):
+        result = runner.invoke(main, ["check-laws", str(FIXTURE_PATH), "--random-terms", count])
+        assert result.exit_code == 2, result.exception
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert "--random-terms" in lines[0]
+        assert result.stdout == ""
+
+
 class TestPrifVerify:
     def test_single_function(self, runner):
         result = runner.invoke(
@@ -230,6 +240,15 @@ class TestPrifVerify:
         assert first.exit_code == 0
         assert first.output == second.output
         assert "trials: 40" in first.output
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_is_an_input_error(self, runner, trials):
+        result = runner.invoke(main, ["prif-verify", str(FIXTURE_PATH), "--trials", trials])
+        assert result.exit_code == 2, result.exception
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert "--trials" in lines[0]
+        assert result.stdout == ""
 
 
 class TestFailureSearchCommand:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from click.testing import CliRunner
 
 from rif_forge import (
     AlphaSumTerm,
@@ -26,7 +27,9 @@ from rif_forge import (
     random_wqrif_term,
     satisfies_class,
 )
-from rif_forge.terms import RESERVED
+from fixture_data import FIXTURE_PATH
+from rif_forge.cli import main
+from rif_forge.terms import MAX_POW_EXPONENT, RESERVED
 
 
 class TestParsing:
@@ -100,6 +103,39 @@ class TestParseErrors:
     def test_out_of_range_parameters(self, text):
         with pytest.raises(ParameterError):
             parse_term(text)
+
+
+NINES = "9" * 5000
+
+
+class TestLiteralLimits:
+    def test_exponents_up_to_the_limit_parse(self):
+        # the sampler draws exponents 1-3 and the golden files use 2 and 3
+        assert MAX_POW_EXPONENT >= 3
+        assert parse_term(f"pow(k0,{MAX_POW_EXPONENT})") == PowerTerm(BaseTerm("k0"), MAX_POW_EXPONENT)
+
+    def test_exponent_past_the_limit_names_it(self):
+        with pytest.raises(TermParseError) as exc:
+            parse_term(f"pow(k0, {MAX_POW_EXPONENT + 1})")
+        assert str(MAX_POW_EXPONENT) in str(exc.value)
+        assert exc.value.position == len("pow(k0, ")
+
+    @pytest.mark.parametrize(
+        "text", [f"pow(k0,{NINES})", f"oplus({NINES}/1,k0,k1)", f"oplus(1/{NINES},k0,k1)", f"kst(k0,0,{NINES})"]
+    )
+    def test_oversized_literal_is_a_parse_error(self, text):
+        with pytest.raises(TermParseError) as exc:
+            parse_term(text)
+        assert "5000 digits" in str(exc.value)
+        assert text[exc.value.position:].startswith(NINES)
+
+    @pytest.mark.parametrize("text", [f"pow(k0,{NINES})", f"pow(k0,{MAX_POW_EXPONENT + 1})"])
+    def test_cli_exits_two_with_one_error_line(self, text):
+        result = CliRunner().invoke(main, ["classify", str(FIXTURE_PATH), text])
+        assert result.exit_code == 2, result.exception
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert result.stdout == ""
 
 
 class TestEvaluation:
