@@ -10,7 +10,11 @@ best of --repeat runs, each on freshly built functions), the verdict and,
 for the pointwise laws, how many distinct rank tuples (times weights) the
 law was evaluated on.  A product or blend table is charged to the first
 law that reads it, and "inputs" is the rank rows and columns every law
-reads.  The last line times one whole check_laws call.  Stdlib only.
+reads.  The next line times one whole check_laws call.  Then one line per
+operator gives the best of --repeat timings of it on the same space:
+building k0, k1 and k2, and otimes, oplus, sharp, flat, sigma, pow, kst
+and leq applied to them (otimes, oplus and leq on each ordered pair of the
+three, oplus at every weight).  Stdlib only.
 """
 
 import argparse
@@ -24,8 +28,10 @@ from random import Random
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from rif_forge.algebra import _LAW_CHECKS, _LawInputs, _scan, check_laws
-from rif_forge.inclusion import k0, k1, k2
+from rif_forge.algebra import (
+    _LAW_CHECKS, _LawInputs, _scan, check_laws, flat, leq, oplus, otimes, power, sharp, sigma,
+)
+from rif_forge.inclusion import k0, k1, k2, kst
 from rif_forge.sampling import random_partition
 from rif_forge.space import powerset_space
 
@@ -39,7 +45,33 @@ def evaluated(inp: _LawInputs, law: str) -> str:
         return "-" if law != "Top" else str(sum(map(len, inp.images)))
     _, arity, weighted = rest
     tuples = sum(len(inp.distinct(idx)) for idx in inp.combos(arity))
-    return str(tuples * (len(inp.weights) if weighted else 1))
+    return str(tuples * (len(inp.alphas) if weighted else 1))
+
+
+def operator_calls(s) -> dict:
+    """What each operator line times, as a function of no arguments."""
+    fns = [k0(s), k1(s), k2(s)]
+    pairs = [(f, g) for f in fns for g in fns]
+    return {
+        "k0/k1/k2": lambda: (k0(s), k1(s), k2(s)),
+        "otimes": lambda: [otimes(f, g) for f, g in pairs],
+        "oplus": lambda: [oplus(w, f, g) for w in WEIGHTS for f, g in pairs],
+        "sharp": lambda: [sharp(f) for f in fns],
+        "flat": lambda: [flat(f) for f in fns],
+        "sigma": lambda: [sigma(f) for f in fns],
+        "pow": lambda: [power(f, 3) for f in fns],
+        "kst": lambda: [kst(f, Fraction(1, 4), Fraction(3, 4)) for f in fns],
+        "leq": lambda: [leq(f, g) for f, g in pairs],
+    }
+
+
+def best_ms(call, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times) * 1000
 
 
 def main() -> None:
@@ -82,6 +114,9 @@ def main() -> None:
         verdict = "pass" if not witnesses else f"FAIL ({len(witnesses)} witnesses)"
         print(f"{law:<16}{best[law] * 1000:>10.2f}{evaluated(inp, law):>12}  {verdict}")
     print(f"{'check_laws':<16}{min(whole) * 1000:>10.2f}")
+    print(f"{'operator':<16}{'ms':>10}")
+    for name, call in operator_calls(s).items():
+        print(f"{name:<16}{best_ms(call, args.repeat):>10.2f}")
 
 
 if __name__ == "__main__":

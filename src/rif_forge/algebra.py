@@ -2,9 +2,11 @@
 
 Operations: pointwise product, convex sums, composition with the lower or
 upper approximation (sharp, flat), the granule-mediated sum (sigma), the
-constant-1 unit, pointwise powers and the pointwise order.  check_laws
-verifies the hemiring and order laws by exhaustive rational evaluation,
-and rif_failure_search hunts for operations that leave the RIF class.
+constant-1 unit, pointwise powers and the pointwise order.  Each works on
+the integer rows of its operands (numerators over one denominator) and
+builds the rows of its result.  check_laws verifies the hemiring and order
+laws by exhaustive exact evaluation in integers, and rif_failure_search
+hunts for operations that leave the RIF class.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from random import Random
 from typing import Iterable, Optional, Sequence
 
@@ -52,90 +55,116 @@ def _check_alpha(alpha) -> Fraction:
     return alpha
 
 
+_rows = InclusionFunction._of_rows
+
+
 def top_function(s: GranularSpace) -> InclusionFunction:
-    return InclusionFunction(s, {p: ONE for p in s.pairs()}, "top")
+    return _rows(s, [1] * len(s.elements) ** 2, 1, "top")
 
 
 def otimes(f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
     s = _same_space(f, g)
-    values = {p: f.values[p] * g.values[p] for p in s.pairs()}
-    return InclusionFunction(s, values, f"otimes({f.label},{g.label})")
+    return _rows(s, list(map(mul, f.nums, g.nums)), f.den * g.den, f"otimes({f.label},{g.label})")
 
 
 def oplus(alpha, f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
     alpha = _check_alpha(alpha)
-    beta = 1 - alpha
     s = _same_space(f, g)
-    values = {p: alpha * f.values[p] + beta * g.values[p] for p in s.pairs()}
-    return InclusionFunction(s, values, f"oplus({alpha},{f.label},{g.label})")
+    # p/q * x/Df + (q-p)/q * y/Dg = (p*Dg*x + (q-p)*Df*y) / (q*Df*Dg)
+    p, q = alpha.as_integer_ratio()
+    a, b = p * g.den, (q - p) * f.den
+    nums = [a * x + b * y for x, y in zip(f.nums, g.nums)]
+    return _rows(s, nums, q * f.den * g.den, f"oplus({alpha},{f.label},{g.label})")
+
+
+def _gather(f: InclusionFunction, approx: dict[str, str], name: str) -> InclusionFunction:
+    """(a, b) -> f(approx(a), approx(b))."""
+    s = f.space
+    n, idx = len(s.elements), s._index
+    to = [idx[approx[a]] for a in s.elements]
+    rows = [f.nums[i * n:(i + 1) * n] for i in to]
+    return _rows(s, [row[j] for row in rows for j in to], f.den, f"{name}({f.label})")
 
 
 def sharp(f: InclusionFunction) -> InclusionFunction:
-    s = f.space
-    values = {(a, b): f(s.lower_of(a), s.lower_of(b)) for a, b in s.pairs()}
-    return InclusionFunction(s, values, f"sharp({f.label})")
+    return _gather(f, f.space.lower, "sharp")
 
 
 def flat(f: InclusionFunction) -> InclusionFunction:
+    return _gather(f, f.space.upper, "flat")
+
+
+def sigma_degrees(f: InclusionFunction, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Numerators of sigma(f), over f.den, at the (i, j) element index pairs."""
     s = f.space
-    values = {(a, b): f(s.upper_of(a), s.upper_of(b)) for a, b in s.pairs()}
-    return InclusionFunction(s, values, f"flat({f.label})")
+    n, idx, nums = len(s.elements), s._index, f.nums
+    parts = [[idx[w] * n for w in s.granulation if s.part(w, a)] for a in s.elements]
+    lows = [idx[s.lower[b]] for b in s.elements]
+    return [max(nums[w + lows[j]] for w in parts[i]) if parts[i] else f.den for i, j in pairs]
 
 
 def sigma(f: InclusionFunction) -> InclusionFunction:
     """Granule-mediated sum: best degree of a granule part of a inside the
     lower approximation of b, and 1 when a has no granule part."""
-    s = f.space
-    values = {}
-    for a, b in s.pairs():
-        lb = s.lower_of(b)
-        degrees = [f(w, lb) for w in s.granulation if s.part(w, a)]
-        values[(a, b)] = max(degrees) if degrees else ONE
-    return InclusionFunction(s, values, f"sigma({f.label})")
+    nums = sigma_degrees(f, product(range(len(f.space.elements)), repeat=2))
+    return _rows(f.space, nums, f.den, f"sigma({f.label})")
 
 
 def power(f: InclusionFunction, n: int) -> InclusionFunction:
     if n < 1:
         raise ParameterError(f"exponent must be a positive integer, got {n}")
-    values = {p: v**n for p, v in f.values.items()}
-    return InclusionFunction(f.space, values, f"pow({f.label},{n})")
+    return _rows(f.space, [x**n for x in f.nums], f.den**n, f"pow({f.label},{n})")
 
 
 def leq(f: InclusionFunction, g: InclusionFunction) -> bool:
-    s = _same_space(f, g)
-    return all(f.values[p] <= g.values[p] for p in s.pairs())
+    _same_space(f, g)
+    df, dg = f.den, g.den
+    return all(x * dg <= y * df for x, y in zip(f.nums, g.nums))
 
 
 # -- law verification --------------------------------------------------------
 
 
 class _LawInputs:
-    """The functions as the law checks read them (the axiom scans' ranks, in pair order,
-    and sorted images), and products or blends of two per distinct rank pair."""
+    """The functions as the law checks read them: the axiom scans' ranks, in
+    pair order, and sorted numerators, each function's denominator, and
+    products or blends of two per distinct rank pair."""
 
     def __init__(self, s: GranularSpace, fns: Sequence[InclusionFunction], alphas: Sequence[Fraction]):
         self.s, self.fns, self.pairs = s, list(fns), list(s.pairs())
         for f in self.fns:
             if f.space != s:
                 raise InputError(f"function {f.label!r} is not over the given space")
-        self.weights = [(alpha, 1 - alpha) for alpha in map(_check_alpha, alphas)]
+        self.alphas = list(map(_check_alpha, alphas))
         self.cols = [f._ranked.ranks for f in self.fns]
         self.images = [f._ranked.image for f in self.fns]
-        self.made = {}
+        self.dens = [f.den for f in self.fns]
+        self.made, self.seen = {}, {}
 
     def distinct(self, idx):
-        """The distinct rank tuples of the functions idx over all pairs."""
-        return set(zip(*[self.cols[i] for i in idx]))
+        """The distinct rank tuples of the functions idx over all pairs, kept
+        for the laws that share operand tuples."""
+        idx = tuple(idx)
+        if idx not in self.seen:
+            self.seen[idx] = set(zip(*[self.cols[i] for i in idx]))
+        return self.seen[idx]
+
+    def weight(self, w, i, j):
+        """For the weight p/q: the blend of f_i and f_j has the numerator
+        a*x + b*y over q*Di*Dj, where x and y are their numerators."""
+        p, q = self.alphas[w].as_integer_ratio()
+        return p * self.dens[j], (q - p) * self.dens[i], q
 
     def pairwise(self, w, i, j):
-        """f_i * f_j (w None) or their blend at weight w, per distinct rank pair."""
+        """Numerators of f_i * f_j (w None), over Di*Dj, or of their blend at
+        weight w, over q*Di*Dj, per distinct rank pair."""
         if (w, i, j) not in self.made:
-            fi, fj = self.images[i], self.images[j]
-            alpha, beta = (None, None) if w is None else self.weights[w]
-            self.made[w, i, j] = {
-                (x, y): fi[x] * fj[y] if w is None else alpha * fi[x] + beta * fj[y]
-                for x, y in self.distinct((i, j))
-            }
+            ni, nj, tuples = self.images[i], self.images[j], self.distinct((i, j))
+            if w is None:
+                self.made[w, i, j] = {(x, y): ni[x] * nj[y] for x, y in tuples}
+            else:
+                a, b, _ = self.weight(w, i, j)
+                self.made[w, i, j] = {(x, y): a * ni[x] + b * nj[y] for x, y in tuples}
         return self.made[w, i, j]
 
     def combos(self, arity):
@@ -143,15 +172,16 @@ class _LawInputs:
         ops = range(len(self.fns))
         if arity:
             return product(ops, repeat=arity)
-        ims = self.images
+        ims, dens = self.images, self.dens
         below = [(i, j) for i in ops for j in ops
-                 if all(ims[i][x] <= ims[j][y] for x, y in self.distinct((i, j)))]
+                 if all(ims[i][x] * dens[j] <= ims[j][y] * dens[i] for x, y in self.distinct((i, j)))]
         return [c + d for c in below for d in below]
 
 
 # The pointwise laws: each takes the inputs, a weight index (None for an
 # unweighted law), the distinct rank tuples of the operands and their
-# indices, and returns the tuples that falsify the law.
+# indices, and returns the tuples that falsify the law.  Both sides of a
+# law are compared as integers over one denominator.
 
 
 def _comm(inp, w, tuples, i, j):
@@ -160,29 +190,34 @@ def _comm(inp, w, tuples, i, j):
 
 
 def _assoc(inp, w, tuples, i, j, k):
-    fi, fk, ij, jk = inp.images[i], inp.images[k], inp.pairwise(None, i, j), inp.pairwise(None, j, k)
-    return {(x, y, z) for x, y, z in tuples if fi[x] * jk[y, z] != ij[x, y] * fk[z]}
+    ni, nk, ij, jk = inp.images[i], inp.images[k], inp.pairwise(None, i, j), inp.pairwise(None, j, k)
+    return {(x, y, z) for x, y, z in tuples if ni[x] * jk[y, z] != ij[x, y] * nk[z]}
 
 
 def _identity(inp, w, tuples, i):
-    fi = inp.images[i]
-    return {(x,) for x, in tuples if fi[x] * ONE != fi[x]}
+    # top is 1/1, so f * top is x*1 over Di*1
+    ni = inp.images[i]
+    return {(x,) for x, in tuples if ni[x] * 1 != ni[x]}
 
 
 def _idempotence(inp, w, tuples, i):
-    fi, ii = inp.images[i], inp.pairwise(w, i, i)
-    return {(x,) for x, in tuples if ii[x, x] != fi[x]}
+    # the blend over q*Di*Di against x/Di
+    ni, ii, (_, _, q) = inp.images[i], inp.pairwise(w, i, i), inp.weight(w, i, i)
+    return {(x,) for x, in tuples if ii[x, x] != q * inp.dens[i] * ni[x]}
 
 
 def _distributivity(inp, w, tuples, i, j, k):
-    (alpha, beta), fi = inp.weights[w], inp.images[i]
-    ij, ik, jk = inp.pairwise(None, i, j), inp.pairwise(None, i, k), inp.pairwise(w, j, k)
-    return {(x, y, z) for x, y, z in tuples if fi[x] * jk[y, z] != alpha * ij[x, y] + beta * ik[x, z]}
+    # f_i * blend(f_j, f_k) against the blend of f_i*f_j and f_i*f_k, both over q*Di*Dj*Dk
+    a, b, _ = inp.weight(w, j, k)
+    ni, ij, ik, jk = inp.images[i], inp.pairwise(None, i, j), inp.pairwise(None, i, k), inp.pairwise(w, j, k)
+    return {(x, y, z) for x, y, z in tuples if ni[x] * jk[y, z] != a * ij[x, y] + b * ik[x, z]}
 
 
 def _order(inp, w, tuples, i, j, k, l):
+    # f_i . f_k over (q*)Di*Dk against f_j . f_l over (q*)Dj*Dl
     ik, jl = inp.pairwise(w, i, k), inp.pairwise(w, j, l)
-    return {(x, y, z, u) for x, y, z, u in tuples if ik[x, z] > jl[y, u]}
+    left, right = inp.dens[j] * inp.dens[l], inp.dens[i] * inp.dens[k]
+    return {(x, y, z, u) for x, y, z, u in tuples if ik[x, z] * left > jl[y, u] * right}
 
 
 def _scan(inp, test, arity, weighted):
@@ -194,10 +229,10 @@ def _scan(inp, test, arity, weighted):
     for idx in inp.combos(arity):
         tuples = inp.distinct(idx)
         labels = tuple(inp.fns[i].label for i in idx)
-        for w in range(len(inp.weights)) if weighted else [None]:
-            tag = labels + (str(inp.weights[w][0]),) if weighted else labels
+        for w in range(len(inp.alphas)) if weighted else [None]:
             bad = test(inp, w, tuples, *idx)
             if bad:
+                tag = labels + (str(inp.alphas[w]),) if weighted else labels
                 carried = zip(inp.pairs, zip(*[inp.cols[i] for i in idx]))
                 wit += [tag + p for p, t in carried if t in bad] if arity else [tag]
     return wit
@@ -220,10 +255,13 @@ def _weak_comp(inp, inward):
 
 
 def _r0_plus(inp):
+    """(f, a, b) with a part of b and sigma(f)(a, b) != 1, read only at the parthood pairs."""
+    s, els = inp.s, inp.s.elements
+    related = [(i, j) for i, a in enumerate(els) for j, b in enumerate(els) if s.part(a, b)]
     wit = []
     for f in inp.fns:
-        gf = sigma(f).values
-        wit += [(f.label, a, b) for a, b in inp.pairs if inp.s.part(a, b) and gf[a, b] != ONE]
+        degrees = sigma_degrees(f, related)
+        wit += [(f.label, els[i], els[j]) for (i, j), d in zip(related, degrees) if d != f.den]
     return wit
 
 
@@ -236,7 +274,7 @@ _LAW_CHECKS = {
     "Distributivity": (_scan, _distributivity, 3, True),
     "Order1": (_scan, _order, 0, False),
     "Order2": (_scan, _order, 0, True),
-    "Top": (lambda inp: [(f.label,) for f, im in zip(inp.fns, inp.images) if im[-1] > ONE],),
+    "Top": (lambda inp: [(f.label,) for f, im, d in zip(inp.fns, inp.images, inp.dens) if im[-1] > d],),
     "WeakSharpComp": (_weak_comp, True),
     "WeakFlatComp": (_weak_comp, False),
     "R0Plus": (_r0_plus,),
@@ -248,13 +286,15 @@ LAW_ORDER = tuple(_LAW_CHECKS)
 def check_laws(s: GranularSpace, fns: Sequence[InclusionFunction], alphas: Sequence[Fraction]) -> list[LawReport]:
     """Exhaustively verify the eleven algebra laws over fns and alphas.
 
-    Everything is exact rational equality; a law report carries every
+    Everything is exact integer equality; a law report carries every
     falsifying tuple found, ordered by operands, weight, then element pair.
-    The pointwise laws (Comm to Top) build no product or blend function:
-    per operand combination they collect the distinct rank tuples over all
-    pairs in integers, evaluate the law in Fractions once per tuple (and
-    weight), and list the pairs carrying a failing tuple, in element order.
-    Order1 and Order2 range over the pairs of pointwise comparable operands.
+    Each function is read as its integer rows: sorted numerators over its
+    denominator, and each pair's numerator rank.  The pointwise laws (Comm
+    to Top) build no product or blend function: per operand combination
+    they collect the distinct rank tuples over all pairs, compare both
+    sides once per tuple (and weight) as numerators over one denominator,
+    and list the pairs carrying a failing tuple, in element order.  Order1
+    and Order2 range over the pairs of pointwise comparable operands.
     """
     inp = _LawInputs(s, fns, alphas)
     return [_law(law, check(inp, *args)) for law, (check, *args) in _LAW_CHECKS.items()]
@@ -377,11 +417,15 @@ def convex_polynomial(
     terms = [power(f, n) for f, n in zip(fns, powers)]
     for t in terms:
         _same_space(terms[0], t)
-    values = {
-        p: sum((c * t.values[p] for c, t in zip(coeffs, terms)), Fraction(0)) for p in s.pairs()
-    }
+    # add c * t = p/q * y/T to the sum x/den: (x*q*T + p*den*y) / (den*q*T)
+    nums, den = [0] * len(terms[0].nums), 1
+    for c, t in zip(coeffs, terms):
+        p, q = c.as_integer_ratio()
+        a, b = q * t.den, p * den
+        nums = [a * x + b * y for x, y in zip(nums, t.nums)]
+        den *= q * t.den
     label = "+".join(f"{c}*{f.label}^{n}" for c, n, f in zip(coeffs, powers, fns))
-    return InclusionFunction(s, values, f"poly({label})")
+    return _rows(s, nums, den, f"poly({label})")
 
 
 def fit_alpha(

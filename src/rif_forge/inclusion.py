@@ -1,16 +1,18 @@
 """Inclusion functions over a space and the axiom families that grade them.
 
 An inclusion function assigns every ordered element pair a rational degree
-in [0,1].  The axioms U1, R0, R1, R2, R3, R4, R5, R6, IR0, IR4 and RB are
-checked by exhaustive enumeration; axioms that mention the partial join or
-meet skip (and count) instances where the operation is undefined.
+in [0,1].  It is stored as integer rows: one numerator per pair, in
+s.pairs() order, over one common denominator.  The axioms U1, R0, R1, R2,
+R3, R4, R5, R6, IR0, IR4 and RB are checked by exhaustive enumeration;
+axioms that mention the partial join or meet skip (and count) instances
+where the operation is undefined.
 
 The scans run over element indices.  A function is scanned as rank rows:
-each distinct value gets its position in the sorted image, so comparing
-ranks is comparing the exact Fractions, and equality to 0, to 1 or to
-1 - v (R6's f(a,b) + f(a,c) == 1) is equality to a precomputed rank.  No
-value is rounded or converted.  The rows are built once per function, and
-the relation rows, meet table and join-to-top pairs once per space, so the
+each distinct numerator gets its position in the sorted image, so comparing
+ranks is comparing the exact values, and equality to 0, to 1 or to 1 - v
+(R6's f(a,b) + f(a,c) == 1) is equality to a precomputed rank.  No value is
+rounded or converted.  The rows are built once per function, and the
+relation rows, meet table and join-to-top pairs once per space, so the
 triple scans visit only the (b, c) pairs their guard admits: f(b,c) == 1
 for R2, related pairs for R3, pairs joining to top for R6.  Witnesses come
 out in element order of a, then b, then c, as an exhaustive loop over the
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from math import gcd, lcm
 from random import Random
 from typing import Mapping, Optional
 
@@ -46,50 +48,76 @@ CLASS_ORDER = ("none", "wqRIF", "qRIF", "RIF")
 
 
 class InclusionFunction:
-    """Total rational-valued map on ordered element pairs, range [0,1]."""
+    """Total rational-valued map on ordered element pairs, range [0,1].
+
+    The value at the k-th pair of space.pairs() is nums[k] / den, and the
+    form is canonical, gcd(den, *nums) == 1, so functions on one space are
+    pointwise equal exactly when their den and nums are.  values is the
+    same map as a dict of Fractions keyed by pair, built on first use.
+    """
 
     def __init__(self, space: GranularSpace, values: Mapping[tuple[str, str], Fraction], label: str):
-        self.space = space
-        self.label = label
-        vals: dict[tuple[str, str], Fraction] = {}
-        for a in space.elements:
-            for b in space.elements:
-                try:
-                    v = values[(a, b)]
-                except KeyError:
-                    raise InputError(f"value missing for pair ({a!r},{b!r})") from None
-                if not isinstance(v, Fraction):
-                    v = Fraction(v)
-                if v.numerator < 0 or v.numerator > v.denominator:
-                    raise InputError(f"value {v} at ({a!r},{b!r}) is outside [0,1]")
-                vals[(a, b)] = v
-        self.values = vals
+        vals = []
+        for a, b in space.pairs():
+            try:
+                v = values[(a, b)]
+            except KeyError:
+                raise InputError(f"value missing for pair ({a!r},{b!r})") from None
+            vals.append(v if isinstance(v, Fraction) else Fraction(v))
+        den = lcm(*{v.denominator for v in vals})
+        self._store(space, [v.numerator * (den // v.denominator) for v in vals], den, label)
+
+    @classmethod
+    def _of_rows(cls, space: GranularSpace, nums: list[int], den: int, label: str) -> "InclusionFunction":
+        """The function with value nums[k] / den at the k-th pair of space.pairs()."""
+        f = cls.__new__(cls)
+        f._store(space, nums, den, label)
+        return f
+
+    def _store(self, space: GranularSpace, nums: list[int], den: int, label: str) -> None:
+        # Every function is made here: reduced to canonical form, and
+        # rejected naming the first pair whose value leaves [0,1].
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+        if min(nums) < 0 or max(nums) > den:
+            k = next(k for k, x in enumerate(nums) if not 0 <= x <= den)
+            a, b = list(space.pairs())[k]
+            raise InputError(f"value {Fraction(nums[k], den)} at ({a!r},{b!r}) is outside [0,1]")
+        self.space, self.label, self.nums, self.den = space, label, nums, den
+
+    @cached_property
+    def values(self) -> dict[tuple[str, str], Fraction]:
+        den = self.den
+        return {p: Fraction(x, den) for p, x in zip(self.space.pairs(), self.nums)}
 
     def __call__(self, a: str, b: str) -> Fraction:
-        try:
-            return self.values[(a, b)]
-        except KeyError:
-            raise InputError(f"unknown pair ({a!r},{b!r})") from None
+        idx = self.space._index
+        if a not in idx or b not in idx:
+            raise InputError(f"unknown pair ({a!r},{b!r})")
+        return Fraction(self.nums[idx[a] * len(idx) + idx[b]], self.den)
 
     def image(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(set(self.values.values())))
+        return tuple(Fraction(x, self.den) for x in sorted(set(self.nums)))
 
     def image_gap(self) -> Optional[Fraction]:
         """Largest value strictly below 1, None when the image is {1} or empty."""
-        below = [v for v in self.values.values() if v < 1]
-        return max(below) if below else None
+        gap = max((x for x in self.nums if x < self.den), default=None)
+        return None if gap is None else Fraction(gap, self.den)
 
     @cached_property
     def _ranked(self) -> "_RankedRows":
         # Built on the first axiom check and shared by the later ones; the
-        # values are never changed after construction.
+        # rows are never changed after construction.
         return _RankedRows(self)
 
     def pointwise_equal(self, other: "InclusionFunction") -> bool:
-        return self.values == other.values
+        return (self.den == other.den and self.nums == other.nums
+                and self.space.elements == other.space.elements)
 
     def __repr__(self):
-        return f"InclusionFunction({self.label!r}, {len(self.values)} pairs)"
+        return f"InclusionFunction({self.label!r}, {len(self.nums)} pairs)"
 
 
 # -- concrete constructions ------------------------------------------------
@@ -97,41 +125,33 @@ class InclusionFunction:
 
 def k0(s: GranularSpace) -> InclusionFunction:
     """Classical overlap degree #(A and B)/#A, and 1 when A is empty."""
-    carriers = _carriers_of(s)
-    values = {}
-    for a in s.elements:
-        ca = carriers[a]
-        for b in s.elements:
-            cb = carriers[b]
-            values[(a, b)] = Fraction(len(ca & cb), len(ca)) if ca else ONE
-    return InclusionFunction(s, values, "k0")
+    masks, den = _carrier_masks(s)
+    nums = []
+    for ma in masks:
+        if ma:
+            unit = den // ma.bit_count()
+            nums += [(ma & mb).bit_count() * unit for mb in masks]
+        else:
+            nums += [den] * len(masks)
+    return InclusionFunction._of_rows(s, nums, den, "k0")
 
 
 def k1(s: GranularSpace) -> InclusionFunction:
     """#B/#(A or B), and 1 when both are empty."""
-    carriers = _carriers_of(s)
-    values = {}
-    for a in s.elements:
-        ca = carriers[a]
-        for b in s.elements:
-            cb = carriers[b]
-            union = ca | cb
-            values[(a, b)] = Fraction(len(cb), len(union)) if union else ONE
-    return InclusionFunction(s, values, "k1")
+    masks, den = _carrier_masks(s)
+    nums = [mb.bit_count() * (den // (ma | mb).bit_count()) if ma | mb else den
+            for ma in masks for mb in masks]
+    return InclusionFunction._of_rows(s, nums, den, "k1")
 
 
 def k2(s: GranularSpace) -> InclusionFunction:
     """#(complement(A) or B)/#top, complements taken inside the top carrier."""
-    carriers = _carriers_of(s)
-    universe = carriers[s.top]
+    masks, _ = _carrier_masks(s)
+    universe = masks[s._index[s.top]]
     if not universe:
         raise DegenerateSpaceError("k2 needs a nonempty top carrier")
-    values = {}
-    for a in s.elements:
-        rest = universe - carriers[a]
-        for b in s.elements:
-            values[(a, b)] = Fraction(len(rest | carriers[b]), len(universe))
-    return InclusionFunction(s, values, "k2")
+    nums = [((universe & ~ma) | mb).bit_count() for ma in masks for mb in masks]
+    return InclusionFunction._of_rows(s, nums, universe.bit_count(), "k2")
 
 
 def kst(f: InclusionFunction, s: Fraction, t: Fraction) -> InclusionFunction:
@@ -142,22 +162,25 @@ def kst(f: InclusionFunction, s: Fraction, t: Fraction) -> InclusionFunction:
         raise ParameterError(f"thresholds must satisfy 0 <= s < t <= 1, got s={s}, t={t}")
     if s >= t:
         raise ParameterError(f"thresholds must satisfy s < t, got s={s}, t={t}")
-    values = {}
-    for pair, v in f.values.items():
-        if v <= s:
-            values[pair] = ZERO
-        elif v >= t:
-            values[pair] = ONE
-        else:
-            values[pair] = (v - s) / (t - s)
-    return InclusionFunction(f.space, values, f"kst({f.label},{s},{t})")
+    # With v = x/D, s = sp/sq and t = tp/tq: v <= s iff x*sq <= sp*D, v >= t
+    # iff x*tq >= tp*D, and (v - s)/(t - s) = (x*sq - sp*D)*tq / (D*(tp*sq - sp*tq)).
+    (sp, sq), (tp, tq) = s.as_integer_ratio(), t.as_integer_ratio()
+    low, high, den = sp * f.den, tp * f.den, f.den * (tp * sq - sp * tq)
+    nums = [0 if x * sq <= low else den if x * tq >= high else (x * sq - low) * tq for x in f.nums]
+    return InclusionFunction._of_rows(f.space, nums, den, f"kst({f.label},{s},{t})")
 
 
-def _carriers_of(s: GranularSpace) -> dict[str, frozenset[str]]:
+def _carrier_masks(s: GranularSpace) -> tuple[list[int], int]:
+    """Each element's carrier as a bitmask over the objects, in element
+    order, and lcm(1, ..., number of objects), a common denominator of
+    every ratio of carrier sizes."""
     missing = [e for e in s.elements if e not in s.carriers]
     if missing:
         raise CarrierError(f"elements without carriers: {missing}")
-    return dict(s.carriers)
+    objects = set().union(*s.carriers.values())
+    bit = {o: 1 << i for i, o in enumerate(objects)}
+    masks = [sum(bit[o] for o in s.carriers[a]) for a in s.elements]
+    return masks, lcm(*range(1, len(objects) + 1))
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -173,33 +196,27 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-# (numerator, denominator) identifies a Fraction exactly, since Fractions are
-# kept in lowest terms, and hashes far faster than the Fraction does.
-_exact_key = attrgetter("numerator", "denominator")
-
-
 class _RankedRows:
-    """f by element index, with its values replaced by their ranks.
+    """f by element index, with its numerators replaced by their ranks.
 
-    image is f's sorted image and rows[i][j] the rank of f(a_i, a_j) in it,
-    so ranks compare exactly as the values do; ranks holds the same ranks
-    in s.pairs() order.  one and zero are the ranks of 1 and 0 (-1 when
-    absent), comp[r] is the rank of 1 - image[r] (-1 when absent) and
-    one_masks[i] has bit j set iff f(a_i, a_j) == 1.
+    image is f's sorted distinct numerators and rows[i][j] the rank of the
+    numerator at (a_i, a_j) in it, so ranks compare exactly as the values
+    do; ranks holds the same ranks in s.pairs() order.  one and zero are
+    the ranks of 1 and 0 (-1 when absent), comp[r] is the rank of
+    1 - image[r]/den (-1 when absent) and one_masks[i] has bit j set iff
+    f(a_i, a_j) == 1.
     """
 
     def __init__(self, f: InclusionFunction):
         n = len(f.space.elements)
-        # InclusionFunction stores its values row by row in element order.
-        flat = list(f.values.values())
-        keys = list(map(_exact_key, flat))
-        self.image = image = sorted(dict(zip(keys, flat)).values())
-        rank = {_exact_key(v): r for r, v in enumerate(image)}
-        self.ranks = ranks = list(map(rank.__getitem__, keys))
+        den = f.den
+        self.image = image = sorted(set(f.nums))
+        rank = {x: r for r, x in enumerate(image)}
+        self.ranks = ranks = list(map(rank.__getitem__, f.nums))
         self.rows = [ranks[i * n:(i + 1) * n] for i in range(n)]
-        self.one = one = rank.get(_exact_key(ONE), -1)
-        self.zero = rank.get(_exact_key(ZERO), -1)
-        self.comp = [rank.get(_exact_key(ONE - v), -1) for v in image]
+        self.one = one = rank.get(den, -1)
+        self.zero = rank.get(0, -1)
+        self.comp = [rank.get(den - x, -1) for x in image]
         self.one_masks = []
         for row in self.rows:
             mask = 0

@@ -252,6 +252,8 @@ class GranularSpace:
                 yield a, b
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, GranularSpace):
             return NotImplemented
         return (

@@ -16,9 +16,11 @@ Each constructor is one row of OPERATORS: its node dataclass, the kinds of
 its arguments in field order, and the function that builds its value.
 The parser, the evaluator, RESERVED and the random term sampler all read
 that table.  The constructor words are reserved and cannot name base
-functions.  Operators nest at most MAX_TERM_DEPTH deep and a pow exponent
-is at most MAX_POW_EXPONENT.  Parse errors carry the offending position
-and the token set expected there.
+functions.  Operators nest at most MAX_TERM_DEPTH deep.  A pow exponent
+is at most MAX_POW_EXPONENT, and so is the product of the exponents of the
+pows nested on any path from the root, which evaluation checks before it
+builds anything below such a pow.  Parse errors carry the offending
+position and the token set expected there.
 """
 
 from __future__ import annotations
@@ -281,12 +283,22 @@ def eval_term(
     env: Mapping[str, InclusionFunction],
     s: GranularSpace,
 ) -> InclusionFunction:
+    return _eval(term, env, s, 1)
+
+
+def _eval(term: AlgebraTerm, env: Mapping[str, InclusionFunction], s: GranularSpace, exponent: int):
+    """term's value; exponent is the product of the pow exponents above it,
+    the power its numerators and denominator will be raised to."""
     op = _BY_NODE.get(type(term))
     if op is not None:
+        if isinstance(term, PowerTerm):
+            exponent *= term.n
+            if exponent > MAX_POW_EXPONENT:
+                raise ParameterError(f"nested pow exponents multiply to {exponent}, past the limit {MAX_POW_EXPONENT}")
         args = []
         for kind, field in zip(op.kinds, fields(term)):
             value = getattr(term, field.name)
-            args.append(eval_term(value, env, s) if kind == "term" else value)
+            args.append(_eval(value, env, s, exponent) if kind == "term" else value)
         return op.build(*args)
     if isinstance(term, TopTerm):
         return algebra.top_function(s)

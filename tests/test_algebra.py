@@ -1,5 +1,6 @@
 from fractions import Fraction, Fraction as F
 from itertools import product
+from math import gcd
 from random import Random
 from typing import Sequence
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rif_forge import (
+    CarrierError,
+    DegenerateSpaceError,
     GranularSpace,
     InclusionFunction,
     InputError,
@@ -29,6 +32,7 @@ from rif_forge import (
     oplus,
     otimes,
     power,
+    random_thresholds,
     random_unit_rational,
     random_wqrif_term,
     random_kappa,
@@ -40,8 +44,8 @@ from rif_forge import (
     space_from_dict,
     top_function,
 )
-from rif_forge.algebra import _LawInputs, _check_alpha, _law, _scan
-from rif_forge.inclusion import ONE
+from rif_forge.algebra import _LawInputs, _check_alpha, _law, _same_space, _scan
+from rif_forge.inclusion import ONE, ZERO
 
 SINGLE_ELEMENT = {
     "flavor": "HGOS",
@@ -515,8 +519,8 @@ def test_scan_traces_failing_tuples_like_a_pair_loop(seed, arity, weighted):
     limit = random_unit_rational(rng) * max(arity, 4)
 
     def test(inp, w, tuples, *idx):
-        shift = 0 if w is None else inp.weights[w][0]
-        ims = [inp.images[i] for i in idx]
+        shift = 0 if w is None else inp.alphas[w]
+        ims = [[F(x, inp.dens[i]) for x in inp.images[i]] for i in idx]
         return {t for t in tuples if sum(im[r] for im, r in zip(ims, t)) + shift > limit}
 
     inp = _LawInputs(s, fns, alphas)
@@ -552,3 +556,278 @@ def test_pointwise_laws_hold_on_the_unit_interval(values, alpha):
     assert lo * lo2 <= hi * hi2
     assert alpha * lo + beta * lo2 <= alpha * hi + beta * hi2
     assert x <= ONE
+
+
+# -- the integer-row operators against the Fraction code they replaced ---------
+#
+# The naive_* functions are the former dict-of-Fractions operators and
+# constructions, verbatim; each builds its result through the public
+# InclusionFunction(space, mapping, label), whose conversion is pinned by
+# test_constructor_round_trips_any_valid_mapping.
+
+
+def naive_carriers_of(s: GranularSpace) -> dict[str, frozenset[str]]:
+    missing = [e for e in s.elements if e not in s.carriers]
+    if missing:
+        raise CarrierError(f"elements without carriers: {missing}")
+    return dict(s.carriers)
+
+
+def naive_k0(s: GranularSpace) -> InclusionFunction:
+    """Classical overlap degree #(A and B)/#A, and 1 when A is empty."""
+    carriers = naive_carriers_of(s)
+    values = {}
+    for a in s.elements:
+        ca = carriers[a]
+        for b in s.elements:
+            cb = carriers[b]
+            values[(a, b)] = Fraction(len(ca & cb), len(ca)) if ca else ONE
+    return InclusionFunction(s, values, "k0")
+
+
+def naive_k1(s: GranularSpace) -> InclusionFunction:
+    """#B/#(A or B), and 1 when both are empty."""
+    carriers = naive_carriers_of(s)
+    values = {}
+    for a in s.elements:
+        ca = carriers[a]
+        for b in s.elements:
+            cb = carriers[b]
+            union = ca | cb
+            values[(a, b)] = Fraction(len(cb), len(union)) if union else ONE
+    return InclusionFunction(s, values, "k1")
+
+
+def naive_k2(s: GranularSpace) -> InclusionFunction:
+    """#(complement(A) or B)/#top, complements taken inside the top carrier."""
+    carriers = naive_carriers_of(s)
+    universe = carriers[s.top]
+    if not universe:
+        raise DegenerateSpaceError("k2 needs a nonempty top carrier")
+    values = {}
+    for a in s.elements:
+        rest = universe - carriers[a]
+        for b in s.elements:
+            values[(a, b)] = Fraction(len(rest | carriers[b]), len(universe))
+    return InclusionFunction(s, values, "k2")
+
+
+def naive_kst(f: InclusionFunction, s: Fraction, t: Fraction) -> InclusionFunction:
+    """Threshold transform: 0 up to s, affine ramp on (s,t), 1 from t on."""
+    s = Fraction(s)
+    t = Fraction(t)
+    if s < 0 or t > 1:
+        raise ParameterError(f"thresholds must satisfy 0 <= s < t <= 1, got s={s}, t={t}")
+    if s >= t:
+        raise ParameterError(f"thresholds must satisfy s < t, got s={s}, t={t}")
+    values = {}
+    for pair, v in f.values.items():
+        if v <= s:
+            values[pair] = ZERO
+        elif v >= t:
+            values[pair] = ONE
+        else:
+            values[pair] = (v - s) / (t - s)
+    return InclusionFunction(f.space, values, f"kst({f.label},{s},{t})")
+
+
+def naive_top_function(s: GranularSpace) -> InclusionFunction:
+    return InclusionFunction(s, {p: ONE for p in s.pairs()}, "top")
+
+
+def naive_otimes(f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
+    s = _same_space(f, g)
+    values = {p: f.values[p] * g.values[p] for p in s.pairs()}
+    return InclusionFunction(s, values, f"otimes({f.label},{g.label})")
+
+
+def naive_oplus(alpha, f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
+    alpha = _check_alpha(alpha)
+    beta = 1 - alpha
+    s = _same_space(f, g)
+    values = {p: alpha * f.values[p] + beta * g.values[p] for p in s.pairs()}
+    return InclusionFunction(s, values, f"oplus({alpha},{f.label},{g.label})")
+
+
+def naive_sharp(f: InclusionFunction) -> InclusionFunction:
+    s = f.space
+    values = {(a, b): f(s.lower_of(a), s.lower_of(b)) for a, b in s.pairs()}
+    return InclusionFunction(s, values, f"sharp({f.label})")
+
+
+def naive_flat(f: InclusionFunction) -> InclusionFunction:
+    s = f.space
+    values = {(a, b): f(s.upper_of(a), s.upper_of(b)) for a, b in s.pairs()}
+    return InclusionFunction(s, values, f"flat({f.label})")
+
+
+def naive_sigma(f: InclusionFunction) -> InclusionFunction:
+    """Granule-mediated sum: best degree of a granule part of a inside the
+    lower approximation of b, and 1 when a has no granule part."""
+    s = f.space
+    values = {}
+    for a, b in s.pairs():
+        lb = s.lower_of(b)
+        degrees = [f(w, lb) for w in s.granulation if s.part(w, a)]
+        values[(a, b)] = max(degrees) if degrees else ONE
+    return InclusionFunction(s, values, f"sigma({f.label})")
+
+
+def naive_power(f: InclusionFunction, n: int) -> InclusionFunction:
+    if n < 1:
+        raise ParameterError(f"exponent must be a positive integer, got {n}")
+    values = {p: v**n for p, v in f.values.items()}
+    return InclusionFunction(f.space, values, f"pow({f.label},{n})")
+
+
+def naive_leq(f: InclusionFunction, g: InclusionFunction) -> bool:
+    s = _same_space(f, g)
+    return all(f.values[p] <= g.values[p] for p in s.pairs())
+
+
+def naive_convex_polynomial(coeffs, powers, fns) -> InclusionFunction:
+    """The former convex_polynomial's pointwise sum (its argument checks are unchanged)."""
+    s = fns[0].space
+    terms = [naive_power(f, n) for f, n in zip(fns, powers)]
+    values = {
+        p: sum((c * t.values[p] for c, t in zip(coeffs, terms)), Fraction(0)) for p in s.pairs()
+    }
+    label = "+".join(f"{c}*{f.label}^{n}" for c, n, f in zip(coeffs, powers, fns))
+    return InclusionFunction(s, values, f"poly({label})")
+
+
+def naive_check_values(space: GranularSpace, values) -> None:
+    """The former InclusionFunction constructor's checks, verbatim."""
+    for a in space.elements:
+        for b in space.elements:
+            try:
+                v = values[(a, b)]
+            except KeyError:
+                raise InputError(f"value missing for pair ({a!r},{b!r})") from None
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
+            if v.numerator < 0 or v.numerator > v.denominator:
+                raise InputError(f"value {v} at ({a!r},{b!r}) is outside [0,1]")
+
+
+def assert_same_function(got: InclusionFunction, want: InclusionFunction) -> None:
+    assert got.label == want.label
+    assert list(got.values.items()) == list(want.values.items())
+    assert all(type(v) is Fraction for v in got.values.values())
+    assert got.image() == want.image() == tuple(sorted(set(want.values.values())))
+    below = [v for v in want.values.values() if v < 1]
+    assert got.image_gap() == want.image_gap() == (max(below) if below else None)
+    assert gcd(got.den, *got.nums) == 1 and got.den > 0
+    assert got.pointwise_equal(want) and want.pointwise_equal(got)
+
+
+def _operator_inputs(kind: str, rng: Random, fixture_space):
+    """A space (a power set of 2-4 objects or the GGS fixture) and functions
+    on it: the concrete three, random kappas and random wqRIF terms."""
+    s = fixture_space if kind == "fixture" else random_set_hgos(rng)
+    env = default_env(s)
+    fns = list(env.values()) + [random_kappa(s, rng) for _ in range(2)]
+    fns += [eval_term(random_wqrif_term(rng), env, s) for _ in range(2)]
+    return s, fns
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["powerset", "fixture"]), seed=st.integers(0, 10_000))
+def test_integer_row_operators_match_fraction_operators(fixture_space, kind, seed):
+    rng = Random(seed)
+    s, fns = _operator_inputs(kind, rng, fixture_space)
+    for build, naive in ((k0, naive_k0), (k1, naive_k1), (k2, naive_k2), (top_function, naive_top_function)):
+        assert_same_function(build(s), naive(s))
+    f, g = rng.choice(fns), rng.choice(fns)
+    alpha = random_unit_rational(rng)
+    low, high = random_thresholds(rng)
+    if rng.random() < 0.3:
+        high = ONE
+    n = rng.randint(1, 4)
+    cases = [
+        (otimes(f, g), naive_otimes(f, g)),
+        (oplus(alpha, f, g), naive_oplus(alpha, f, g)),
+        (sharp(f), naive_sharp(f)),
+        (flat(f), naive_flat(f)),
+        (sigma(f), naive_sigma(f)),
+        (power(f, n), naive_power(f, n)),
+        (kst(f, low, high), naive_kst(f, low, high)),
+        (convex_polynomial([alpha, 1 - alpha], [n, 1], [f, g]),
+         naive_convex_polynomial([alpha, 1 - alpha], [n, 1], [f, g])),
+    ]
+    for got, want in cases:
+        assert_same_function(got, want)
+    for h in fns:
+        assert leq(f, h) == naive_leq(f, h)
+        assert f.pointwise_equal(h) == (f.values == h.values)
+    # results that equal their operands, reached by another route
+    assert oplus(alpha, f, f).pointwise_equal(f)
+    assert otimes(f, g).pointwise_equal(otimes(g, f))
+
+
+def _drawn_fraction(rng: Random, low: int, high: int) -> Fraction:
+    den = rng.randint(1, 30)
+    return Fraction(rng.randint(low * den, high * den), den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_constructor_round_trips_any_valid_mapping(seed):
+    rng = Random(seed)
+    s = random_set_hgos(rng)
+    values = {p: _drawn_fraction(rng, 0, 1) for p in s.pairs()}
+    f = InclusionFunction(s, dict(reversed(list(values.items()))), "drawn")
+    assert list(f.values.items()) == list(values.items())
+    assert gcd(f.den, *f.nums) == 1
+    assert [f(a, b) for a, b in s.pairs()] == list(values.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), spread=st.sampled_from([0, 1]))
+def test_out_of_range_mappings_raise_the_former_message(seed, spread):
+    rng = Random(seed)
+    s = random_set_hgos(rng)
+    values = {p: _drawn_fraction(rng, -spread, 1 + spread) for p in s.pairs()}
+    # plain ints are converted as Fractions are
+    values[rng.choice(list(s.pairs()))] = rng.choice([0, 1, 2, -1])
+    try:
+        naive_check_values(s, values)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            InclusionFunction(s, values, "drawn")
+        assert str(got.value) == str(exc)
+    else:
+        InclusionFunction(s, values, "drawn")
+
+
+def test_missing_pair_and_bad_kst_thresholds_keep_their_errors(fixture_space):
+    values = dict(k0(fixture_space).values)
+    del values[("ab", "bc")]
+    with pytest.raises(InputError, match=r"value missing for pair \('ab','bc'\)"):
+        InclusionFunction(fixture_space, values, "partial")
+    f = k0(fixture_space)
+    for low, high in ((F(1, 2), F(1, 2)), (F(-1, 4), F(1, 2)), (F(1, 4), F(3, 2))):
+        with pytest.raises(ParameterError) as got:
+            kst(f, low, high)
+        with pytest.raises(ParameterError) as want:
+            naive_kst(f, low, high)
+        assert str(got.value) == str(want.value)
+
+
+def test_pointwise_equal_compares_denominators(two_block_space):
+    # the same numerators over different denominators are different functions
+    s = two_block_space
+    half, third = (InclusionFunction(s, {p: v for p in s.pairs()}, str(v)) for v in (F(1, 2), F(1, 3)))
+    assert half.nums == third.nums
+    assert not half.pointwise_equal(third) and not third.pointwise_equal(half)
+
+
+@pytest.mark.parametrize("value", [F(0), F(1, 2), F(2, 3), F(11, 12), F(1)])
+def test_law_reports_on_constant_functions_match_pairwise_loop(two_block_space, value):
+    # constants below 1 falsify R0Plus at every parthood pair whose first
+    # element has a granule part, whatever their distance from 1
+    s = two_block_space
+    fns = [InclusionFunction(s, {p: value for p in s.pairs()}, "c"), k0(s)]
+    got = [(r.law, r.witnesses) for r in check_laws(s, fns, [F(1, 3)])]
+    assert got == [(r.law, r.witnesses) for r in naive_check_laws(s, fns, [F(1, 3)])]
+    assert ("R0Plus", ()) in got if value == 1 else ("R0Plus", ()) not in got

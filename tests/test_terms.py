@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from random import Random
 
@@ -135,6 +136,45 @@ class TestLiteralLimits:
         assert result.exit_code == 2, result.exception
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert result.stdout == ""
+
+
+FOUR_LEVEL_POW = "pow(" * 4 + "k0" + f",{MAX_POW_EXPONENT})" * 4
+
+
+class TestNestedPowLimit:
+    def test_nested_exponents_parse_but_their_product_is_capped(self, fixture_space):
+        # the parser accepts each exponent; evaluation bounds their product
+        # along a path, since a function's numerators grow as den**product
+        term = parse_term(FOUR_LEVEL_POW)
+        with pytest.raises(ParameterError) as exc:
+            eval_term(term, default_env(fixture_space), fixture_space)
+        assert str(MAX_POW_EXPONENT) in str(exc.value)
+
+    @pytest.mark.parametrize("text", [
+        "pow(pow(k2,3),3)",
+        f"pow(pow(k0,{MAX_POW_EXPONENT // 2}),2)",
+        f"otimes(pow(k0,{MAX_POW_EXPONENT}),pow(sharp(pow(k1,8)),8))",
+        f"pow(oplus(1/2,pow(k0,{MAX_POW_EXPONENT}),k1),1)",
+    ])
+    def test_products_up_to_the_limit_on_every_path_evaluate(self, fixture_space, text):
+        assert evaluate(text, fixture_space).label == text
+
+    @pytest.mark.parametrize("text", [
+        f"pow(pow(k0,{MAX_POW_EXPONENT // 2}),3)",
+        f"otimes(k1,pow(sharp(pow(k0,{MAX_POW_EXPONENT})),2))",
+    ])
+    def test_a_product_past_the_limit_is_a_parameter_error(self, fixture_space, text):
+        with pytest.raises(ParameterError):
+            evaluate(text, fixture_space)
+
+    def test_cli_rejects_four_nested_pows_at_once(self):
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, ["classify", str(FIXTURE_PATH), FOUR_LEVEL_POW])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2, result.exception
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(MAX_POW_EXPONENT) in lines[0]
         assert result.stdout == ""
 
 
