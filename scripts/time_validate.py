@@ -1,0 +1,94 @@
+"""Time loading and validating a space, axiom by axiom, on a power set.
+
+    python3 scripts/time_validate.py [--objects 6] [--seed 0] [--repeat 3]
+
+Builds the power set of N objects (2**N elements) with a seeded random
+partition as granulation and saves it to a temporary file.  Then it prints
+the wall time (the best of --repeat runs) of: load_space from that file;
+building the space's index tables, every table read once; each axiom PT1
+to TB through validate_space's per-axiom checks, on tables already built,
+with its witness and skipped counts; one whole validate_space call;
+check_admissibility, with its witness count; and classify_flavor, with the
+flavor it names.  A declared setHGOS space builds part of its tables while
+loading, to prove its flavor.  Stdlib only.
+"""
+
+import argparse
+import os
+import pathlib
+import platform
+import sys
+import tempfile
+import time
+from random import Random
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from rif_forge.sampling import random_partition
+from rif_forge.space import (
+    _AXIOM_CHECKS, SpaceTables, check_admissibility, classify_flavor, load_space, powerset_space,
+    save_space, validate_space,
+)
+
+TABLES = ("join", "meet", "lower", "upper", "parthood", "order", "carriers")
+
+
+def best_ms(call, repeat: int):
+    """The least wall time of repeat calls, in ms, and the last call's result."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    return min(times) * 1000, result
+
+
+def build_tables(s) -> SpaceTables:
+    t = SpaceTables(s)
+    for name in TABLES:
+        getattr(t, name)
+    return t
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--objects", type=int, default=6)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+    if not 1 <= args.objects <= 8 or args.repeat < 1:
+        parser.error("--objects must lie in 1..8 and --repeat must be positive")
+
+    objects = [f"o{i}" for i in range(1, args.objects + 1)]
+    built = powerset_space(objects, random_partition(objects, Random(args.seed)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "space.json"
+        save_space(built, path)
+        rows = [("load_space", *best_ms(lambda: load_space(path), args.repeat))]
+    s = rows[0][2]
+    ms, t = best_ms(lambda: build_tables(s), args.repeat)
+    rows.append(("tables", ms, None))
+    for axiom, (check, *rest) in _AXIOM_CHECKS.items():
+        rows.append((axiom, *best_ms(lambda: check(s, t, *rest), args.repeat)))
+    rows.append(("validate_space", *best_ms(lambda: validate_space(s), args.repeat)))
+    rows.append(("admissibility", *best_ms(lambda: check_admissibility(s), args.repeat)))
+    rows.append(("classify_flavor", *best_ms(lambda: classify_flavor(s), args.repeat)))
+
+    print(f"# {len(s.elements)} elements, {len(s.granulation)} granules, seed {args.seed}, "
+          f"best of {args.repeat}")
+    print(f"# {os.cpu_count()} cpus, Python {platform.python_version()}, {platform.machine()}")
+    print(f"{'step':<16}{'ms':>10}{'witnesses':>11}{'skipped':>10}")
+    for name, ms, result in rows:
+        if isinstance(result, tuple):  # one axiom check: (witnesses, skipped)
+            counts = f"{len(result[0]):>11}{result[1]:>10}"
+        elif isinstance(result, list):  # reports
+            counts = f"{sum(len(r.witnesses) for r in result):>11}{sum(r.skipped for r in result):>10}"
+        elif isinstance(result, str):
+            counts = f"  {result}"
+        else:
+            counts = ""
+        print(f"{name:<16}{ms:>10.2f}{counts}")
+
+
+if __name__ == "__main__":
+    main()

@@ -37,7 +37,7 @@ from .errors import (
     InputError,
     ParameterError,
 )
-from .space import AxiomReport, GranularSpace, classify_flavor
+from .space import AxiomReport, GranularSpace, _bits, classify_flavor
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -174,26 +174,13 @@ def _carrier_masks(s: GranularSpace) -> tuple[list[int], int]:
     """Each element's carrier as a bitmask over the objects, in element
     order, and lcm(1, ..., number of objects), a common denominator of
     every ratio of carrier sizes."""
-    missing = [e for e in s.elements if e not in s.carriers]
-    if missing:
-        raise CarrierError(f"elements without carriers: {missing}")
-    objects = set().union(*s.carriers.values())
-    bit = {o: 1 << i for i, o in enumerate(objects)}
-    masks = [sum(bit[o] for o in s.carriers[a]) for a in s.elements]
-    return masks, lcm(*range(1, len(objects) + 1))
+    t = s.tables
+    if t.carriers is None:
+        raise CarrierError(f"elements without carriers: {[e for e in s.elements if e not in s.carriers]}")
+    return t.carriers, lcm(*range(1, len(t.objects) + 1))
 
 
 # -- axiom checking ----------------------------------------------------------
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class _RankedRows:
@@ -231,34 +218,19 @@ class _SpaceRows:
     element index: the relation as row bitmasks and as (b, [c...]) groups,
     the elements strictly above bottom, the meet table (-1 where undefined),
     and the (b, [c...]) groups whose join is top, with the number of
-    undefined joins."""
+    undefined joins.  The masks and tables are the space's own."""
 
     def __init__(self, s: GranularSpace, relation: str):
-        idx = s._index
-        n = len(s.elements)
-        self.rel_masks = [0] * n
-        for a, b in (s.parthood if relation == "parthood" else s.order):
-            self.rel_masks[idx[a]] |= 1 << idx[b]
-        self.rel_groups = [(j, _bits(m)) for j, m in enumerate(self.rel_masks) if m]
-        self.bottom = bot = idx[s.bottom]
-        self.proper_bottom = [
-            i for i in range(n) if self.rel_masks[bot] >> i & 1 and not self.rel_masks[i] >> bot & 1
-        ]
-        top = s.top
-        self.meet_rows = []
-        self.top_groups = []
-        self.undefined_joins = 0
-        for j, b in enumerate(s.elements):
-            self.meet_rows.append([idx.get(s.meet_of(b, c), -1) for c in s.elements])
-            ks = []
-            for k, c in enumerate(s.elements):
-                joined = s.join_of(b, c)
-                if joined is None:
-                    self.undefined_joins += 1
-                elif joined == top:
-                    ks.append(k)
-            if ks:
-                self.top_groups.append((j, ks))
+        t = s.tables
+        self.rel_masks = rel = t.parthood if relation == "parthood" else t.order
+        self.rel_groups = [(j, _bits(m)) for j, m in enumerate(rel) if m]
+        self.bottom = bot = t.index[s.bottom]
+        self.proper_bottom = [i for i in range(t.n) if rel[bot] >> i & 1 and not rel[i] >> bot & 1]
+        self.meet_rows = t.meet
+        top = t.index[s.top]
+        groups = ((j, [k for k, r in enumerate(row) if r == top]) for j, row in enumerate(t.join))
+        self.top_groups = [(j, ks) for j, ks in groups if ks]
+        self.undefined_joins = sum(row.count(-1) for row in t.join)
 
 
 def _space_rows(s: GranularSpace, relation: str) -> _SpaceRows:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -32,7 +33,6 @@ from .errors import (
 
 FLAVORS = ("GGS", "GS", "HGOS", "setHGOS")
 
-AXIOM_ORDER = ("PT1", "PT2", "G1", "G2", "G3", "G4", "G5", "UL1", "UL2", "UL3", "TB")
 ADMISSIBILITY_ORDER = ("WRA", "LS", "FU")
 
 POWERSET_OBJECT_CAP = 16
@@ -146,17 +146,16 @@ class GranularSpace:
             raise StructuralError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self._index = {eid: i for i, eid in enumerate(self.elements)}
-        self._enforce_flavor()
-        # Data other modules derive from the space on first use and keep
-        # (the index tables of the inclusion axiom scans).  Nothing changes
-        # a space after construction, so what is kept stays valid.
+        # Data derived from the space on first use and kept (its index
+        # tables, the inclusion axiom scans' rows).  Nothing changes a
+        # space after construction, so what is kept stays valid.
         self._derived: dict = {}
+        self._enforce_flavor()
 
     @staticmethod
     def _check_relation(name, pairs, known) -> frozenset[tuple[str, str]]:
         rel = set()
-        for pair in pairs:
-            a, b = pair
+        for a, b in pairs:
             if a not in known or b not in known:
                 raise StructuralError(f"{name} pair ({a!r},{b!r}) leaves the universe")
             rel.add((a, b))
@@ -167,9 +166,7 @@ class GranularSpace:
         out = {}
         for (a, b), r in table.items():
             if a not in known or b not in known or r not in known:
-                raise StructuralError(
-                    f"{name} entry ({a!r},{b!r})->{r!r} leaves the universe"
-                )
+                raise StructuralError(f"{name} entry ({a!r},{b!r})->{r!r} leaves the universe")
             out[(a, b)] = r
         return out
 
@@ -180,8 +177,7 @@ class GranularSpace:
             if x not in known or v not in known:
                 raise StructuralError(f"{name} entry {x!r}->{v!r} leaves the universe")
             out[x] = v
-        missing = [x for x in known if x not in out]
-        if missing:
+        if missing := [x for x in known if x not in out]:
             raise StructuralError(f"{name} map is not total, missing {sorted(missing)}")
         return out
 
@@ -198,21 +194,24 @@ class GranularSpace:
             return
         if not self.is_set_extensional:
             raise StructuralError("flavor setHGOS requires a carrier on every element")
-        failure = _extensionality_failure(self)
-        if failure:
+        if failure := _extensionality_failure(self):
             raise StructuralError(f"flavor setHGOS requires {failure}")
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def tables(self) -> "SpaceTables":
+        """The space by element index (see SpaceTables), kept once built."""
+        if "tables" not in self._derived:
+            self._derived["tables"] = SpaceTables(self)
+        return self._derived["tables"]
 
     @property
     def is_set_extensional(self) -> bool:
         return all(eid in self.carriers for eid in self.elements)
 
     def operations_total(self) -> bool:
-        need = len(self.elements) ** 2
-        if len(self.join) != need or len(self.meet) != need:
-            return False
-        return True
+        return len(self.join) == len(self.meet) == len(self.elements) ** 2
 
     def part(self, a: str, b: str) -> bool:
         return (a, b) in self.parthood
@@ -247,29 +246,16 @@ class GranularSpace:
         return x
 
     def pairs(self) -> Iterable[tuple[str, str]]:
-        for a in self.elements:
-            for b in self.elements:
-                yield a, b
+        return ((a, b) for a in self.elements for b in self.elements)
 
     def __eq__(self, other):
         if other is self:
             return True
         if not isinstance(other, GranularSpace):
             return NotImplemented
-        return (
-            self.elements == other.elements
-            and self.carriers == other.carriers
-            and self.parthood == other.parthood
-            and self.order == other.order
-            and self.join == other.join
-            and self.meet == other.meet
-            and self.granulation == other.granulation
-            and self.lower == other.lower
-            and self.upper == other.upper
-            and self.bottom == other.bottom
-            and self.top == other.top
-            and self.flavor == other.flavor
-        )
+        return all(getattr(self, k) == getattr(other, k) for k in (
+            "elements", "carriers", "parthood", "order", "join", "meet", "granulation",
+            "lower", "upper", "bottom", "top", "flavor"))
 
     __hash__ = None
 
@@ -285,7 +271,164 @@ def proper_part(s: GranularSpace, a: str, b: str) -> bool:
     return s.part(a, b) and not s.part(b, a)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class SpaceTables:
+    """The space by element index, each table built on its first read.
+
+    join[i][j] and meet[i][j] are the index of the result, -1 where the
+    operation is undefined; lower[i] and upper[i] are indices; parthood[i]
+    and order[i] have bit j set when (a_i, a_j) is related; carriers[i] is
+    a bitmask over the sorted objects, or carriers is None when an element
+    has no carrier.  An operation result is an index only after a >= 0
+    test: rows[-1] would read the last row.
+    """
+
+    def __init__(self, s: GranularSpace):
+        # The space's parts, not the space, which keeps its tables: no cycle.
+        self.n, self.index, self.elements = len(s.elements), s._index, s.elements
+        self._join, self._meet, self._lower, self._upper = s.join, s.meet, s.lower, s.upper
+        self._parthood, self._order, self._carriers = s.parthood, s.order, s.carriers
+
+    def _op(self, table: Mapping[tuple[str, str], str]) -> list[list[int]]:
+        idx, rows = self.index, [[-1] * self.n for _ in range(self.n)]
+        for (a, b), r in table.items():
+            rows[idx[a]][idx[b]] = idx[r]
+        return rows
+
+    def _rel(self, pairs: Iterable[tuple[str, str]]) -> list[int]:
+        idx, masks = self.index, [0] * self.n
+        for a, b in pairs:
+            masks[idx[a]] |= 1 << idx[b]
+        return masks
+
+    join = cached_property(lambda t: t._op(t._join))
+    meet = cached_property(lambda t: t._op(t._meet))
+    lower = cached_property(lambda t: [t.index[t._lower[a]] for a in t.elements])
+    upper = cached_property(lambda t: [t.index[t._upper[a]] for a in t.elements])
+    parthood = cached_property(lambda t: t._rel(t._parthood))
+    order = cached_property(lambda t: t._rel(t._order))
+    objects = cached_property(lambda t: sorted(set().union(*t._carriers.values())))
+
+    @cached_property
+    def carriers(self) -> Optional[list[int]]:
+        if any(a not in self._carriers for a in self.elements):
+            return None
+        bit = {o: 1 << i for i, o in enumerate(self.objects)}
+        return [sum(bit[o] for o in self._carriers[a]) for a in self.elements]
+
+
 # -- axiom checking ------------------------------------------------------
+#
+# Each check reads the space's tables and returns its witnesses, in element
+# order, and how many instances it skipped because an operation was
+# undefined there.
+
+
+def _commutative(s, t):
+    els, jn, mt = s.elements, t.join, t.meet
+    wit, skipped = [], 0
+    for i in range(t.n):
+        for j in range(i, t.n):
+            lj, rj, lm, rm = jn[i][j], jn[j][i], mt[i][j], mt[j][i]
+            skipped += min(lj, rj, lm, rm) < 0
+            if lj != rj and min(lj, rj) >= 0 or lm != rm and min(lm, rm) >= 0:
+                wit.append((els[i], els[j]))
+    return wit, skipped
+
+
+def _absorptive(s, t):
+    els, jn, mt = s.elements, t.join, t.meet
+    wit, skipped = [], 0
+    for a in range(t.n):
+        for b, (j, m) in enumerate(zip(jn[a], mt[a])):
+            x, y = mt[j][a] if j >= 0 else -1, jn[m][a] if m >= 0 else -1
+            skipped += x < 0 or y < 0
+            if x >= 0 and x != a or y >= 0 and y != a:
+                wit.append((els[a], els[b]))
+    return wit, skipped
+
+
+def _distributive(s, t, outer, inner):
+    """(a, b, c) with inner(outer(a, b), c) != outer(inner(a, c), inner(b, c)),
+    both sides defined.  Per (a, b) the left side is one row of inner; rows
+    that agree and are defined everywhere hold no witness and no skip."""
+    els, n = s.elements, t.n
+    out, inn = getattr(t, outer), getattr(t, inner)
+    full = [-1 not in row for row in inn]
+    wit, skipped = [], 0
+    for a, ra in enumerate(inn):
+        rows_a = list(map(out.__getitem__, ra)) if full[a] else None
+        for b, m in enumerate(out[a]):
+            if m < 0:
+                skipped += n
+                continue
+            left, rb = inn[m], inn[b]
+            if rows_a and full[b]:
+                right = list(map(list.__getitem__, rows_a, rb))
+            else:
+                right = [out[x][y] if x >= 0 and y >= 0 else -1 for x, y in zip(ra, rb)]
+            if left == right:
+                skipped += 0 if full[m] else left.count(-1)
+                continue
+            for c, (x, y) in enumerate(zip(left, right)):
+                skipped += x < 0 or y < 0
+                if x != y and x >= 0 and y >= 0:
+                    wit.append((els[a], els[b], els[c]))
+    return wit, skipped
+
+
+def _order_consistent(s, t):
+    els, jn, mt = s.elements, t.join, t.meet
+    wit, skipped = [], 0
+    for a, above in enumerate(t.order):
+        for b, (j, m) in enumerate(zip(jn[a], mt[a])):
+            le = above >> b & 1 == 1
+            skipped += j < 0 or m < 0
+            if j >= 0 and (j == b) != le or m >= 0 and (m == a) != le:
+                wit.append((els[a], els[b]))
+    return wit, skipped
+
+
+def _approximation_ends(s, t):
+    part, lo, up = t.parthood, t.lower, t.upper
+    bot, top = t.index[s.bottom], t.index[s.top]
+    wit = [] if lo[bot] == bot and up[bot] == bot else [(s.bottom,)]
+    if not (part[lo[top]] >> top & 1 and part[up[top]] >> top & 1):
+        wit.append((s.top,))
+    return wit, 0
+
+
+# Each axiom's check and the check's arguments after the space and its tables.
+_AXIOM_CHECKS = {
+    "PT1": (lambda s, t: ([(x,) for i, x in enumerate(s.elements) if not t.parthood[i] >> i & 1], 0),),
+    "PT2": (lambda s, t: ([(s.elements[i], s.elements[j]) for i in range(t.n) for j in range(i + 1, t.n)
+                           if t.parthood[i] >> j & 1 and t.parthood[j] >> i & 1], 0),),
+    "G1": (_commutative,),
+    "G2": (_absorptive,),
+    "G3": (_distributive, "meet", "join"),
+    "G4": (_distributive, "join", "meet"),
+    "G5": (_order_consistent,),
+    "UL1": (lambda s, t: ([(x,) for a, x, la, ua in zip(range(t.n), s.elements, t.lower, t.upper)
+                           if not (t.parthood[la] >> a & 1 and t.lower[la] == la
+                                   and t.parthood[ua] >> t.upper[ua] & 1)], 0),),
+    "UL2": (lambda s, t: ([(s.elements[a], s.elements[b]) for a, la, ua in zip(range(t.n), t.lower, t.upper)
+                           for b in _bits(t.parthood[a])
+                           if not (t.parthood[la] >> t.lower[b] & 1 and t.parthood[ua] >> t.upper[b] & 1)], 0),),
+    "UL3": (_approximation_ends,),
+    "TB": (lambda s, t: ([(x,) for a, x in enumerate(s.elements) if not (
+        t.parthood[t.index[s.bottom]] >> a & 1 and t.parthood[a] >> t.index[s.top] & 1)], 0),),
+}
+
+AXIOM_ORDER = tuple(_AXIOM_CHECKS)
 
 
 def validate_space(s: GranularSpace) -> list[AxiomReport]:
@@ -294,115 +437,8 @@ def validate_space(s: GranularSpace) -> list[AxiomReport]:
     Lattice axioms use weak equality: an instance with an undefined side is
     vacuously true and counted in the report's skipped field.
     """
-    els = s.elements
-    jn, mt = s.join.get, s.meet.get
-    reports = []
-
-    wit = [(x,) for x in els if not s.part(x, x)]
-    reports.append(AxiomReport.of("PT1", wit))
-
-    wit = [
-        (a, b)
-        for i, a in enumerate(els)
-        for b in els[i + 1 :]
-        if s.part(a, b) and s.part(b, a)
-    ]
-    reports.append(AxiomReport.of("PT2", wit))
-
-    wit, skipped = [], 0
-    for i, a in enumerate(els):
-        for b in els[i:]:
-            lj, rj = jn((a, b)), jn((b, a))
-            lm, rm = mt((a, b)), mt((b, a))
-            if None in (lj, rj) or None in (lm, rm):
-                skipped += 1
-            if not (weak_equal(lj, rj) and weak_equal(lm, rm)):
-                wit.append((a, b))
-    reports.append(AxiomReport.of("G1", wit, skipped))
-
-    wit, skipped = [], 0
-    for a in els:
-        for b in els:
-            absorbed_join = _apply(mt, jn((a, b)), a)
-            absorbed_meet = _apply(jn, mt((a, b)), a)
-            if absorbed_join is None or absorbed_meet is None:
-                skipped += 1
-            if not (weak_equal(absorbed_join, a) and weak_equal(absorbed_meet, a)):
-                wit.append((a, b))
-    reports.append(AxiomReport.of("G2", wit, skipped))
-
-    wit, skipped = [], 0
-    for a in els:
-        for b in els:
-            for c in els:
-                lhs = _apply(jn, mt((a, b)), c)
-                rhs = _apply(mt, jn((a, c)), jn((b, c)))
-                if lhs is None or rhs is None:
-                    skipped += 1
-                if not weak_equal(lhs, rhs):
-                    wit.append((a, b, c))
-    reports.append(AxiomReport.of("G3", wit, skipped))
-
-    wit, skipped = [], 0
-    for a in els:
-        for b in els:
-            for c in els:
-                lhs = _apply(mt, jn((a, b)), c)
-                rhs = _apply(jn, mt((a, c)), mt((b, c)))
-                if lhs is None or rhs is None:
-                    skipped += 1
-                if not weak_equal(lhs, rhs):
-                    wit.append((a, b, c))
-    reports.append(AxiomReport.of("G4", wit, skipped))
-
-    wit, skipped = [], 0
-    for a in els:
-        for b in els:
-            le = s.leq(a, b)
-            jv, mv = jn((a, b)), mt((a, b))
-            if jv is None or mv is None:
-                skipped += 1
-            ok = True
-            if jv is not None and (jv == b) != le:
-                ok = False
-            if mv is not None and (mv == a) != le:
-                ok = False
-            if not ok:
-                wit.append((a, b))
-    reports.append(AxiomReport.of("G5", wit, skipped))
-
-    wit = []
-    for a in els:
-        la, ua = s.lower[a], s.upper[a]
-        if not (s.part(la, a) and s.lower[la] == la and s.part(ua, s.upper[ua])):
-            wit.append((a,))
-    reports.append(AxiomReport.of("UL1", wit))
-
-    wit = []
-    for a in els:
-        for b in els:
-            if s.part(a, b):
-                if not (s.part(s.lower[a], s.lower[b]) and s.part(s.upper[a], s.upper[b])):
-                    wit.append((a, b))
-    reports.append(AxiomReport.of("UL2", wit))
-
-    wit = []
-    if not (s.lower[s.bottom] == s.bottom and s.upper[s.bottom] == s.bottom):
-        wit.append((s.bottom,))
-    if not (s.part(s.lower[s.top], s.top) and s.part(s.upper[s.top], s.top)):
-        wit.append((s.top,))
-    reports.append(AxiomReport.of("UL3", wit))
-
-    wit = [(a,) for a in els if not (s.part(s.bottom, a) and s.part(a, s.top))]
-    reports.append(AxiomReport.of("TB", wit))
-
-    return reports
-
-
-def _apply(table_get, x: Optional[str], y: Optional[str]) -> Optional[str]:
-    if x is None or y is None:
-        return None
-    return table_get((x, y))
+    t = s.tables
+    return [AxiomReport.of(axiom, *check(s, t, *args)) for axiom, (check, *args) in _AXIOM_CHECKS.items()]
 
 
 def representable_elements(s: GranularSpace, term_depth: int = 1) -> frozenset[str]:
@@ -414,8 +450,7 @@ def representable_elements(s: GranularSpace, term_depth: int = 1) -> frozenset[s
     """
     if term_depth < 1:
         raise InputError("term_depth must be at least 1")
-    rep = {s.bottom}
-    rep.update(s.granulation)
+    rep = {s.bottom, *s.granulation}
     changed = True
     while changed:
         changed = False
@@ -506,8 +541,9 @@ def _carrier_union_element(s: GranularSpace, granules: Sequence[str]) -> str:
 
 def classify_flavor(s: GranularSpace) -> str:
     """Most specific flavor whose defining conditions hold."""
-    po_equal = s.parthood == s.order
-    if not po_equal:
+    if s.flavor == "setHGOS":  # the constructor proved it
+        return "setHGOS"
+    if s.parthood != s.order:
         return "GGS"
     if not s.operations_total():
         return "GS"
@@ -520,15 +556,15 @@ def _extensionality_failure(s: GranularSpace) -> Optional[str]:
     """The first setHGOS condition to fail on a carried space with total
     operations, in element order of the pair, or None when parthood is
     inclusion, join is union and meet is intersection."""
-    for a in s.elements:
-        ca = s.carriers[a]
-        for b in s.elements:
-            cb = s.carriers[b]
-            if ((a, b) in s.parthood) != (ca <= cb):
+    t = s.tables
+    cm = t.carriers
+    for ca, part, jn, mt in zip(cm, t.parthood, t.join, t.meet):
+        for j, cb in enumerate(cm):
+            if (part >> j & 1 == 1) != (ca & cb == ca):
                 return "parthood == inclusion"
-            if s.carriers[s.join[(a, b)]] != ca | cb:
+            if cm[jn[j]] != ca | cb:
                 return "join == union"
-            if s.carriers[s.meet[(a, b)]] != ca & cb:
+            if cm[mt[j]] != ca & cb:
                 return "meet == intersection"
     return None
 
@@ -547,36 +583,19 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
     if len(set(objs)) != len(objs):
         raise InputError("base objects must be unique")
     if len(objs) > POWERSET_OBJECT_CAP:
-        raise SizeError(
-            f"power-set universe capped at {POWERSET_OBJECT_CAP} objects, got {len(objs)}"
-        )
+        raise SizeError(f"power-set universe capped at {POWERSET_OBJECT_CAP} objects, got {len(objs)}")
     blks = [frozenset(b) for b in blocks]
     check_partition(blks, frozenset(objs), "exactly the base objects")
 
     ordered = sorted(objs)
-    universe: list[frozenset[str]] = []
-    for k in range(len(ordered) + 1):
-        for combo in combinations(ordered, k):
-            universe.append(frozenset(combo))
+    universe = [frozenset(c) for k in range(len(ordered) + 1) for c in combinations(ordered, k)]
     ids = {carrier: render_carrier(carrier) for carrier in universe}
 
-    lower = {}
-    upper = {}
-    for carrier in universe:
-        lo = frozenset().union(*[b for b in blks if b <= carrier]) if blks else frozenset()
-        hi = frozenset().union(*[b for b in blks if b & carrier]) if blks else frozenset()
-        lower[ids[carrier]] = ids[frozenset(lo)]
-        upper[ids[carrier]] = ids[frozenset(hi)]
-
-    parthood = frozenset(
-        (ids[a], ids[b]) for a in universe for b in universe if a <= b
-    )
-    join = {}
-    meet = {}
-    for a in universe:
-        for b in universe:
-            join[(ids[a], ids[b])] = ids[a | b]
-            meet[(ids[a], ids[b])] = ids[a & b]
+    lower = {ids[c]: ids[frozenset().union(*[b for b in blks if b <= c])] for c in universe}
+    upper = {ids[c]: ids[frozenset().union(*[b for b in blks if b & c])] for c in universe}
+    parthood = frozenset((ids[a], ids[b]) for a in universe for b in universe if a <= b)
+    join = {(ids[a], ids[b]): ids[a | b] for a in universe for b in universe}
+    meet = {(ids[a], ids[b]): ids[a & b] for a in universe for b in universe}
 
     granulation = [ids[b] for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
 
@@ -706,8 +725,14 @@ def _table_from(raw, key):
         a, b, r = row
         if not (isinstance(a, str) and isinstance(b, str) and isinstance(r, str)):
             raise SpaceFormatError(f"{key}[{i}] must hold string ids")
-        out[(a, b)] = r
+        if out.setdefault((a, b), r) != r:
+            raise _conflict(f"{key}[{i}]", f"({a!r},{b!r})", r, out[(a, b)])
     return out
+
+
+def _conflict(where: str, shown: str, value: str, earlier: str) -> SpaceFormatError:
+    """The error for an entry that gives a key a second, different value."""
+    return SpaceFormatError(f"{where} maps {shown} to {value!r}, but an earlier entry maps it to {earlier!r}")
 
 
 def _approximations_from(raw, elements, carriers, parthood):
@@ -723,7 +748,10 @@ def _approximations_from(raw, elements, carriers, parthood):
         else:
             if not isinstance(val, list):
                 raise SpaceFormatError(f"{key} must be an array of pairs or 'granular'")
-            maps[key] = {pair[0]: pair[1] for pair in _pairs_from(raw, key)}
+            maps[key] = out = {}
+            for i, (x, v) in enumerate(_pairs_from(raw, key)):
+                if out.setdefault(x, v) != v:
+                    raise _conflict(f"{key}[{i}]", repr(x), v, out[x])
     return maps["lower"], maps["upper"]
 
 

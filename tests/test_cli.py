@@ -79,6 +79,33 @@ class TestValidate:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
+    @pytest.mark.parametrize(
+        "key, row, message",
+        [
+            ("join", ["a", "a", "bot"], "error: join[58] maps ('a','a') to 'bot', but an earlier entry maps it to 'a'"),
+            ("lower", ["e", "bot"], "error: lower[9] maps 'e' to 'bot', but an earlier entry maps it to 'e'"),
+        ],
+    )
+    def test_conflicting_duplicate_row_is_an_input_error(self, runner, tmp_path, key, row, message):
+        d = fixture_dict()
+        d[key].append(row)
+        bad = tmp_path / "duplicate.json"
+        bad.write_text(json.dumps(d), encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines() == [message]
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("key, row", [("join", ["a", "a", "a"]), ("lower", ["e", "e"])])
+    def test_exact_duplicate_row_still_loads(self, runner, tmp_path, key, row):
+        d = fixture_dict()
+        d[key].append(row)
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == runner.invoke(main, ["validate", str(FIXTURE_PATH)]).stdout
+
     def test_packaged_fixture_by_bare_name(self, runner):
         result = runner.invoke(main, ["validate", "abstract_example.json"])
         assert result.exit_code == 0

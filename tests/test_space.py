@@ -280,6 +280,13 @@ class TestFlavors:
         d["flavor"] = "HGOS"
         assert classify_flavor(space_from_dict(d)) == "HGOS"
 
+    def test_set_hgos_flavor_checks_join_before_meet_within_a_pair(self, singleton_space):
+        d = space_to_dict(singleton_space)
+        for key in ("join", "meet"):
+            d[key] = [[x, y, "{x1}" if (x, y) == ("{x1}", "{x2}") else r] for x, y, r in d[key]]
+        with pytest.raises(StructuralError, match=r"^flavor setHGOS requires join == union$"):
+            space_from_dict(d)
+
 
 class TestPowerset:
     def test_universe_and_ids(self, singleton_space):
@@ -433,3 +440,180 @@ def test_random_powerset_spaces_satisfy_all_axioms(data, n):
     assert by_axiom["LS"].holds
     # a single all-covering block leaves no definite strict superset for FU
     assert by_axiom["FU"].holds == (len(blocks) >= 2)
+
+
+# -- validate_space against the former string-keyed loops ---------------------
+
+
+def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
+    """validate_space as it was before the index tables, kept verbatim as
+    the oracle: string ids, dict lookups and one loop per axiom."""
+    els = s.elements
+    jn, mt = s.join.get, s.meet.get
+    reports = []
+
+    wit = [(x,) for x in els if not s.part(x, x)]
+    reports.append(AxiomReport.of("PT1", wit))
+
+    wit = [
+        (a, b)
+        for i, a in enumerate(els)
+        for b in els[i + 1 :]
+        if s.part(a, b) and s.part(b, a)
+    ]
+    reports.append(AxiomReport.of("PT2", wit))
+
+    wit, skipped = [], 0
+    for i, a in enumerate(els):
+        for b in els[i:]:
+            lj, rj = jn((a, b)), jn((b, a))
+            lm, rm = mt((a, b)), mt((b, a))
+            if None in (lj, rj) or None in (lm, rm):
+                skipped += 1
+            if not (weak_equal(lj, rj) and weak_equal(lm, rm)):
+                wit.append((a, b))
+    reports.append(AxiomReport.of("G1", wit, skipped))
+
+    wit, skipped = [], 0
+    for a in els:
+        for b in els:
+            absorbed_join = _naive_apply(mt, jn((a, b)), a)
+            absorbed_meet = _naive_apply(jn, mt((a, b)), a)
+            if absorbed_join is None or absorbed_meet is None:
+                skipped += 1
+            if not (weak_equal(absorbed_join, a) and weak_equal(absorbed_meet, a)):
+                wit.append((a, b))
+    reports.append(AxiomReport.of("G2", wit, skipped))
+
+    wit, skipped = [], 0
+    for a in els:
+        for b in els:
+            for c in els:
+                lhs = _naive_apply(jn, mt((a, b)), c)
+                rhs = _naive_apply(mt, jn((a, c)), jn((b, c)))
+                if lhs is None or rhs is None:
+                    skipped += 1
+                if not weak_equal(lhs, rhs):
+                    wit.append((a, b, c))
+    reports.append(AxiomReport.of("G3", wit, skipped))
+
+    wit, skipped = [], 0
+    for a in els:
+        for b in els:
+            for c in els:
+                lhs = _naive_apply(mt, jn((a, b)), c)
+                rhs = _naive_apply(jn, mt((a, c)), mt((b, c)))
+                if lhs is None or rhs is None:
+                    skipped += 1
+                if not weak_equal(lhs, rhs):
+                    wit.append((a, b, c))
+    reports.append(AxiomReport.of("G4", wit, skipped))
+
+    wit, skipped = [], 0
+    for a in els:
+        for b in els:
+            le = s.leq(a, b)
+            jv, mv = jn((a, b)), mt((a, b))
+            if jv is None or mv is None:
+                skipped += 1
+            ok = True
+            if jv is not None and (jv == b) != le:
+                ok = False
+            if mv is not None and (mv == a) != le:
+                ok = False
+            if not ok:
+                wit.append((a, b))
+    reports.append(AxiomReport.of("G5", wit, skipped))
+
+    wit = []
+    for a in els:
+        la, ua = s.lower[a], s.upper[a]
+        if not (s.part(la, a) and s.lower[la] == la and s.part(ua, s.upper[ua])):
+            wit.append((a,))
+    reports.append(AxiomReport.of("UL1", wit))
+
+    wit = []
+    for a in els:
+        for b in els:
+            if s.part(a, b):
+                if not (s.part(s.lower[a], s.lower[b]) and s.part(s.upper[a], s.upper[b])):
+                    wit.append((a, b))
+    reports.append(AxiomReport.of("UL2", wit))
+
+    wit = []
+    if not (s.lower[s.bottom] == s.bottom and s.upper[s.bottom] == s.bottom):
+        wit.append((s.bottom,))
+    if not (s.part(s.lower[s.top], s.top) and s.part(s.upper[s.top], s.top)):
+        wit.append((s.top,))
+    reports.append(AxiomReport.of("UL3", wit))
+
+    wit = [(a,) for a in els if not (s.part(s.bottom, a) and s.part(a, s.top))]
+    reports.append(AxiomReport.of("TB", wit))
+
+    return reports
+
+
+def _naive_apply(table_get, x, y):
+    if x is None or y is None:
+        return None
+    return table_get((x, y))
+
+
+@st.composite
+def ggs_documents(draw):
+    """A GGS space document of 1-7 elements with random relations, partial
+    join and meet and random lower and upper maps.  Table entries, maps,
+    bottom and top lean to the last element and to undefined entries, where
+    an index of -1 read without a guard would land."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    els = [f"e{i}" for i in range(n)]
+    target = st.one_of(st.just(n - 1), st.integers(min_value=0, max_value=n - 1))
+    entry = st.one_of(st.none(), target)
+
+    def pairs():
+        keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        return [[a, b] for (a, b), k in zip(((a, b) for a in els for b in els), keep) if k]
+
+    def table():
+        cells = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+        return [[a, b, els[r]] for (a, b), r in zip(((a, b) for a in els for b in els), cells) if r is not None]
+
+    return {
+        "elements": [{"id": e} for e in els],
+        "parthood": pairs(),
+        "order": pairs(),
+        "join": table(),
+        "meet": table(),
+        "granulation": [],
+        "lower": [[e, els[draw(target)]] for e in els],
+        "upper": [[e, els[draw(target)]] for e in els],
+        "bottom": els[draw(target)],
+        "top": els[draw(target)],
+        "flavor": "GGS",
+    }
+
+
+class TestValidateSpaceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=ggs_documents())
+    def test_random_ggs_spaces(self, doc):
+        s = space_from_dict(doc)
+        assert validate_space(s) == naive_validate_space(s)
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=2, max_value=6))
+    def test_powersets(self, data, n):
+        objects = [f"o{i}" for i in range(n)]
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        blocks: dict[int, list[str]] = {}
+        for obj, label in zip(objects, labels):
+            blocks.setdefault(label, []).append(obj)
+        s = powerset_space(objects, list(blocks.values()))
+        assert validate_space(s) == naive_validate_space(s)
+
+    def test_fixture_two_block_and_broken_lower(self, fixture_space, two_block_space):
+        broken = space_to_dict(two_block_space)
+        broken["lower"] = [[x, "{x1,x2,x3}" if x == "{x3}" else low] for x, low in broken["lower"]]
+        for s in (fixture_space, two_block_space, space_from_dict(broken)):
+            assert validate_space(s) == naive_validate_space(s)
+        assert not all(r.holds for r in validate_space(space_from_dict(broken)))
