@@ -1,0 +1,105 @@
+"""Time the RIF axiom checks, axiom by axiom, on a power set.
+
+    python3 scripts/time_axioms.py [--objects 6] [--seed 0] [--repeat 5]
+
+Builds the power set of N objects (2**N elements) with a seeded random
+partition as granulation, and on it k0, k1, k2, kst(k0, 1/4, 3/4) and a
+random kappa drawn from --seed.  For each function and each axiom U1 to RB
+it prints the wall time (the best of --repeat runs) of the full
+check_rif_axiom report, with its witness and skipped counts, and of the
+verdict alone, which stops at the first offending row.  Each is timed twice:
+on a new copy of the function, so the call pays for the rank rows and
+masks it reads, and ("built") on a function whose rank rows and masks
+every axiom reads are already built.  The last two lines per function time
+one verify_prif and one classify call on a fresh copy.  The space's index
+tables and axiom rows are built once, before the first timing.  Stdlib only.
+"""
+
+import argparse
+import os
+import pathlib
+import platform
+import sys
+import time
+from fractions import Fraction
+from random import Random
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from rif_forge.inclusion import (
+    RIF_AXIOM_ORDER, InclusionFunction, _holds, check_rif_axiom, classify, k0, k1, k2, kst,
+    random_kappa, verify_prif,
+)
+from rif_forge.sampling import random_partition
+from rif_forge.space import powerset_space
+
+
+def fresh(f: InclusionFunction) -> InclusionFunction:
+    return InclusionFunction._of_rows(f.space, f.nums, f.den, f.label)
+
+
+def built(f: InclusionFunction) -> InclusionFunction:
+    for axiom in RIF_AXIOM_ORDER:
+        check_rif_axiom(f, axiom)
+    return f
+
+
+def best_ms(call, make, repeat: int):
+    """The least wall time of repeat calls of call(make()), make untimed,
+    in ms, and the last call's result."""
+    times = []
+    for _ in range(repeat):
+        arg = make()
+        start = time.perf_counter()
+        result = call(arg)
+        times.append(time.perf_counter() - start)
+    return min(times) * 1000, result
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--objects", type=int, default=6)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args()
+    if not 1 <= args.objects <= 8 or args.repeat < 1:
+        parser.error("--objects must lie in 1..8 and --repeat must be positive")
+
+    objects = [f"o{i}" for i in range(1, args.objects + 1)]
+    rng = Random(args.seed)
+    s = powerset_space(objects, random_partition(objects, rng))
+    fns = [k0(s), k1(s), k2(s), kst(k0(s), Fraction(1, 4), Fraction(3, 4)), random_kappa(s, rng)]
+    built(fns[0])  # the space's index tables and axiom rows
+
+    print(f"# {len(s.elements)} elements, {len(s.granulation)} granules, seed {args.seed}, "
+          f"best of {args.repeat}, relation parthood")
+    print(f"# {os.cpu_count()} cpus, Python {platform.python_version()}, {platform.machine()}")
+    for f in fns:
+        ready = built(fresh(f))
+        print(f"\n{f.label}: image of {len(f.image())} values")
+        print(f"{'axiom':<12}{'report ms':>10}{'built':>8}{'witnesses':>11}{'skipped':>9}"
+              f"{'verdict ms':>12}{'built':>8}  holds")
+        for axiom in RIF_AXIOM_ORDER:
+            def report(g):
+                return check_rif_axiom(g, axiom)
+
+            def verdict(g):
+                return _holds(g, axiom, "parthood")
+
+            ms, rep = best_ms(report, lambda: fresh(f), args.repeat)
+            ms_built, _ = best_ms(report, lambda: ready, args.repeat)
+            v_ms, holds = best_ms(verdict, lambda: fresh(f), args.repeat)
+            v_built, _ = best_ms(verdict, lambda: ready, args.repeat)
+            if holds != rep.holds:
+                raise SystemExit(f"verdict of {axiom} on {f.label} differs from its report")
+            print(f"{axiom:<12}{ms:>10.2f}{ms_built:>8.2f}{len(rep.witnesses):>11}{rep.skipped:>9}"
+                  f"{v_ms:>12.2f}{v_built:>8.2f}  {holds}")
+        ms, verdicts = best_ms(verify_prif, lambda: fresh(f), args.repeat)
+        violated = [v.name for v in verdicts if v.applicable and v.violated]
+        print(f"{'verify_prif':<12}{ms:>10.2f}  violated: {', '.join(violated) or 'none'}")
+        ms, name = best_ms(classify, lambda: fresh(f), args.repeat)
+        print(f"{'classify':<12}{ms:>10.2f}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -134,7 +134,7 @@ def _function_env(s: GranularSpace, env_path: Optional[str]) -> dict[str, Inclus
             raw = json.loads(pathlib.Path(env_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read environment file {env_path}: {exc}") from exc
-        if not isinstance(raw, dict):
+        if not (isinstance(raw, dict) and all(isinstance(text, str) for text in raw.values())):
             raise InputError("environment file must map names to term strings")
         for name, text in raw.items():
             bound[name] = terms.eval_term(terms.parse_term(text), bound, s)
@@ -438,7 +438,7 @@ def fit_alpha_cmd(space_file, f_term, h_term, samples_file, fmt, out):
         raise InputError("samples file must hold a list of [x, y, value] triples")
     samples = []
     for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 3):
+        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(e, str) for e in entry[:2])):
             raise InputError(f"bad sample entry: {entry!r}")
         x, y, value = entry
         samples.append(((find_element(s, x), find_element(s, y)), _rat(str(value))))

@@ -11,12 +11,14 @@ The scans run over element indices.  A function is scanned as rank rows:
 each distinct numerator gets its position in the sorted image, so comparing
 ranks is comparing the exact values, and equality to 0, to 1 or to 1 - v
 (R6's f(a,b) + f(a,c) == 1) is equality to a precomputed rank.  No value is
-rounded or converted.  The rows are built once per function, and the
-relation rows, meet table and join-to-top pairs once per space, so the
-triple scans visit only the (b, c) pairs their guard admits: f(b,c) == 1
-for R2, related pairs for R3, pairs joining to top for R6.  Witnesses come
-out in element order of a, then b, then c, as an exhaustive loop over the
-elements would list them.
+rounded or converted.  Each axiom has one kernel that reads a row (a, or
+a and b) as a bitmask of its offending last elements, combining row masks
+built on first use: where f is 0, 1, or equal to or below a rank, and where
+the relation holds, meets are bottom or undefined and joins are top.  R2
+and R3 at (a, b) are one AND: below_a[f(a,b)] & the c with f(b,c) == 1,
+resp. related to b.  check_rif_axiom lists the flagged rows' witnesses from
+their candidates in element order of a, then b, then c; verify_prif and
+classify read verdicts, which stop at the first flagged row.
 
 Class names: RIF requires R1 and R2, qRIF requires R0 and R2, wqRIF
 requires R0 and R3.  classify returns the most specific one.
@@ -189,48 +191,70 @@ class _RankedRows:
     image is f's sorted distinct numerators and rows[i][j] the rank of the
     numerator at (a_i, a_j) in it, so ranks compare exactly as the values
     do; ranks holds the same ranks in s.pairs() order.  one and zero are
-    the ranks of 1 and 0 (-1 when absent), comp[r] is the rank of
-    1 - image[r]/den (-1 when absent) and one_masks[i] has bit j set iff
-    f(a_i, a_j) == 1.
+    the ranks of 1 and 0 (-1 when absent).  The rest is built on first
+    read, for the axiom scans only: comp[r] is the rank of 1 - image[r]/den
+    (-1 when absent), one_masks[i] and zero_masks[i] have bit j set iff
+    f(a_i, a_j) == 1, resp. == 0, one_groups are the groups of the nonzero
+    one_masks, and masks(i) gives row i's rank masks.
     """
 
     def __init__(self, f: InclusionFunction):
         n = len(f.space.elements)
-        den = f.den
+        self.den = f.den
         self.image = image = sorted(set(f.nums))
-        rank = {x: r for r, x in enumerate(image)}
+        self._rank = rank = {x: r for r, x in enumerate(image)}
         self.ranks = ranks = list(map(rank.__getitem__, f.nums))
         self.rows = [ranks[i * n:(i + 1) * n] for i in range(n)]
-        self.one = one = rank.get(den, -1)
+        self.one = rank.get(self.den, -1)
         self.zero = rank.get(0, -1)
-        self.comp = [rank.get(den - x, -1) for x in image]
-        self.one_masks = []
-        for row in self.rows:
-            mask = 0
-            for j, r in enumerate(row):
-                if r == one:
-                    mask |= 1 << j
-            self.one_masks.append(mask)
+        self._masks, self._bits = [None] * n, [1 << j for j in range(n)]
+
+    comp = cached_property(lambda fr: [fr._rank.get(fr.den - x, -1) for x in fr.image])
+    one_masks = cached_property(lambda fr: [_row_mask(row, fr.one) for row in fr.rows])
+    zero_masks = cached_property(lambda fr: [_row_mask(row, fr.zero) for row in fr.rows])
+    one_groups = cached_property(lambda fr: _groups(fr.one_masks))
+
+    def masks(self, i: int) -> tuple[dict[int, int], dict[int, int]]:
+        """(equal, below) of row i, built on first use: each maps every rank
+        r in the row to the bitmask of the j with rows[i][j] == r, resp. < r."""
+        if self._masks[i] is None:
+            equal, below, acc = {}, {}, 0
+            for r, bit in zip(self.rows[i], self._bits):
+                equal[r] = equal.get(r, 0) | bit
+            for r in sorted(equal):
+                below[r] = acc
+                acc |= equal[r]
+            self._masks[i] = equal, below
+        return self._masks[i]
 
 
 class _SpaceRows:
     """What the axiom scans need from a space under one relation, by
-    element index: the relation as row bitmasks and as (b, [c...]) groups,
-    the elements strictly above bottom, the meet table (-1 where undefined),
-    and the (b, [c...]) groups whose join is top, with the number of
-    undefined joins.  The masks and tables are the space's own."""
+    element index: the relation as row bitmasks and groups, the elements
+    strictly above bottom, the j whose meet with a_i is bottom, resp.
+    undefined, the groups of the c whose join with b is top, and the number
+    of undefined joins."""
 
     def __init__(self, s: GranularSpace, relation: str):
         t = s.tables
         self.rel_masks = rel = t.parthood if relation == "parthood" else t.order
-        self.rel_groups = [(j, _bits(m)) for j, m in enumerate(rel) if m]
+        self.rel_groups = _groups(rel)
         self.bottom = bot = t.index[s.bottom]
         self.proper_bottom = [i for i in range(t.n) if rel[bot] >> i & 1 and not rel[i] >> bot & 1]
-        self.meet_rows = t.meet
-        top = t.index[s.top]
-        groups = ((j, [k for k, r in enumerate(row) if r == top]) for j, row in enumerate(t.join))
-        self.top_groups = [(j, ks) for j, ks in groups if ks]
+        self.meet_bottom = [_row_mask(row, bot) for row in t.meet]
+        self.meet_undefined = [_row_mask(row, -1) for row in t.meet]
+        self.top_groups = _groups([_row_mask(row, t.index[s.top]) for row in t.join])
         self.undefined_joins = sum(row.count(-1) for row in t.join)
+
+
+def _row_mask(row: list[int], value: int) -> int:
+    """The bitmask of the j with row[j] == value."""
+    return sum(1 << j for j, r in enumerate(row) if r == value)
+
+
+def _groups(masks: list[int]) -> list[tuple[int, int, list[int]]]:
+    """(j, mask, the indices of its set bits) for each nonzero mask."""
+    return [(j, m, _bits(m)) for j, m in enumerate(masks) if m]
 
 
 def _space_rows(s: GranularSpace, relation: str) -> _SpaceRows:
@@ -240,17 +264,101 @@ def _space_rows(s: GranularSpace, relation: str) -> _SpaceRows:
     return s._derived[key]
 
 
-def _order_witnesses(els, rows, groups) -> list[tuple[str, str, str]]:
-    """(a, b, c) with f(a,b) > f(a,c), for every a and every (b, c) in
-    groups, in element order."""
-    witnesses = []
-    for a, row in zip(els, rows):
-        for j, ks in groups:
+def _axiom_kernel(f: InclusionFunction, axiom: str, relation: str, out: Optional[list]):
+    """One axiom's kernel: (scan, skipped).  The generator scan visits the
+    rows (a[, b]) in element order and flags each one whose bitmask of
+    offending last elements is not empty.  With out None it yields the
+    masks of the flagged rows; otherwise it appends their witness tuples to
+    out and yields nothing.  skipped counts the instances left out because
+    the join or meet they need is undefined."""
+    if relation not in ("parthood", "order"):
+        raise InputError(f"relation must be 'parthood' or 'order', got {relation!r}")
+    if axiom not in RIF_AXIOM_ORDER:
+        raise InputError(f"unknown axiom {axiom!r}")
+    sp = _space_rows(f.space, relation)
+    fr = f._ranked
+    els, pb = f.space.elements, sp.proper_bottom
+    if axiom in ("R2", "R3"):
+        return _order_scan(fr, els, fr.one_groups if axiom == "R2" else sp.rel_groups, out), 0
+    if axiom == "R6":
+        return _complement_scan(fr, els, sp, out), len(pb) * sp.undefined_joins
+
+    skipped = 0
+    if axiom == "U1":
+        rows = [(None, sum(1 << i for i, row in enumerate(fr.rows) if row[i] != fr.one))]
+    elif axiom == "RB":
+        rows = [(None, sum(1 << i for i in pb if fr.rows[i][sp.bottom] != fr.zero))]
+    elif axiom in ("R0", "R1", "IR0"):
+        rows = [(a, rel & ~ones if axiom == "R0" else rel ^ ones if axiom == "R1" else ones & ~rel)
+                for a, rel, ones in zip(els, sp.rel_masks, fr.one_masks)]
+    elif axiom == "R4":
+        zero, undef = fr.zero_masks, sp.meet_undefined
+        skipped = sum((z & u).bit_count() for z, u in zip(zero, undef))
+        rows = [(a, z & ~(b | u)) for a, z, b, u in zip(els, zero, sp.meet_bottom, undef)]
+    else:
+        # R5: the proper-bottom condition guards the whole biconditional;
+        # read as a conjunct on the left it is unsatisfiable wherever
+        # bottom meets are defined, which would break prif6 everywhere
+        zero, bot, undef = fr.zero_masks, sp.meet_bottom, sp.meet_undefined
+        skipped = sum(undef[i].bit_count() for i in pb)
+        rows = [(els[i], bot[i] & ~zero[i] if axiom == "IR4" else (bot[i] ^ zero[i]) & ~undef[i])
+                for i in pb]
+    return _mask_scan(rows, els, out), skipped
+
+
+def _mask_scan(rows, els, out: Optional[list]):
+    """Rows given as (a, mask), a None for a one-element axiom, whose
+    witnesses are (a, a_j), resp. (a_j,), for each bit j of mask."""
+    for a, m in rows:
+        if m and out is None:
+            yield m
+        elif m:
+            out += [(els[j],) if a is None else (a, els[j]) for j in _bits(m)]
+
+
+def _order_scan(fr: _RankedRows, els, groups, out: Optional[list]):
+    """R2 and R3: (a, b, c) for each group (b, c...) with f(a,c) < f(a,b).
+    The row (a, b) offends at below_a[f(a,b)] & group; a flagged row lists
+    its candidates directly."""
+    add = None if out is None else out.append
+    for i, (a, row) in enumerate(zip(els, fr.rows)):
+        below = fr.masks(i)[1]
+        for j, m, ks in groups:
             rj = row[j]
-            for k in ks:
-                if row[k] < rj:
-                    witnesses.append((a, els[j], els[k]))
-    return witnesses
+            bad = below[rj] & m
+            if bad and out is None:
+                yield bad
+            elif bad:
+                b = els[j]
+                for k in ks:
+                    if row[k] < rj:
+                        add((a, b, els[k]))
+
+
+def _complement_scan(fr: _RankedRows, els, sp: _SpaceRows, out: Optional[list]):
+    """R6: (a, b, c) for each a above bottom and c joining b to top with
+    f(a,b) + f(a,c) != 1, that is with f(a,c) not of the rank comp[f(a,b)].
+    hit = group & equal_a[comp[f(a,b)]] holds the candidates that do not
+    offend, so the row (a, b) offends at group & ~hit."""
+    add, comp = None if out is None else out.append, fr.comp
+    for i in sp.proper_bottom:
+        a, row, equal = els[i], fr.rows[i], fr.masks(i)[0]
+        for j, m, ks in sp.top_groups:
+            want = comp[row[j]]
+            hit = m & equal.get(want, 0)
+            if hit == m:
+                continue
+            if out is None:
+                yield m & ~hit
+                continue
+            b = els[j]
+            if not hit:
+                for k in ks:
+                    add((a, b, els[k]))
+            else:
+                for k in ks:
+                    if row[k] != want:
+                        add((a, b, els[k]))
 
 
 def check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood") -> AxiomReport:
@@ -259,86 +367,16 @@ def check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood"
     relation selects which binary relation plays the parthood role:
     "parthood" (default) or "order".
     """
-    if relation not in ("parthood", "order"):
-        raise InputError(f"relation must be 'parthood' or 'order', got {relation!r}")
-    if axiom not in RIF_AXIOM_ORDER:
-        raise InputError(f"unknown axiom {axiom!r}")
-    s = f.space
-    sp = _space_rows(s, relation)
-    fr = f._ranked
-    els = s.elements
-    rows, one, zero = fr.rows, fr.one, fr.zero
-    bot = sp.bottom
     witnesses: list[tuple[str, ...]] = []
-    skipped = 0
-
-    if axiom == "U1":
-        witnesses = [(a,) for i, a in enumerate(els) if rows[i][i] != one]
-
-    elif axiom in ("R0", "R1", "IR0"):
-        for a, ones, rel in zip(els, fr.one_masks, sp.rel_masks):
-            if axiom == "R0":
-                bad = rel & ~ones
-            elif axiom == "R1":
-                bad = rel ^ ones
-            else:
-                bad = ones & ~rel
-            witnesses.extend((a, els[j]) for j in _bits(bad))
-
-    elif axiom == "R2":
-        ones = [(j, _bits(m)) for j, m in enumerate(fr.one_masks) if m]
-        witnesses = _order_witnesses(els, rows, ones)
-
-    elif axiom == "R3":
-        witnesses = _order_witnesses(els, rows, sp.rel_groups)
-
-    elif axiom == "R4":
-        for a, row, meets in zip(els, rows, sp.meet_rows):
-            for j, r in enumerate(row):
-                if r != zero:
-                    continue
-                m = meets[j]
-                if m < 0:
-                    skipped += 1
-                elif m != bot:
-                    witnesses.append((a, els[j]))
-
-    elif axiom == "IR4":
-        for i in sp.proper_bottom:
-            row = rows[i]
-            for j, m in enumerate(sp.meet_rows[i]):
-                if m < 0:
-                    skipped += 1
-                elif m == bot and row[j] != zero:
-                    witnesses.append((els[i], els[j]))
-
-    elif axiom == "RB":
-        witnesses = [(els[i],) for i in sp.proper_bottom if rows[i][bot] != zero]
-
-    elif axiom == "R5":
-        # the proper-bottom condition guards the whole biconditional;
-        # read as a conjunct on the left it is unsatisfiable wherever
-        # bottom meets are defined, which would break prif6 everywhere
-        for i in sp.proper_bottom:
-            row = rows[i]
-            for j, m in enumerate(sp.meet_rows[i]):
-                if m < 0:
-                    skipped += 1
-                elif (row[j] == zero) != (m == bot):
-                    witnesses.append((els[i], els[j]))
-
-    else:  # R6: f(a,b) + f(a,c) == 1 exactly when f(a,c) has the rank comp[f(a,b)]
-        comp = fr.comp
-        for i in sp.proper_bottom:
-            a, row = els[i], rows[i]
-            skipped += sp.undefined_joins
-            for j, ks in sp.top_groups:
-                want = comp[row[j]]
-                for k in ks:
-                    if row[k] != want:
-                        witnesses.append((a, els[j], els[k]))
-
+    scan, skipped = _axiom_kernel(f, axiom, relation, witnesses)
+    next(scan, None)  # lists every witness into witnesses and yields nothing
     return AxiomReport.of(axiom, witnesses, skipped)
+
+
+def _holds(f: InclusionFunction, axiom: str, relation: str) -> bool:
+    """check_rif_axiom(f, axiom, relation).holds, stopping at the first
+    flagged row instead of listing every witness."""
+    return next(_axiom_kernel(f, axiom, relation, None)[0], 0) == 0
 
 
 def class_from_axioms(holds: Mapping[str, bool]) -> str:
@@ -356,7 +394,7 @@ def class_from_axioms(holds: Mapping[str, bool]) -> str:
 def classify(f: InclusionFunction, relation: str = "parthood") -> str:
     """Most specific of RIF, qRIF, wqRIF, or 'none'."""
     return class_from_axioms(
-        {ax: check_rif_axiom(f, ax, relation).holds for ax in ("R0", "R1", "R2", "R3")}
+        {ax: _holds(f, ax, relation) for ax in ("R0", "R1", "R2", "R3")}
     )
 
 
@@ -403,7 +441,7 @@ def verify_prif(f: InclusionFunction, relation: str = "parthood") -> list[PrifVe
     prif7, prif8 and prif9 are only meaningful on complement-closed
     set-HGOS; elsewhere they are reported as not applicable.
     """
-    ax = {name: check_rif_axiom(f, name, relation).holds for name in RIF_AXIOM_ORDER}
+    ax = {name: _holds(f, name, relation) for name in RIF_AXIOM_ORDER}
     on_sets = complement_closed_set_hgos(f.space)
 
     def pick(*names: str) -> dict[str, bool]:

@@ -229,6 +229,17 @@ class TestCheckLaws:
         # bound names resolve to their defining term's label
         assert "functions: oplus(1/2,k0,k2)" in result.output
 
+    @pytest.mark.parametrize("command", [["classify"], ["check-laws"]])
+    @pytest.mark.parametrize("value", [5, None, ["k0"], {"term": "k0"}])
+    def test_env_file_with_non_string_term_exits_2(self, runner, tmp_path, command, value):
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"k9": value}), encoding="utf-8")
+        result = runner.invoke(main, [*command, str(FIXTURE_PATH), "k9", "--env", str(env)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: environment file"), result.stderr
+
     def test_random_terms_deterministic(self, runner, tmp_path):
         space = tmp_path / "small.json"
         save_space(powerset_space(["u", "v"], [["u", "v"]]), space)
@@ -357,6 +368,17 @@ class TestFitAlpha:
         )
         assert result.exit_code == 2
         assert "bad sample entry" in result.stderr
+
+    @pytest.mark.parametrize("entry", [[1, 2, "1/2"], [None, "b", "1/2"], ["ab", ["bc"], "1/2"],
+                                       ["ab", {"id": "bc"}, "1/2"], [True, "bc", "1/2"]])
+    def test_non_string_sample_element_exits_2(self, runner, tmp_path, entry):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps([["ab", "bc", "3/16"], entry]), encoding="utf-8")
+        result = runner.invoke(main, ["fit-alpha", str(FIXTURE_PATH), "k0", "k1", str(samples)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad sample entry"), result.stderr
 
 
 class TestDerive:

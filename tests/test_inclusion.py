@@ -21,7 +21,7 @@ from rif_forge import (
     satisfies_class,
     verify_prif,
 )
-from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO
+from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO, _holds
 
 
 class TestConcreteFunctions:
@@ -398,3 +398,45 @@ def test_ranked_scan_matches_naive_scan(data, kind, seed, bounds, fixture_space)
         assert classify(f, relation) == naive_classify(holds)
         for verdict in verify_prif(f, relation):
             assert dict(verdict.axioms) == {ax: holds[ax] for ax in verdict.axioms}, verdict.name
+
+
+class _ValueTable:
+    """f as the naive scan reads it, one value at a time, but from f's
+    value dict: a 64-element scan makes a quarter of a million reads."""
+
+    def __init__(self, f: InclusionFunction):
+        self.space, self._values = f.space, f.values
+
+    def __call__(self, a, b):
+        return self._values[(a, b)]
+
+
+def wide_functions(s):
+    """k0, k1, k2, a kst and two random kappas, one with a unit diagonal."""
+    bounds = (F(1, 4), F(3, 4))
+    return [build_function(kind, s, 5, *bounds) for kind in ("k0", "k1", "k2", "kst", "kappa")] + [
+        build_function("kappa-unit-diagonal", s, 8, *bounds)]
+
+
+def test_masks_wider_than_a_word_match_naive_scan():
+    s = powerset_space([f"x{i}" for i in range(6)], [["x0", "x1"], ["x2"], ["x3", "x4", "x5"]])
+    assert len(s.elements) == 64
+    # order and parthood are both inclusion here, so one naive scan serves both
+    assert s.order == s.parthood
+    for f in wide_functions(s):
+        expected = {ax: naive_check_rif_axiom(_ValueTable(f), ax) for ax in RIF_AXIOM_ORDER}
+        holds = {ax: r.holds for ax, r in expected.items()}
+        for relation in ("parthood", "order"):
+            for axiom in RIF_AXIOM_ORDER:
+                assert check_rif_axiom(f, axiom, relation) == expected[axiom], (f.label, axiom, relation)
+            assert classify(f, relation) == naive_classify(holds), f.label
+            for verdict in verify_prif(f, relation):
+                assert dict(verdict.axioms) == {ax: holds[ax] for ax in verdict.axioms}, (f.label, verdict.name)
+
+
+@pytest.mark.parametrize("relation", ["parthood", "order"])
+def test_verdicts_on_128_elements_match_reports(relation):
+    s = powerset_space([f"x{i}" for i in range(7)], [["x0", "x1", "x2"], ["x3"], ["x4", "x5", "x6"]])
+    for f in wide_functions(s):
+        for axiom in RIF_AXIOM_ORDER:
+            assert _holds(f, axiom, relation) == check_rif_axiom(f, axiom, relation).holds, (f.label, axiom)

@@ -95,3 +95,57 @@ def test_every_command_exits_0_1_or_2(doc):
             if result.exit_code == 2:
                 lines = result.stderr.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), (argv, result.stderr)
+
+
+# -- sample and environment files ------------------------------------------------
+
+SAMPLES = [["ab", "bc", "3/16"], ["{a,b}", "a", "1/2"]]
+ENV = {"blend": "oplus(1/2, k0, k2)", "hat": "sharp(blend)"}
+
+
+def assert_clean_exit(argv, result):
+    assert result.exception is None or isinstance(result.exception, SystemExit), (argv, repr(result.exception))
+    assert result.exit_code in (0, 1, 2), (argv, result.exit_code)
+    if result.exit_code == 2:
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, result.stderr)
+
+
+@st.composite
+def mutated_samples(draw):
+    """SAMPLES with one row or cell deleted or replaced."""
+    doc = json.loads(json.dumps(SAMPLES))
+    i = draw(st.integers(0, len(doc) - 1))
+    parent, key = (doc, i) if draw(st.booleans()) else (doc[i], draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(VALUES)
+    return doc
+
+
+@st.composite
+def mutated_envs(draw):
+    """ENV with one entry deleted, renamed or given another value."""
+    doc = dict(ENV)
+    name = draw(st.sampled_from(sorted(doc)))
+    how = draw(st.sampled_from(["delete", "rename", "replace"]))
+    value = doc.pop(name)
+    if how == "rename":
+        doc[draw(st.sampled_from(["k0", "top", "", "x y", "oplus"]))] = value
+    elif how == "replace":
+        doc[name] = draw(VALUES | st.sampled_from(["k0(", "sharp(hat)", "oplus(2, k0, k1)", ""]))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=mutated_samples(), env=mutated_envs())
+def test_sample_and_env_files_exit_0_1_or_2(samples, env):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        samples_path, env_path = pathlib.Path(tmp) / "samples.json", pathlib.Path(tmp) / "env.json"
+        samples_path.write_text(json.dumps(samples), encoding="utf-8")
+        env_path.write_text(json.dumps(env), encoding="utf-8")
+        for argv in (["fit-alpha", str(FIXTURE_PATH), "k0", "sharp(k0)", str(samples_path)],
+                     ["classify", str(FIXTURE_PATH), "hat", "--env", str(env_path)]):
+            assert_clean_exit(argv, runner.invoke(main, argv))
