@@ -4,16 +4,17 @@
 
 Builds the power set of N objects (2**N elements) with a seeded random
 partition as granulation and saves it to a temporary file.  Then it prints
-the wall time (the best of --repeat runs) of: load_space from that file;
-building the space's index tables, every table read once; each axiom PT1
-to TB through validate_space's per-axiom checks, on tables already built,
-with its witness and skipped counts; one whole validate_space call;
-check_admissibility, with its witness count; and classify_flavor, with the
-flavor it names.  A declared setHGOS space builds part of its tables while
-loading, to prove its flavor.  Stdlib only.
+the wall time (the best of --repeat runs) of: load_space from that file,
+which reads it into the space's index tables and proves its setHGOS
+flavor; json.load of the same file, with the ratio of the two; each axiom
+PT1 to TB through validate_space's per-axiom checks, with its witness and
+skipped counts; one whole validate_space call; check_admissibility, with
+its witness count; and classify_flavor, with the flavor it names.  Stdlib
+only.
 """
 
 import argparse
+import json
 import os
 import pathlib
 import platform
@@ -26,11 +27,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rif_forge.sampling import random_partition
 from rif_forge.space import (
-    _AXIOM_CHECKS, SpaceTables, check_admissibility, classify_flavor, load_space, powerset_space,
-    save_space, validate_space,
+    _AXIOM_CHECKS, check_admissibility, classify_flavor, load_space, powerset_space, save_space,
+    validate_space,
 )
-
-TABLES = ("join", "meet", "lower", "upper", "parthood", "order", "carriers")
 
 
 def best_ms(call, repeat: int):
@@ -43,11 +42,10 @@ def best_ms(call, repeat: int):
     return min(times) * 1000, result
 
 
-def build_tables(s) -> SpaceTables:
-    t = SpaceTables(s)
-    for name in TABLES:
-        getattr(t, name)
-    return t
+def decode(path: pathlib.Path):
+    """The document load_space reads from path, decoded as load_space does."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def main() -> None:
@@ -64,10 +62,14 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "space.json"
         save_space(built, path)
-        rows = [("load_space", *best_ms(lambda: load_space(path), args.repeat))]
-    s = rows[0][2]
-    ms, t = best_ms(lambda: build_tables(s), args.repeat)
-    rows.append(("tables", ms, None))
+        # alternated, so that both see the same machine
+        load_ms, decode_ms = [], []
+        for _ in range(args.repeat):
+            load_ms.append(best_ms(lambda: load_space(path), 1))
+            decode_ms.append(best_ms(lambda: decode(path), 1)[0])
+    (load, s), decode_best = min(load_ms, key=lambda r: r[0]), min(decode_ms)
+    t = s.tables
+    rows = [("load_space", load, None), ("json.load", decode_best, f"load/decode {load / decode_best:.2f}")]
     for axiom, (check, *rest) in _AXIOM_CHECKS.items():
         rows.append((axiom, *best_ms(lambda: check(s, t, *rest), args.repeat)))
     rows.append(("validate_space", *best_ms(lambda: validate_space(s), args.repeat)))

@@ -28,7 +28,7 @@ from .inclusion import (
     k1,
     k2,
 )
-from .space import GranularSpace, classify_flavor
+from .space import GranularSpace, _bits, classify_flavor
 
 
 @dataclass(frozen=True)
@@ -77,29 +77,27 @@ def oplus(alpha, f: InclusionFunction, g: InclusionFunction) -> InclusionFunctio
     return _rows(s, nums, q * f.den * g.den, f"oplus({alpha},{f.label},{g.label})")
 
 
-def _gather(f: InclusionFunction, approx: dict[str, str], name: str) -> InclusionFunction:
-    """(a, b) -> f(approx(a), approx(b))."""
-    s = f.space
-    n, idx = len(s.elements), s._index
-    to = [idx[approx[a]] for a in s.elements]
+def _gather(f: InclusionFunction, to: list[int], name: str) -> InclusionFunction:
+    """(a_i, a_j) -> f(a_to[i], a_to[j])."""
+    n = len(to)
     rows = [f.nums[i * n:(i + 1) * n] for i in to]
-    return _rows(s, [row[j] for row in rows for j in to], f.den, f"{name}({f.label})")
+    return _rows(f.space, [row[j] for row in rows for j in to], f.den, f"{name}({f.label})")
 
 
 def sharp(f: InclusionFunction) -> InclusionFunction:
-    return _gather(f, f.space.lower, "sharp")
+    return _gather(f, f.space.tables.lower, "sharp")
 
 
 def flat(f: InclusionFunction) -> InclusionFunction:
-    return _gather(f, f.space.upper, "flat")
+    return _gather(f, f.space.tables.upper, "flat")
 
 
 def sigma_degrees(f: InclusionFunction, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Numerators of sigma(f), over f.den, at the (i, j) element index pairs."""
-    s = f.space
-    n, idx, nums = len(s.elements), s._index, f.nums
-    parts = [[idx[w] * n for w in s.granulation if s.part(w, a)] for a in s.elements]
-    lows = [idx[s.lower[b]] for b in s.elements]
+    t, nums = f.space.tables, f.nums
+    grans = [t.index[w] for w in f.space.granulation]
+    parts = [[w * t.n for w in grans if t.parthood[w] >> a & 1] for a in range(t.n)]
+    lows = t.lower
     return [max(nums[w + lows[j]] for w in parts[i]) if parts[i] else f.den for i, j in pairs]
 
 
@@ -241,14 +239,14 @@ def _scan(inp, test, arity, weighted):
 def _weak_comp(inp, inward):
     """WeakSharpComp (inward): a part of lower(a), f(lower(a), lower(b)) > f(a, b).
     WeakFlatComp: upper(a) part of a, f(a, b) > f(upper(a), upper(b))."""
-    s, els = inp.s, inp.s.elements
-    own, mapped = range(len(els)), [s._index[(s.lower if inward else s.upper)[a]] for a in els]
+    t, els = inp.s.tables, inp.s.elements
+    own, mapped = range(len(els)), t.lower if inward else t.upper
     first, second = (own, mapped) if inward else (mapped, own)
     wit = []
     for f in inp.fns:
         rows = f._ranked.rows
         for i in own:
-            if s.part(els[first[i]], els[second[i]]):
+            if t.parthood[first[i]] >> second[i] & 1:
                 hi, lo = rows[second[i]], rows[first[i]]
                 wit += [(f.label, els[i], els[j]) for j in own if hi[second[j]] > lo[first[j]]]
     return wit
@@ -256,8 +254,8 @@ def _weak_comp(inp, inward):
 
 def _r0_plus(inp):
     """(f, a, b) with a part of b and sigma(f)(a, b) != 1, read only at the parthood pairs."""
-    s, els = inp.s, inp.s.elements
-    related = [(i, j) for i, a in enumerate(els) for j, b in enumerate(els) if s.part(a, b)]
+    els = inp.s.elements
+    related = [(i, j) for i, m in enumerate(inp.s.tables.parthood) for j in _bits(m)]
     wit = []
     for f in inp.fns:
         degrees = sigma_degrees(f, related)

@@ -27,6 +27,7 @@ from .errors import InputError, ParameterError, SemanticError
 from .inclusion import (
     RIF_AXIOM_ORDER,
     InclusionFunction,
+    _verdict,
     check_rif_axiom,
     class_from_axioms,
     random_kappa,
@@ -224,13 +225,16 @@ def classify_cmd(space_file, term, relation, env_path, fmt, out):
     """Name the most specific class of a function and report every axiom."""
     s = _load(space_file)
     f = _eval(s, term, env_path)
-    reports = [check_rif_axiom(f, ax, relation) for ax in RIF_AXIOM_ORDER]
-    named = class_from_axioms({r.axiom: r.holds for r in reports})
+    # the table prints no witnesses, so it reads verdicts and skip counts only
+    reports = [check_rif_axiom(f, ax, relation) for ax in RIF_AXIOM_ORDER] if fmt == "json" else []
+    verdicts = [(r.axiom, r.holds, r.skipped) for r in reports] or [
+        (ax, *_verdict(f, ax, relation)) for ax in RIF_AXIOM_ORDER]
+    named = class_from_axioms({ax: holds for ax, holds, _ in verdicts})
     payload = {"term": term, "class": named, "axioms": _axiom_rows(reports)}
     lines = [f"class: {named}"]
-    for r in reports:
-        note = f" (skipped {r.skipped})" if r.skipped else ""
-        lines.append(f"{r.axiom}: {'pass' if r.holds else 'fail'}{note}")
+    for ax, holds, skipped in verdicts:
+        note = f" (skipped {skipped})" if skipped else ""
+        lines.append(f"{ax}: {'pass' if holds else 'fail'}{note}")
     _emit(fmt, out, payload, lines)
     return 0 if named != "none" else EXIT_SEMANTIC
 

@@ -373,10 +373,16 @@ def check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood"
     return AxiomReport.of(axiom, witnesses, skipped)
 
 
+def _verdict(f: InclusionFunction, axiom: str, relation: str) -> tuple[bool, int]:
+    """(holds, skipped) of check_rif_axiom(f, axiom, relation), stopping at
+    the first flagged row instead of listing every witness."""
+    scan, skipped = _axiom_kernel(f, axiom, relation, None)
+    return next(scan, 0) == 0, skipped
+
+
 def _holds(f: InclusionFunction, axiom: str, relation: str) -> bool:
-    """check_rif_axiom(f, axiom, relation).holds, stopping at the first
-    flagged row instead of listing every witness."""
-    return next(_axiom_kernel(f, axiom, relation, None)[0], 0) == 0
+    """check_rif_axiom(f, axiom, relation).holds, read as a verdict."""
+    return _verdict(f, axiom, relation)[0]
 
 
 def class_from_axioms(holds: Mapping[str, bool]) -> str:

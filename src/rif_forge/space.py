@@ -3,9 +3,13 @@
 A space bundles a finite universe with a parthood relation P, a companion
 order, partial join/meet tables, a distinguished granulation, total lower
 and upper approximation maps, and bottom/top elements.  Everything is
-explicit and finite: relations are sets of ordered id pairs, operations are
-dictionaries from id pairs to ids, and a missing key means the operation is
-undefined there.
+explicit and finite, and stored by element index (SpaceTables): a relation
+is one bitmask row per element, an operation one row of result indices per
+element, -1 where it is undefined, and an approximation map one index per
+element.  Documents, the constructor and powerset_space all write these
+tables; the id forms s.parthood and s.order (sets of id pairs), s.join and
+s.meet (dicts from id pairs to ids, a missing key meaning undefined), and
+s.lower and s.upper (dicts from ids to ids) are views built on first read.
 
 Equalities between possibly-undefined operation values come in two
 strengths.  The weak reading holds unless both sides are defined and
@@ -82,7 +86,12 @@ class AxiomReport:
 
 
 class GranularSpace:
-    """Explicit finite model of a general granular operator space."""
+    """Explicit finite model of a general granular operator space.
+
+    The constructor takes ids: relations as ordered pairs, operations and
+    approximation maps as mappings.  They are checked and read into the
+    index tables by the pass that reads a space document (space_from_dict).
+    """
 
     def __init__(
         self,
@@ -99,92 +108,37 @@ class GranularSpace:
         flavor: str = "GGS",
         carriers: Optional[Mapping[str, Iterable[str]]] = None,
     ):
-        self.elements = tuple(elements)
-        if not self.elements:
-            raise StructuralError("a space needs at least one element")
-        if len(set(self.elements)) != len(self.elements):
-            raise StructuralError("element ids must be unique")
-        known = set(self.elements)
+        sections = {
+            "parthood": [list(p) for p in parthood], "order": [list(p) for p in order],
+            "join": [[a, b, r] for (a, b), r in join.items()], "meet": [[a, b, r] for (a, b), r in meet.items()],
+            "granulation": list(granulation), "lower": [[x, v] for x, v in lower.items()],
+            "upper": [[x, v] for x, v in upper.items()], "bottom": bottom, "top": top, "flavor": flavor,
+        }
+        self._store(*_read(list(elements), {e: frozenset(c) for e, c in (carriers or {}).items()}, sections))
 
-        self.carriers: dict[str, frozenset[str]] = {}
-        for eid, carrier in (carriers or {}).items():
-            if eid not in known:
-                raise StructuralError(f"carrier given for unknown element {eid!r}")
-            self.carriers[eid] = frozenset(carrier)
-        seen_carriers: dict[frozenset[str], str] = {}
-        for eid, carrier in self.carriers.items():
-            if carrier in seen_carriers:
-                raise StructuralError(
-                    f"elements {seen_carriers[carrier]!r} and {eid!r} share the "
-                    f"carrier {render_carrier(carrier)}"
-                )
-            seen_carriers[carrier] = eid
-        self._by_carrier = seen_carriers
+    @classmethod
+    def _of_tables(cls, *parts) -> "GranularSpace":
+        """The space with these tables, carriers by id, granulation, bottom,
+        top and flavor; everything but the flavor taken as checked."""
+        s = cls.__new__(cls)
+        s._store(*parts)
+        return s
 
-        self.parthood = self._check_relation("parthood", parthood, known)
-        self.order = self._check_relation("order", order, known)
-        self.join = self._check_table("join", join, known)
-        self.meet = self._check_table("meet", meet, known)
-
-        self.granulation = tuple(granulation)
-        if len(set(self.granulation)) != len(self.granulation):
-            raise StructuralError("granulation ids must be unique")
-        for g in self.granulation:
-            if g not in known:
-                raise StructuralError(f"granulation names unknown element {g!r}")
-
-        self.lower = self._check_map("lower", lower, known)
-        self.upper = self._check_map("upper", upper, known)
-
-        for name, eid in (("bottom", bottom), ("top", top)):
-            if eid not in known:
-                raise StructuralError(f"{name} element {eid!r} is not in the universe")
-        self.bottom = bottom
-        self.top = top
-
-        if flavor not in FLAVORS:
-            raise StructuralError(f"unknown flavor {flavor!r}")
-        self.flavor = flavor
-        self._index = {eid: i for i, eid in enumerate(self.elements)}
-        # Data derived from the space on first use and kept (its index
-        # tables, the inclusion axiom scans' rows).  Nothing changes a
-        # space after construction, so what is kept stays valid.
+    def _store(self, tables: "SpaceTables", carriers, granulation, bottom, top, flavor) -> None:
+        self.tables, self.elements, self._index = tables, tables.elements, tables.index
+        self.carriers: dict[str, frozenset[str]] = carriers
+        self._by_carrier = {c: e for e, c in carriers.items()}
+        self.granulation, self.bottom, self.top, self.flavor = tuple(granulation), bottom, top, flavor
+        # Data derived from the space on first use and kept (the inclusion
+        # axiom scans' rows).  Nothing changes a space after construction,
+        # so what is kept stays valid.
         self._derived: dict = {}
         self._enforce_flavor()
-
-    @staticmethod
-    def _check_relation(name, pairs, known) -> frozenset[tuple[str, str]]:
-        rel = set()
-        for a, b in pairs:
-            if a not in known or b not in known:
-                raise StructuralError(f"{name} pair ({a!r},{b!r}) leaves the universe")
-            rel.add((a, b))
-        return frozenset(rel)
-
-    @staticmethod
-    def _check_table(name, table, known) -> dict[tuple[str, str], str]:
-        out = {}
-        for (a, b), r in table.items():
-            if a not in known or b not in known or r not in known:
-                raise StructuralError(f"{name} entry ({a!r},{b!r})->{r!r} leaves the universe")
-            out[(a, b)] = r
-        return out
-
-    @staticmethod
-    def _check_map(name, mapping, known) -> dict[str, str]:
-        out = {}
-        for x, v in mapping.items():
-            if x not in known or v not in known:
-                raise StructuralError(f"{name} entry {x!r}->{v!r} leaves the universe")
-            out[x] = v
-        if missing := [x for x in known if x not in out]:
-            raise StructuralError(f"{name} map is not total, missing {sorted(missing)}")
-        return out
 
     def _enforce_flavor(self):
         if self.flavor == "GGS":
             return
-        if self.parthood != self.order:
+        if self.tables.parthood != self.tables.order:
             raise StructuralError(f"flavor {self.flavor} requires parthood == order")
         if self.flavor == "GS":
             return
@@ -197,39 +151,48 @@ class GranularSpace:
         if failure := _extensionality_failure(self):
             raise StructuralError(f"flavor setHGOS requires {failure}")
 
+    # -- string views of the tables, built on first read -------------------
+
+    parthood = cached_property(lambda s: frozenset(_pair_ids(s.elements, s.tables.parthood)))
+    order = cached_property(lambda s: frozenset(_pair_ids(s.elements, s.tables.order)))
+    join = cached_property(lambda s: {(a, b): r for a, b, r in _entry_ids(s.elements, s.tables.join)})
+    meet = cached_property(lambda s: {(a, b): r for a, b, r in _entry_ids(s.elements, s.tables.meet)})
+    lower = cached_property(lambda s: dict(zip(s.elements, map(s.elements.__getitem__, s.tables.lower))))
+    upper = cached_property(lambda s: dict(zip(s.elements, map(s.elements.__getitem__, s.tables.upper))))
+
     # -- queries ---------------------------------------------------------
 
     @property
-    def tables(self) -> "SpaceTables":
-        """The space by element index (see SpaceTables), kept once built."""
-        if "tables" not in self._derived:
-            self._derived["tables"] = SpaceTables(self)
-        return self._derived["tables"]
-
-    @property
     def is_set_extensional(self) -> bool:
-        return all(eid in self.carriers for eid in self.elements)
+        return self.tables.carriers is not None
 
     def operations_total(self) -> bool:
-        return len(self.join) == len(self.meet) == len(self.elements) ** 2
+        return not any(-1 in row for rows in (self.tables.join, self.tables.meet) for row in rows)
+
+    def _at(self, a: str, b: str):
+        """The index pair of (a, b), None when either is not an element."""
+        i, j = self._index.get(a), self._index.get(b)
+        return None if i is None or j is None else (i, j)
 
     def part(self, a: str, b: str) -> bool:
-        return (a, b) in self.parthood
+        return (ij := self._at(a, b)) is not None and self.tables.parthood[ij[0]] >> ij[1] & 1 == 1
 
     def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.order
+        return (ij := self._at(a, b)) is not None and self.tables.order[ij[0]] >> ij[1] & 1 == 1
 
     def join_of(self, a: str, b: str) -> Optional[str]:
-        return self.join.get((a, b))
+        r = -1 if (ij := self._at(a, b)) is None else self.tables.join[ij[0]][ij[1]]
+        return self.elements[r] if r >= 0 else None
 
     def meet_of(self, a: str, b: str) -> Optional[str]:
-        return self.meet.get((a, b))
+        r = -1 if (ij := self._at(a, b)) is None else self.tables.meet[ij[0]][ij[1]]
+        return self.elements[r] if r >= 0 else None
 
     def lower_of(self, x: str) -> str:
-        return self.lower[x]
+        return self.elements[self.tables.lower[self._index[x]]]
 
     def upper_of(self, x: str) -> str:
-        return self.upper[x]
+        return self.elements[self.tables.upper[self._index[x]]]
 
     def carrier_of(self, x: str) -> frozenset[str]:
         if x not in self.carriers:
@@ -254,8 +217,9 @@ class GranularSpace:
         if not isinstance(other, GranularSpace):
             return NotImplemented
         return all(getattr(self, k) == getattr(other, k) for k in (
-            "elements", "carriers", "parthood", "order", "join", "meet", "granulation",
-            "lower", "upper", "bottom", "top", "flavor"))
+            "elements", "carriers", "granulation", "bottom", "top", "flavor")) and all(
+            getattr(self.tables, k) == getattr(other.tables, k) for k in (
+                "parthood", "order", "join", "meet", "lower", "upper"))
 
     __hash__ = None
 
@@ -281,8 +245,19 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _pair_ids(els: Sequence[str], masks: list[int]) -> list[tuple[str, str]]:
+    """(a_i, a_j) for each bit j of each masks[i], in index order."""
+    return [(els[i], els[j]) for i, m in enumerate(masks) for j in _bits(m)]
+
+
+def _entry_ids(els: Sequence[str], rows: list[list[int]]) -> list[tuple[str, str, str]]:
+    """(a_i, a_j, a_r) for each defined r = rows[i][j], in index order."""
+    return [(els[i], els[j], els[r]) for i, row in enumerate(rows) for j, r in enumerate(row) if r >= 0]
+
+
+@dataclass(eq=False)
 class SpaceTables:
-    """The space by element index, each table built on its first read.
+    """A space by element index: its primary state.
 
     join[i][j] and meet[i][j] are the index of the result, -1 where the
     operation is undefined; lower[i] and upper[i] are indices; parthood[i]
@@ -292,38 +267,20 @@ class SpaceTables:
     test: rows[-1] would read the last row.
     """
 
-    def __init__(self, s: GranularSpace):
-        # The space's parts, not the space, which keeps its tables: no cycle.
-        self.n, self.index, self.elements = len(s.elements), s._index, s.elements
-        self._join, self._meet, self._lower, self._upper = s.join, s.meet, s.lower, s.upper
-        self._parthood, self._order, self._carriers = s.parthood, s.order, s.carriers
+    elements: tuple[str, ...]
+    index: dict[str, int]
+    parthood: list[int]
+    order: list[int]
+    join: list[list[int]]
+    meet: list[list[int]]
+    lower: list[int]
+    upper: list[int]
+    objects: list[str]
+    carriers: Optional[list[int]]
 
-    def _op(self, table: Mapping[tuple[str, str], str]) -> list[list[int]]:
-        idx, rows = self.index, [[-1] * self.n for _ in range(self.n)]
-        for (a, b), r in table.items():
-            rows[idx[a]][idx[b]] = idx[r]
-        return rows
-
-    def _rel(self, pairs: Iterable[tuple[str, str]]) -> list[int]:
-        idx, masks = self.index, [0] * self.n
-        for a, b in pairs:
-            masks[idx[a]] |= 1 << idx[b]
-        return masks
-
-    join = cached_property(lambda t: t._op(t._join))
-    meet = cached_property(lambda t: t._op(t._meet))
-    lower = cached_property(lambda t: [t.index[t._lower[a]] for a in t.elements])
-    upper = cached_property(lambda t: [t.index[t._upper[a]] for a in t.elements])
-    parthood = cached_property(lambda t: t._rel(t._parthood))
-    order = cached_property(lambda t: t._rel(t._order))
-    objects = cached_property(lambda t: sorted(set().union(*t._carriers.values())))
-
-    @cached_property
-    def carriers(self) -> Optional[list[int]]:
-        if any(a not in self._carriers for a in self.elements):
-            return None
-        bit = {o: 1 << i for i, o in enumerate(self.objects)}
-        return [sum(bit[o] for o in self._carriers[a]) for a in self.elements]
+    @property
+    def n(self) -> int:
+        return len(self.elements)
 
 
 # -- axiom checking ------------------------------------------------------
@@ -450,53 +407,42 @@ def representable_elements(s: GranularSpace, term_depth: int = 1) -> frozenset[s
     """
     if term_depth < 1:
         raise InputError("term_depth must be at least 1")
-    rep = {s.bottom, *s.granulation}
+    t = s.tables
+    grans = [t.index[g] for g in s.granulation]
+    rep = {t.index[s.bottom], *grans}
     changed = True
     while changed:
         changed = False
         for r in list(rep):
-            for g in s.granulation:
-                for x, y in ((r, g), (g, r)):
-                    v = s.join.get((x, y))
-                    if v is not None and v not in rep:
+            for g in grans:
+                for v in (t.join[r][g], t.join[g][r]):
+                    if v >= 0 and v not in rep:
                         rep.add(v)
                         changed = True
     for _ in range(term_depth - 1):
-        fresh = set()
         cur = list(rep)
-        for x in cur:
-            for y in cur:
-                for table in (s.join, s.meet):
-                    v = table.get((x, y))
-                    if v is not None and v not in rep:
-                        fresh.add(v)
+        fresh = {v for x in cur for y in cur for v in (t.join[x][y], t.meet[x][y]) if v >= 0} - rep
         if not fresh:
             break
         rep |= fresh
-    return frozenset(rep)
+    return frozenset(map(s.elements.__getitem__, rep))
 
 
 def check_admissibility(s: GranularSpace, term_depth: int = 1) -> list[AxiomReport]:
     """Check the admissibility conditions WRA, LS and FU of the granulation."""
-    rep = representable_elements(s, term_depth)
+    t, els = s.tables, s.elements
+    rep = {t.index[x] for x in representable_elements(s, term_depth)}
+    part, lo, up = t.parthood, t.lower, t.upper
+    grans = [t.index[g] for g in s.granulation]
 
-    wra = [(x,) for x in s.elements if s.lower[x] not in rep or s.upper[x] not in rep]
+    wra = [(x,) for x, l, u in zip(els, lo, up) if l not in rep or u not in rep]
 
-    ls = [
-        (a, x)
-        for a in s.granulation
-        for x in s.elements
-        if s.part(a, x) and not s.part(a, s.lower[x])
-    ]
+    ls = [(els[a], els[x]) for a in grans for x in _bits(part[a]) if not part[a] >> lo[x] & 1]
 
-    definite = [z for z in s.elements if s.lower[z] == z and s.upper[z] == z]
-    fu = []
-    for x in s.granulation:
-        for a in s.granulation:
-            if not any(
-                proper_part(s, x, z) and proper_part(s, a, z) for z in definite
-            ):
-                fu.append((x, a))
+    # the definite elements, and per granule the elements it is a proper part of
+    definite = sum(1 << z for z in range(t.n) if lo[z] == z and up[z] == z)
+    above = {a: sum(1 << z for z in _bits(part[a]) if not part[z] >> a & 1) for a in grans}
+    fu = [(els[x], els[a]) for x in grans for a in grans if not above[x] & above[a] & definite]
 
     return [AxiomReport.of("WRA", wra), AxiomReport.of("LS", ls), AxiomReport.of("FU", fu)]
 
@@ -504,46 +450,30 @@ def check_admissibility(s: GranularSpace, term_depth: int = 1) -> list[AxiomRepo
 # -- granular approximations ---------------------------------------------
 
 
-def _require_carriers(s: GranularSpace):
-    for eid in s.elements:
-        if eid not in s.carriers:
-            raise CarrierError(f"element {eid!r} has no carrier")
-
-
 def granular_lower(s: GranularSpace, x: str) -> str:
     """Union of the granules that are parts of x, as an element."""
-    _require_carriers(s)
-    if x not in s._index:
-        raise InputError(f"unknown element {x!r}")
-    parts = [g for g in s.granulation if s.part(g, x)]
-    return _carrier_union_element(s, parts)
+    return _granular("lower", s, x)
 
 
 def granular_upper(s: GranularSpace, x: str) -> str:
     """Union of the granules whose carriers meet the carrier of x."""
-    _require_carriers(s)
+    return _granular("upper", s, x)
+
+
+def _granular(key: str, s: GranularSpace, x: str) -> str:
+    for eid in s.elements:
+        if eid not in s.carriers:
+            raise CarrierError(f"element {eid!r} has no carrier")
     if x not in s._index:
         raise InputError(f"unknown element {x!r}")
-    cx = s.carriers[x]
-    touching = [g for g in s.granulation if s.carriers[g] & cx]
-    return _carrier_union_element(s, touching)
-
-
-def _carrier_union_element(s: GranularSpace, granules: Sequence[str]) -> str:
-    union: frozenset[str] = frozenset()
-    for g in granules:
-        union |= s.carriers[g]
-    eid = s.element_with_carrier(union)
-    if eid is None:
-        raise ClosureError(f"union carrier {render_carrier(union)} is not an element")
-    return eid
+    return s.elements[_derive_granular(key, [x], s._index, s.carriers, s.granulation, s.tables.parthood)[0]]
 
 
 def classify_flavor(s: GranularSpace) -> str:
     """Most specific flavor whose defining conditions hold."""
     if s.flavor == "setHGOS":  # the constructor proved it
         return "setHGOS"
-    if s.parthood != s.order:
+    if s.tables.parthood != s.tables.order:
         return "GGS"
     if not s.operations_total():
         return "GS"
@@ -555,10 +485,26 @@ def classify_flavor(s: GranularSpace) -> str:
 def _extensionality_failure(s: GranularSpace) -> Optional[str]:
     """The first setHGOS condition to fail on a carried space with total
     operations, in element order of the pair, or None when parthood is
-    inclusion, join is union and meet is intersection."""
+    inclusion, join is union and meet is intersection.
+
+    When indices and carriers fit in a byte, a row a is first checked
+    whole, as integers of one byte per b: the carriers of its joins,
+    resp. meets, against a's carrier in every byte ORed, resp. ANDed, with
+    the carriers; its parthood against the bytes where that AND is a's
+    carrier.  Only a row that fails there is scanned pair by pair."""
     t = s.tables
     cm = t.carriers
+    fast = t.n <= 256 and len(t.objects) <= 8
+    if fast:  # indices and carriers fit in a byte
+        carrier_of, every = bytes(cm).ljust(256, b"\0"), int.from_bytes(bytes(cm), "little")
+        ones, whole = int.from_bytes(b"\1" * t.n, "little"), b"1".ljust(256, b"0")
     for ca, part, jn, mt in zip(cm, t.parthood, t.join, t.meet):
+        if fast:
+            fill = ca * ones
+            if (int.from_bytes(bytes(jn).translate(carrier_of), "little") == fill | every
+                    and int.from_bytes(bytes(mt).translate(carrier_of), "little") == fill & every
+                    and part == int((fill & every ^ fill).to_bytes(t.n, "little").translate(whole)[::-1], 2)):
+                continue
         for j, cb in enumerate(cm):
             if (part >> j & 1 == 1) != (ca & cb == ca):
                 return "parthood == inclusion"
@@ -577,7 +523,8 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
 
     Parthood and order are inclusion, join/meet are union/intersection
     (total), lower/upper are the classical approximations induced by the
-    blocks.  Rejects more than 16 base objects.
+    blocks.  Rejects more than 16 base objects.  The tables are written
+    from carrier bitmasks: join is |, meet is &, parthood the subset test.
     """
     objs = tuple(objects)
     if len(set(objs)) != len(objs):
@@ -589,30 +536,21 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
 
     ordered = sorted(objs)
     universe = [frozenset(c) for k in range(len(ordered) + 1) for c in combinations(ordered, k)]
-    ids = {carrier: render_carrier(carrier) for carrier in universe}
-
-    lower = {ids[c]: ids[frozenset().union(*[b for b in blks if b <= c])] for c in universe}
-    upper = {ids[c]: ids[frozenset().union(*[b for b in blks if b & c])] for c in universe}
-    parthood = frozenset((ids[a], ids[b]) for a in universe for b in universe if a <= b)
-    join = {(ids[a], ids[b]): ids[a | b] for a in universe for b in universe}
-    meet = {(ids[a], ids[b]): ids[a & b] for a in universe for b in universe}
-
-    granulation = [ids[b] for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
-
-    return GranularSpace(
-        elements=[ids[c] for c in universe],
-        parthood=parthood,
-        order=parthood,
-        join=join,
-        meet=meet,
-        granulation=granulation,
-        lower=lower,
-        upper=upper,
-        bottom=ids[frozenset()],
-        top=ids[frozenset(ordered)],
-        flavor="setHGOS",
-        carriers={ids[c]: c for c in universe},
+    ids = tuple(map(render_carrier, universe))
+    bit = {o: 1 << i for i, o in enumerate(ordered)}
+    masks = [sum(map(bit.__getitem__, c)) for c in universe]
+    at = {m: i for i, m in enumerate(masks)}
+    block_masks = [sum(map(bit.__getitem__, b)) for b in blks]  # disjoint: sums are unions
+    part = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
+    tables = SpaceTables(
+        ids, {eid: i for i, eid in enumerate(ids)}, part, part,
+        [[at[a | b] for b in masks] for a in masks], [[at[a & b] for b in masks] for a in masks],
+        [at[sum(b for b in block_masks if a & b == b)] for a in masks],
+        [at[sum(b for b in block_masks if a & b)] for a in masks],
+        ordered, masks,
     )
+    granulation = [render_carrier(b) for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
+    return GranularSpace._of_tables(tables, dict(zip(ids, universe)), granulation, ids[0], ids[-1], "setHGOS")
 
 
 def check_partition(blocks: Iterable[frozenset[str]], carrier: frozenset[str], cover: str) -> None:
@@ -645,6 +583,7 @@ def load_space(source) -> GranularSpace:
 
 
 def space_from_dict(raw: dict) -> GranularSpace:
+    """The space a document describes (the form space_to_dict writes)."""
     for key in ("elements", "parthood", "order", "join", "meet", "granulation",
                 "lower", "upper", "bottom", "top", "flavor"):
         if key not in raw:
@@ -666,68 +605,142 @@ def space_from_dict(raw: dict) -> GranularSpace:
             if not (isinstance(carrier, list) and all(isinstance(x, str) for x in carrier)):
                 raise SpaceFormatError(f"elements[{i}].carrier must be an array of strings")
             carriers[eid] = frozenset(carrier)
+    return GranularSpace._of_tables(*_read(elements, carriers, raw))
 
+
+def _read(ids: list, carriers: dict, raw) -> tuple:
+    """Check the space with these element ids, carriers by id and the other
+    sections of raw, and read it into index tables; returns the arguments
+    of GranularSpace._of_tables.
+
+    Each section is read in one pass that checks its shape and types,
+    raising at once, and writes index rows.  An id outside the universe is
+    only noted, the first one per section.  After every section is read,
+    the elements and carriers are checked, then the first note is raised:
+    a shape error anywhere wins over an unknown id, and unknown ids are
+    reported in section order.
+    """
     granulation = raw["granulation"]
     if not (isinstance(granulation, list) and all(isinstance(g, str) for g in granulation)):
         raise SpaceFormatError("granulation must be an array of string ids")
+    index, problems = {eid: i for i, eid in enumerate(ids)}, []
+    parthood, order = (_relation(raw, key, index, len(ids), problems) for key in ("parthood", "order"))
+    join, meet = (_operation(raw, key, ids, index, problems) for key in ("join", "meet"))
+    if len(set(granulation)) != len(granulation):
+        problems.append(StructuralError("granulation ids must be unique"))
+    if unknown := [g for g in granulation if g not in index]:
+        problems.append(StructuralError(f"granulation names unknown element {unknown[0]!r}"))
+    lower, upper = (_approximation(raw, key, ids, index, carriers, parthood, problems) for key in ("lower", "upper"))
+    for key in ("bottom", "top"):
+        if not isinstance(raw[key], str):
+            problems.append(SpaceFormatError(f"{key} must be a string id"))
+        elif raw[key] not in index:
+            problems.append(StructuralError(f"{key} element {raw[key]!r} is not in the universe"))
+    if raw["flavor"] not in FLAVORS:
+        problems.append(StructuralError(f"unknown flavor {raw['flavor']!r}"))
 
-    parthood = _pairs_from(raw, "parthood")
-    order = _pairs_from(raw, "order")
-    join = _table_from(raw, "join")
-    meet = _table_from(raw, "meet")
+    if not ids:
+        raise StructuralError("a space needs at least one element")
+    if len(index) != len(ids):
+        raise StructuralError("element ids must be unique")
+    for eid in carriers:
+        if eid not in index:
+            raise StructuralError(f"carrier given for unknown element {eid!r}")
+    seen: dict[frozenset[str], str] = {}
+    for eid, carrier in carriers.items():
+        if seen.setdefault(carrier, eid) != eid:
+            raise StructuralError(f"elements {seen[carrier]!r} and {eid!r} share the carrier {render_carrier(carrier)}")
+    if problems:
+        raise problems[0]
 
-    lower, upper = _approximations_from(raw, elements, carriers, parthood)
-
-    try:
-        return GranularSpace(
-            elements=elements,
-            parthood=parthood,
-            order=order,
-            join=join,
-            meet=meet,
-            granulation=granulation,
-            lower=lower,
-            upper=upper,
-            bottom=raw["bottom"],
-            top=raw["top"],
-            flavor=raw["flavor"],
-            carriers=carriers,
-        )
-    except StructuralError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpaceFormatError(str(exc)) from exc
+    objects = sorted(set().union(*carriers.values()))
+    bit = {o: 1 << i for i, o in enumerate(objects)}
+    masks = [sum(map(bit.__getitem__, carriers[e])) for e in ids] if len(carriers) == len(ids) else None
+    tables = SpaceTables(tuple(ids), index, parthood, order, join, meet, lower, upper, objects, masks)
+    return tables, carriers, granulation, raw["bottom"], raw["top"], raw["flavor"]
 
 
-def _pairs_from(raw, key):
+def _shape_error(rows: list, row, key: str, width: int) -> Optional[SpaceFormatError]:
+    """The error for a row of the section that is not width string ids, or None."""
+    if isinstance(row, list) and len(row) == width:
+        if all(isinstance(x, str) for x in row):
+            return None
+        must = "hold string ids"
+    else:
+        must = f"be a {'two' if width == 2 else 'three'}-element array"
+    k = next(k for k, other in enumerate(rows) if other is row)  # an earlier copy would have failed
+    return SpaceFormatError(f"{key}[{k}] must {must}")
+
+
+def _relation(raw, key: str, index: dict, n: int, problems: list) -> list[int]:
+    """The relation section as row bitmasks."""
     pairs = raw[key]
     if not isinstance(pairs, list):
         raise SpaceFormatError(f"{key} must be an array of pairs")
-    out = []
-    for i, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SpaceFormatError(f"{key}[{i}] must be a two-element array")
+    masks, stray, last = [0] * n, None, None
+    for pair in pairs:
+        if type(pair) is list and len(pair) == 2:  # the common row: two known ids
+            a, b = pair
+            try:
+                if a != last:  # rows tend to come grouped by their first id
+                    i, last = index[a], a
+                masks[i] |= 1 << index[b]
+                continue
+            except (KeyError, TypeError):  # an unknown or unhashable id
+                pass
+        if error := _shape_error(pairs, pair, key, 2):
+            raise error
         a, b = pair
-        if not (isinstance(a, str) and isinstance(b, str)):
-            raise SpaceFormatError(f"{key}[{i}] must hold string ids")
-        out.append((a, b))
-    return out
+        if a in index and b in index:
+            masks[index[a]] |= 1 << index[b]
+        else:
+            stray = stray or StructuralError(f"{key} pair ({a!r},{b!r}) leaves the universe")
+    problems += [stray] if stray else []
+    return masks
 
 
-def _table_from(raw, key):
+def _operation(raw, key: str, ids: list, index: dict, problems: list) -> list[list[int]]:
+    """The operation section as rows of result indices, -1 where undefined.
+    A row giving an entry a second, different value is an error at once;
+    stray keeps the entries that name an id outside the universe, for that
+    check."""
     rows = raw[key]
     if not isinstance(rows, list):
         raise SpaceFormatError(f"{key} must be an array of triples")
-    out = {}
-    for i, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SpaceFormatError(f"{key}[{i}] must be a three-element array")
+    n, get = len(ids), index.get
+    table, stray, problem, last = [[-1] * n for _ in range(n)], {}, None, None
+    for row in rows:
+        # the common row: three known ids, a key not given before, and no stray entry so far
+        if type(row) is list and not stray:
+            try:
+                a, b, r = row
+                if a != last:  # rows tend to come grouped by their first id
+                    cells, last = table[index[a]], a
+                j = index[b]
+                if cells[j] == -1:
+                    cells[j] = index[r]
+                    continue
+            except (ValueError, KeyError, TypeError):  # not three ids, or an unknown or unhashable one
+                pass
+        if error := _shape_error(rows, row, key, 3):
+            raise error
         a, b, r = row
-        if not (isinstance(a, str) and isinstance(b, str) and isinstance(r, str)):
-            raise SpaceFormatError(f"{key}[{i}] must hold string ids")
-        if out.setdefault((a, b), r) != r:
-            raise _conflict(f"{key}[{i}]", f"({a!r},{b!r})", r, out[(a, b)])
-    return out
+        i, j, v = get(a), get(b), get(r)
+        known = i is not None and j is not None
+        if known and table[i][j] >= 0:
+            earlier = ids[table[i][j]]
+        elif known and v is not None:
+            earlier = stray.get((a, b), r)
+        else:
+            problem = problem or StructuralError(f"{key} entry ({a!r},{b!r})->{r!r} leaves the universe")
+            earlier = stray.setdefault((a, b), r)
+        if earlier != r:
+            k = next(k for k, other in enumerate(rows) if other is row)
+            raise _conflict(f"{key}[{k}]", f"({a!r},{b!r})", r, earlier)
+        if known and v is not None:
+            table[i][j] = v
+    problems += [problem] if problem else []
+    return table
 
 
 def _conflict(where: str, shown: str, value: str, earlier: str) -> SpaceFormatError:
@@ -735,53 +748,62 @@ def _conflict(where: str, shown: str, value: str, earlier: str) -> SpaceFormatEr
     return SpaceFormatError(f"{where} maps {shown} to {value!r}, but an earlier entry maps it to {earlier!r}")
 
 
-def _approximations_from(raw, elements, carriers, parthood):
-    maps = {}
-    for key in ("lower", "upper"):
-        val = raw[key]
-        if val == "granular":
-            if set(carriers) != set(elements):
-                raise SpaceFormatError(
-                    f"{key} mode 'granular' needs a carrier on every element"
-                )
-            maps[key] = _derive_granular(raw, key, elements, carriers, parthood)
+def _approximation(raw, key: str, ids: list, index: dict, carriers: dict, parthood: list[int],
+                   problems: list) -> list[int]:
+    """The lower or upper section as one index per element: read from its
+    pairs, after all of them are checked for shape, or derived from the
+    granules ('granular')."""
+    val = raw[key]
+    if val == "granular":
+        if set(carriers) != set(ids):
+            raise SpaceFormatError(f"{key} mode 'granular' needs a carrier on every element")
+        for g in raw["granulation"]:
+            if g not in index:
+                raise StructuralError(f"granulation names unknown element {g!r}")
+        return _derive_granular(key, ids, index, carriers, raw["granulation"], parthood)
+    if not isinstance(val, list):
+        raise SpaceFormatError(f"{key} must be an array of pairs or 'granular'")
+    out, seen, conflict, stray = [-1] * len(ids), {}, None, None
+    for k, pair in enumerate(val):
+        if error := _shape_error(val, pair, key, 2):
+            raise error
+        x, v = pair
+        if seen.setdefault(x, v) != v:
+            conflict = conflict or _conflict(f"{key}[{k}]", repr(x), v, seen[x])
+        if x not in index or v not in index:
+            stray = stray or StructuralError(f"{key} entry {x!r}->{v!r} leaves the universe")
         else:
-            if not isinstance(val, list):
-                raise SpaceFormatError(f"{key} must be an array of pairs or 'granular'")
-            maps[key] = out = {}
-            for i, (x, v) in enumerate(_pairs_from(raw, key)):
-                if out.setdefault(x, v) != v:
-                    raise _conflict(f"{key}[{i}]", repr(x), v, out[x])
-    return maps["lower"], maps["upper"]
+            out[index[x]] = index[v]
+    if conflict:
+        raise conflict
+    if missing := sorted(x for x, i in index.items() if out[i] < 0):
+        stray = stray or StructuralError(f"{key} map is not total, missing {missing}")
+    problems += [stray] if stray else []
+    return out
 
 
-def _derive_granular(raw, key, elements, carriers, parthood):
-    pset = set(parthood)
+def _derive_granular(key: str, ids: list, index: dict, carriers: dict, granulation: list,
+                     parthood: list[int]) -> list[int]:
+    """lower: the union of the granules that are parts of x; upper: of the
+    granules whose carriers meet x's.  Each union must be an element."""
     by_carrier = {c: e for e, c in carriers.items()}
-    granules = raw["granulation"]
-    out = {}
-    for x in elements:
-        if key == "lower":
-            chosen = [g for g in granules if (g, x) in pset]
-        else:
-            chosen = [g for g in granules if carriers[g] & carriers[x]]
-        union = frozenset().union(*[carriers[g] for g in chosen]) if chosen else frozenset()
-        eid = by_carrier.get(union)
-        if eid is None:
-            raise ClosureError(
-                f"union carrier {render_carrier(union)} is not an element"
-            )
-        out[x] = eid
+    grans = [(index[g], carriers[g]) for g in granulation]
+    out = []
+    for x in ids:
+        i, cx = index[x], carriers[x]
+        union = frozenset().union(*[c for g, c in grans if (parthood[g] >> i & 1 if key == "lower" else c & cx)])
+        if union not in by_carrier:
+            raise ClosureError(f"union carrier {render_carrier(union)} is not an element")
+        out.append(index[by_carrier[union]])
     return out
 
 
 def space_to_dict(s: GranularSpace) -> dict:
-    """Deterministic JSON-ready representation; inverse of space_from_dict."""
-    idx = s._index
-    by_index = lambda pair: (idx[pair[0]], idx[pair[1]])
-
+    """Deterministic JSON-ready representation; inverse of space_from_dict.
+    Rows come in element index order."""
+    t, els = s.tables, s.elements
     elements = []
-    for eid in s.elements:
+    for eid in els:
         entry: dict = {"id": eid}
         if eid in s.carriers:
             entry["carrier"] = sorted(s.carriers[eid])
@@ -789,13 +811,13 @@ def space_to_dict(s: GranularSpace) -> dict:
 
     return {
         "elements": elements,
-        "parthood": [[a, b] for a, b in sorted(s.parthood, key=by_index)],
-        "order": [[a, b] for a, b in sorted(s.order, key=by_index)],
-        "join": [[a, b, r] for (a, b), r in sorted(s.join.items(), key=lambda kv: by_index(kv[0]))],
-        "meet": [[a, b, r] for (a, b), r in sorted(s.meet.items(), key=lambda kv: by_index(kv[0]))],
+        "parthood": [list(p) for p in _pair_ids(els, t.parthood)],
+        "order": [list(p) for p in _pair_ids(els, t.order)],
+        "join": [list(e) for e in _entry_ids(els, t.join)],
+        "meet": [list(e) for e in _entry_ids(els, t.meet)],
         "granulation": list(s.granulation),
-        "lower": [[x, s.lower[x]] for x in s.elements],
-        "upper": [[x, s.upper[x]] for x in s.elements],
+        "lower": [[x, els[v]] for x, v in zip(els, t.lower)],
+        "upper": [[x, els[v]] for x, v in zip(els, t.upper)],
         "bottom": s.bottom,
         "top": s.top,
         "flavor": s.flavor,

@@ -96,6 +96,26 @@ class TestValidate:
         assert result.stderr.splitlines() == [message]
         assert result.stdout == ""
 
+    def test_granular_maps_with_an_unknown_granule_are_an_input_error(self, runner, tmp_path):
+        d = fixture_dict()
+        d.update(granulation=d["granulation"] + ["zzz"], lower="granular", upper="granular")
+        bad = tmp_path / "granular.json"
+        bad.write_text(json.dumps(d), encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(bad)])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr.splitlines() == ["error: granulation names unknown element 'zzz'"]
+
+    @pytest.mark.parametrize("key", ["bottom", "top"])
+    @pytest.mark.parametrize("value", [["bot"], {"id": "bot"}, 3, None])
+    def test_non_string_bottom_or_top_is_an_input_error(self, runner, tmp_path, key, value):
+        d = fixture_dict()
+        d[key] = value
+        bad = tmp_path / "ends.json"
+        bad.write_text(json.dumps(d), encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(bad)])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr.splitlines() == [f"error: {key} must be a string id"]
+
     @pytest.mark.parametrize("key, row", [("join", ["a", "a", "a"]), ("lower", ["e", "e"])])
     def test_exact_duplicate_row_still_loads(self, runner, tmp_path, key, row):
         d = fixture_dict()
