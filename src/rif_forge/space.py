@@ -109,12 +109,19 @@ class GranularSpace:
         carriers: Optional[Mapping[str, Iterable[str]]] = None,
     ):
         sections = {
-            "parthood": [list(p) for p in parthood], "order": [list(p) for p in order],
-            "join": [[a, b, r] for (a, b), r in join.items()], "meet": [[a, b, r] for (a, b), r in meet.items()],
-            "granulation": list(granulation), "lower": [[x, v] for x, v in lower.items()],
-            "upper": [[x, v] for x, v in upper.items()], "bottom": bottom, "top": top, "flavor": flavor,
+            "parthood": [list(p) for p in parthood],
+            "order": [list(p) for p in order],
+            "join": [[a, b, r] for (a, b), r in join.items()],
+            "meet": [[a, b, r] for (a, b), r in meet.items()],
+            "granulation": list(granulation),
+            "lower": [[x, v] for x, v in lower.items()],
+            "upper": [[x, v] for x, v in upper.items()],
+            "bottom": bottom,
+            "top": top,
+            "flavor": flavor,
         }
-        self._store(*_read(list(elements), {e: frozenset(c) for e, c in (carriers or {}).items()}, sections))
+        carrier_sets = {e: frozenset(c) for e, c in (carriers or {}).items()}
+        self._store(*_read(list(elements), carrier_sets, sections))
 
     @classmethod
     def _of_tables(cls, *parts) -> "GranularSpace":
@@ -485,26 +492,10 @@ def classify_flavor(s: GranularSpace) -> str:
 def _extensionality_failure(s: GranularSpace) -> Optional[str]:
     """The first setHGOS condition to fail on a carried space with total
     operations, in element order of the pair, or None when parthood is
-    inclusion, join is union and meet is intersection.
-
-    When indices and carriers fit in a byte, a row a is first checked
-    whole, as integers of one byte per b: the carriers of its joins,
-    resp. meets, against a's carrier in every byte ORed, resp. ANDed, with
-    the carriers; its parthood against the bytes where that AND is a's
-    carrier.  Only a row that fails there is scanned pair by pair."""
+    inclusion, join is union and meet is intersection."""
     t = s.tables
     cm = t.carriers
-    fast = t.n <= 256 and len(t.objects) <= 8
-    if fast:  # indices and carriers fit in a byte
-        carrier_of, every = bytes(cm).ljust(256, b"\0"), int.from_bytes(bytes(cm), "little")
-        ones, whole = int.from_bytes(b"\1" * t.n, "little"), b"1".ljust(256, b"0")
     for ca, part, jn, mt in zip(cm, t.parthood, t.join, t.meet):
-        if fast:
-            fill = ca * ones
-            if (int.from_bytes(bytes(jn).translate(carrier_of), "little") == fill | every
-                    and int.from_bytes(bytes(mt).translate(carrier_of), "little") == fill & every
-                    and part == int((fill & every ^ fill).to_bytes(t.n, "little").translate(whole)[::-1], 2)):
-                continue
         for j, cb in enumerate(cm):
             if (part >> j & 1 == 1) != (ca & cb == ca):
                 return "parthood == inclusion"
@@ -624,13 +615,16 @@ def _read(ids: list, carriers: dict, raw) -> tuple:
     if not (isinstance(granulation, list) and all(isinstance(g, str) for g in granulation)):
         raise SpaceFormatError("granulation must be an array of string ids")
     index, problems = {eid: i for i, eid in enumerate(ids)}, []
-    parthood, order = (_relation(raw, key, index, len(ids), problems) for key in ("parthood", "order"))
-    join, meet = (_operation(raw, key, ids, index, problems) for key in ("join", "meet"))
+    parthood = _relation(raw, "parthood", index, len(ids), problems)
+    order = _relation(raw, "order", index, len(ids), problems)
+    join = _operation(raw, "join", ids, index, problems)
+    meet = _operation(raw, "meet", ids, index, problems)
     if len(set(granulation)) != len(granulation):
         problems.append(StructuralError("granulation ids must be unique"))
     if unknown := [g for g in granulation if g not in index]:
         problems.append(StructuralError(f"granulation names unknown element {unknown[0]!r}"))
-    lower, upper = (_approximation(raw, key, ids, index, carriers, parthood, problems) for key in ("lower", "upper"))
+    lower = _approximation(raw, "lower", ids, index, carriers, parthood, problems)
+    upper = _approximation(raw, "upper", ids, index, carriers, parthood, problems)
     for key in ("bottom", "top"):
         if not isinstance(raw[key], str):
             problems.append(SpaceFormatError(f"{key} must be a string id"))
@@ -648,8 +642,10 @@ def _read(ids: list, carriers: dict, raw) -> tuple:
             raise StructuralError(f"carrier given for unknown element {eid!r}")
     seen: dict[frozenset[str], str] = {}
     for eid, carrier in carriers.items():
-        if seen.setdefault(carrier, eid) != eid:
-            raise StructuralError(f"elements {seen[carrier]!r} and {eid!r} share the carrier {render_carrier(carrier)}")
+        if carrier in seen:
+            shared = render_carrier(carrier)
+            raise StructuralError(f"elements {seen[carrier]!r} and {eid!r} share the carrier {shared}")
+        seen[carrier] = eid
     if problems:
         raise problems[0]
 
@@ -677,14 +673,12 @@ def _relation(raw, key: str, index: dict, n: int, problems: list) -> list[int]:
     pairs = raw[key]
     if not isinstance(pairs, list):
         raise SpaceFormatError(f"{key} must be an array of pairs")
-    masks, stray, last = [0] * n, None, None
+    masks, stray = [0] * n, None
     for pair in pairs:
         if type(pair) is list and len(pair) == 2:  # the common row: two known ids
             a, b = pair
             try:
-                if a != last:  # rows tend to come grouped by their first id
-                    i, last = index[a], a
-                masks[i] |= 1 << index[b]
+                masks[index[a]] |= 1 << index[b]
                 continue
             except (KeyError, TypeError):  # an unknown or unhashable id
                 pass
@@ -708,15 +702,13 @@ def _operation(raw, key: str, ids: list, index: dict, problems: list) -> list[li
     if not isinstance(rows, list):
         raise SpaceFormatError(f"{key} must be an array of triples")
     n, get = len(ids), index.get
-    table, stray, problem, last = [[-1] * n for _ in range(n)], {}, None, None
+    table, stray, problem = [[-1] * n for _ in range(n)], {}, None
     for row in rows:
         # the common row: three known ids, a key not given before, and no stray entry so far
         if type(row) is list and not stray:
             try:
                 a, b, r = row
-                if a != last:  # rows tend to come grouped by their first id
-                    cells, last = table[index[a]], a
-                j = index[b]
+                cells, j = table[index[a]], index[b]
                 if cells[j] == -1:
                     cells[j] = index[r]
                     continue

@@ -96,6 +96,16 @@ class TestValidate:
         assert result.stderr.splitlines() == [message]
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("key", ["parthood", "join"])
+    def test_null_first_cell_is_an_input_error(self, runner, tmp_path, key):
+        d = fixture_dict()
+        d[key][0][0] = None
+        bad = tmp_path / "null.json"
+        bad.write_text(json.dumps(d), encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(bad)])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr.splitlines() == [f"error: {key}[0] must hold string ids"]
+
     def test_granular_maps_with_an_unknown_granule_are_an_input_error(self, runner, tmp_path):
         d = fixture_dict()
         d.update(granulation=d["granulation"] + ["zzz"], lower="granular", upper="granular")

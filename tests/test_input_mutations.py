@@ -530,8 +530,21 @@ def _edited(**rows):
     return doc
 
 
+def _first_row(key, value, cell=None):
+    """The fixture with the first row of a section, or one cell of it, replaced by value."""
+    doc = json.loads(json.dumps(FIXTURE))
+    if cell is None:
+        doc[key][0] = value
+    else:
+        doc[key][0][cell] = value
+    return doc
+
+
 # Problems that one or two random mutations seldom combine: which one is
-# reported first, and conflicts with entries that name an unknown id.
+# reported first, conflicts with entries that name an unknown id, a bad
+# first cell of a section's first row, and a first row that is not an
+# array but unpacks into ids: a string of one-letter ids, or an object
+# whose keys are ids.
 @pytest.mark.parametrize("doc", [
     _edited(join=[["a", "e", "ghost"], ["a", "e", "abe"]]),
     _edited(join=[["a", "e", "abe"], ["a", "e", "ghost"]]),
@@ -548,6 +561,9 @@ def _edited(**rows):
     _edited(elements=[{"id": "a"}], upper="granular"),
     _edited(elements=[{"id": "zzz", "carrier": ["a"]}], meet=[["a", "zzz", "bot"]]),
     _edited(parthood=[["a", "ghost"], ["b"]]),
+    *(_first_row(key, value, 0) for key in ("parthood", "order", "join", "meet") for value in (None, 3, ["a"])),
+    *(_first_row(key, value) for key, ids in (("parthood", "ae"), ("join", "aea"), ("meet", "aea"))
+      for value in (ids, dict.fromkeys(["a", "e", "ab"][:len(ids)], 0))),
 ], ids=lambda doc: "")
 def test_error_precedence_matches_the_former_loader(doc):
     (s, error), (naive, naive_error) = outcome(space_from_dict, doc), outcome(naive_load, doc)
