@@ -10,8 +10,11 @@ best of --repeat runs, each on freshly built functions), the verdict and,
 for the pointwise laws, how many distinct rank tuples (times weights) the
 law was evaluated on.  A product or blend table is charged to the first
 law that reads it, and "inputs" is the rank rows and columns every law
-reads.  The next line times one whole check_laws call.  Then one line per
-operator gives the best of --repeat timings of it on the same space:
+reads, with the joint rank classes: the distinct tuples of all three
+functions' ranks over the n*n pairs, D of them, which every operand
+combination projects.  The header gives D next to n*n.  The next line
+times one whole check_laws call.  Then one line per operator gives the
+best of --repeat timings of it on the same space:
 building k0, k1 and k2, and otimes, oplus, sharp, flat, sigma, pow, kst
 and leq applied to them (otimes, oplus and leq on each ordered pair of the
 three, oplus at every weight).  Stdlib only.
@@ -108,6 +111,7 @@ def main() -> None:
     print(f"# {len(s.elements)} elements, functions k0 k1 k2, weights "
           f"{' '.join(map(str, WEIGHTS))}, seed {args.seed}, best of {args.repeat}")
     print(f"# {os.cpu_count()} cpus, Python {platform.python_version()}, {platform.machine()}")
+    print(f"# {len(inp.classes[0])} joint rank classes (D) over {len(inp.pairs)} pairs (n*n)")
     print(f"{'law':<16}{'ms':>10}{'evaluated':>12}  verdict")
     print(f"{'inputs':<16}{best['inputs'] * 1000:>10.2f}")
     for law, witnesses in results.items():

@@ -27,6 +27,7 @@ from .space import (
     AxiomReport,
     GranularSpace,
     check_admissibility,
+    check_work,
     classify_flavor,
     find_element,
     granular_lower,

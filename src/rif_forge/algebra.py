@@ -28,7 +28,7 @@ from .inclusion import (
     k1,
     k2,
 )
-from .space import GranularSpace, _bits, classify_flavor
+from .space import GranularSpace, _bits, check_work, classify_flavor
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,16 @@ def leq(f: InclusionFunction, g: InclusionFunction) -> bool:
 
 class _LawInputs:
     """The functions as the law checks read them: the axiom scans' ranks, in
-    pair order, and sorted numerators, each function's denominator, and
-    products or blends of two per distinct rank pair."""
+    pair order, and sorted numerators, each function's denominator, their
+    joint rank classes, and products or blends of two per distinct rank
+    pair.
+
+    A joint class is the tuple of every function's rank at one pair.  One
+    pass over the n*n pairs collects the D distinct ones (D <= n*n, and
+    usually far fewer), kept transposed in classes: classes[i][d] is the
+    rank of f_i in the d-th class.  The distinct rank tuples of any operand
+    combination are then a projection of the classes, read in O(D).
+    """
 
     def __init__(self, s: GranularSpace, fns: Sequence[InclusionFunction], alphas: Sequence[Fraction]):
         self.s, self.fns, self.pairs = s, list(fns), list(s.pairs())
@@ -137,6 +145,7 @@ class _LawInputs:
         self.cols = [f._ranked.ranks for f in self.fns]
         self.images = [f._ranked.image for f in self.fns]
         self.dens = [f.den for f in self.fns]
+        self.classes = list(zip(*set(zip(*self.cols))))
         self.made, self.seen = {}, {}
 
     def distinct(self, idx):
@@ -144,7 +153,7 @@ class _LawInputs:
         for the laws that share operand tuples."""
         idx = tuple(idx)
         if idx not in self.seen:
-            self.seen[idx] = set(zip(*[self.cols[i] for i in idx]))
+            self.seen[idx] = set(zip(*[self.classes[i] for i in idx]))
         return self.seen[idx]
 
     def weight(self, w, i, j):
@@ -293,7 +302,14 @@ def check_laws(s: GranularSpace, fns: Sequence[InclusionFunction], alphas: Seque
     sides once per tuple (and weight) as numerators over one denominator,
     and list the pairs carrying a failing tuple, in element order.  Order1
     and Order2 range over the pairs of pointwise comparable operands.
+
+    The distinct tuples come from one pass over the pairs that collects the
+    joint rank classes of all the functions (D of them, D <= n*n); each
+    combination projects them, so it costs O(D), not O(n*n).  The call is
+    refused with SizeError, before anything is read, when check_work's
+    estimate for the space, functions and weights exceeds the budget.
     """
+    check_work(len(s.elements), len(fns), len(alphas))
     inp = _LawInputs(s, fns, alphas)
     return [_law(law, check(inp, *args)) for law, (check, *args) in _LAW_CHECKS.items()]
 

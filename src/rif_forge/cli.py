@@ -37,6 +37,7 @@ from .space import (
     AxiomReport,
     GranularSpace,
     check_admissibility,
+    check_work,
     classify_flavor,
     find_element,
     load_space,
@@ -47,6 +48,8 @@ from .space import (
 
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
+
+DEFAULT_WEIGHTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
 
 
 def _resolve_space_path(path: str) -> pathlib.Path:
@@ -259,12 +262,13 @@ def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, 
         raise ParameterError(f"--random-terms must not be negative, got {random_terms}")
     s = _load(space_file)
     texts = list(term_list) or ["k0", "k1", "k2"]
+    check_work(len(s.elements), len(texts) + random_terms, len(alphas) or len(DEFAULT_WEIGHTS))
     env = _function_env(s, env_path)
     fns = [terms.eval_term(terms.parse_term(t), env, s) for t in texts]
     rng = Random(seed)
     for _ in range(random_terms):
         fns.append(terms.eval_term(sampling.random_wqrif_term(rng), env, s))
-    weights = [_rat(a) for a in alphas] or [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    weights = [_rat(a) for a in alphas] or DEFAULT_WEIGHTS
     reports = algebra.check_laws(s, fns, weights)
     passed = all(r.holds for r in reports)
     payload = {

@@ -21,7 +21,7 @@ class ParameterError(InputError):
 
 
 class SizeError(InputError):
-    """A requested construction exceeds the hard size cap."""
+    """A requested construction or check exceeds the work budget."""
 
 
 class ResolutionError(InputError):

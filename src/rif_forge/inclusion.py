@@ -475,13 +475,18 @@ def random_kappa(s: GranularSpace, rng: Random, max_denominator: int = 12) -> In
     """Random rational-valued function; denominators stay small so axiom
     coincidences (exact 0, exact 1) actually happen.  With probability one
     half the diagonal is forced to 1 so U1-sensitive implications get
-    exercised on both sides."""
-    values = {}
-    for a in s.elements:
-        for b in s.elements:
-            den = rng.randint(1, max_denominator)
-            values[(a, b)] = Fraction(rng.randint(0, den), den)
+    exercised on both sides.
+
+    Each pair draws a denominator q in 1..max_denominator, then a numerator
+    p in 0..q; its value p/q is written as p * (L // q) over L, the lcm of
+    the drawn denominators.
+    """
+    n, randint, draws = len(s.elements), rng.randint, []
+    for _ in range(n * n):
+        q = randint(1, max_denominator)
+        draws.append((randint(0, q), q))
+    den = lcm(*{q for _, q in draws})
+    nums = [p * (den // q) for p, q in draws]
     if rng.random() < 0.5:
-        for a in s.elements:
-            values[(a, a)] = ONE
-    return InclusionFunction(s, values, "kappa")
+        nums[::n + 1] = [den] * n
+    return InclusionFunction._of_rows(s, nums, den, "kappa")

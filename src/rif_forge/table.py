@@ -99,7 +99,8 @@ def _checked_subset(relation: EquivalenceRelation, subset: Iterable[str]) -> fro
 def table_to_set_hgos(table: InformationTable, attrs: Sequence[str]) -> GranularSpace:
     """Power-set space over the table's objects, granulated by indiscernibility.
 
-    The power set is materialized, so the object count is capped (16).
+    The power set is materialized, so its size is bounded by the work
+    budget (check_work).
     """
     relation = derive_indiscernibility(table, attrs)
     return powerset_space(table.objects, relation.blocks)

@@ -32,6 +32,8 @@ from rif_forge import (
     oplus,
     otimes,
     power,
+    powerset_space,
+    random_partition,
     random_thresholds,
     random_unit_rational,
     random_wqrif_term,
@@ -493,6 +495,34 @@ def test_law_reports_match_pairwise_loop(fixture_space, kind, seed):
     # Order1 and Order2 range over the pairs leq finds comparable
     below = [(i, j) for i, f in enumerate(fns) for j, h in enumerate(fns) if leq(f, h)]
     assert _LawInputs(s, fns, alphas).combos(0) == [c + d for c in below for d in below]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), objects=st.integers(0, 5), count=st.integers(4, 6),
+       weights=st.integers(1, 3))
+def test_joint_rank_classes_keep_law_reports(fixture_space, seed, objects, count, weights):
+    # Operands whose rank columns coincide or repeat: one function passed
+    # twice, top (one rank everywhere), and pow(k0, 2), which has the rank
+    # column of k0 over other values.  The fixture stands for 0 objects;
+    # on 5 objects the oracle's pair loop is held to 4 functions and 1 weight.
+    rng = Random(seed)
+    if objects == 5:
+        count, weights = 4, 1
+    names = [f"o{i}" for i in range(objects)]
+    s = powerset_space(names, random_partition(names, rng)) if objects else fixture_space
+    env = default_env(s)
+    base = env["k0"]
+    fns = [base, top_function(s), base, power(base, 2)]
+    fns += [env["k1"], env["k2"], random_kappa(s, rng), eval_term(random_wqrif_term(rng), env, s)][:count - 4]
+    rng.shuffle(fns)
+    assert base._ranked.ranks == power(base, 2)._ranked.ranks
+    alphas = [random_unit_rational(rng) for _ in range(weights)]
+    inp = _LawInputs(s, fns, alphas)
+    for arity in (1, 2, 3):
+        for idx in product(range(len(fns)), repeat=arity):
+            assert inp.distinct(idx) == set(zip(*[inp.cols[i] for i in idx]))
+    got = [(r.law, r.holds, r.witnesses) for r in check_laws(s, fns, alphas)]
+    assert got == [(r.law, r.holds, r.witnesses) for r in naive_check_laws(s, fns, alphas)]
 
 
 def test_oracle_cases_include_failing_laws(fixture_space):

@@ -290,6 +290,28 @@ class TestCheckLaws:
         assert result.stdout == ""
 
 
+class TestWorkBudget:
+    """Commands over the work budget exit 2 with one line stating the
+    estimate, before they build the space or any function."""
+
+    def test_check_laws_with_too_many_random_terms(self, runner):
+        result = runner.invoke(main, ["check-laws", str(FIXTURE_PATH), "--random-terms", "100000000"])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr == (
+            "error: estimated work over 10**32 exceeds the budget of 10,000,000 "
+            "(9 elements, 100,000,003 functions, 4 weights)\n")
+        assert result.stdout == ""
+
+    def test_derive_of_a_table_with_too_many_objects(self, runner, tmp_path):
+        src = tmp_path / "table.csv"
+        src.write_text("object,color\n" + "".join(f"o{i},red\n" for i in range(12)), encoding="utf-8")
+        result = runner.invoke(main, ["derive", str(src)])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr == (
+            "error: estimated work 16,777,216 exceeds the budget of 10,000,000 (4,096 elements)\n")
+        assert result.stdout == ""
+
+
 class TestPrifVerify:
     def test_single_function(self, runner):
         result = runner.invoke(

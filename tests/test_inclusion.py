@@ -22,6 +22,7 @@ from rif_forge import (
     verify_prif,
 )
 from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO, _holds
+from rif_forge.sampling import random_partition
 
 
 class TestConcreteFunctions:
@@ -220,6 +221,35 @@ class TestRandomKappa:
     def test_values_in_range(self, two_block_space):
         f = random_kappa(two_block_space, Random(11))
         assert all(0 <= v <= 1 for v in f.values.values())
+
+
+def naive_random_kappa(s, rng: Random, max_denominator: int = 12) -> InclusionFunction:
+    """random_kappa as it was before it built integer rows: a dict of
+    Fractions through the public constructor, kept as the oracle."""
+    values = {}
+    for a in s.elements:
+        for b in s.elements:
+            den = rng.randint(1, max_denominator)
+            values[(a, b)] = F(rng.randint(0, den), den)
+    if rng.random() < 0.5:
+        for a in s.elements:
+            values[(a, a)] = ONE
+    return InclusionFunction(s, values, "kappa")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), objects=st.integers(1, 4), max_denominator=st.integers(1, 12))
+def test_random_kappa_matches_fraction_construction(fixture_space, seed, objects, max_denominator):
+    # the same draws in the same order give the same function, and leave
+    # the generator where the former construction left it
+    objs = [f"o{i}" for i in range(objects)]
+    s = fixture_space if objects == 4 else powerset_space(objs, random_partition(objs, Random(seed)))
+    got_rng, want_rng = Random(seed), Random(seed)
+    got = random_kappa(s, got_rng, max_denominator)
+    want = naive_random_kappa(s, want_rng, max_denominator)
+    assert (got.nums, got.den, got.label) == (want.nums, want.den, want.label)
+    assert got.values == want.values
+    assert got_rng.random() == want_rng.random()
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,11 +8,13 @@ from rif_forge import (
     ClosureError,
     EquivalenceRelation,
     GranularSpace,
+    InformationTable,
     InputError,
     SizeError,
     SpaceFormatError,
     StructuralError,
     check_admissibility,
+    check_work,
     classify_flavor,
     find_element,
     granular_lower,
@@ -25,10 +27,13 @@ from rif_forge import (
     space_from_dict,
     space_to_dict,
     strong_weak_equal,
+    table_to_set_hgos,
     validate_space,
     weak_equal,
 )
-from rif_forge.space import AxiomReport, representable_elements
+from rif_forge.space import (
+    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, WORK_BUDGET, AxiomReport, representable_elements,
+)
 
 from fixture_data import APPROXIMATION_ROWS
 
@@ -617,3 +622,163 @@ class TestValidateSpaceOracle:
         for s in (fixture_space, two_block_space, space_from_dict(broken)):
             assert validate_space(s) == naive_validate_space(s)
         assert not all(r.holds for r in validate_space(space_from_dict(broken)))
+
+
+# -- the set-lattice theorem behind validate_space -----------------------------
+
+
+def _lattice_document(draw, flavor="setHGOS"):
+    """A space document over a random family of sets on 1-4 objects, closed
+    under union and intersection, in a drawn element order: parthood and
+    order are inclusion, join is union and meet intersection.  Lower and
+    upper are derived from granules ('granular') when the family holds the
+    empty set, else drawn at random, as are the granulation, bottom and top."""
+    k = draw(st.integers(1, 4))
+    objs = [f"o{i}" for i in range(k)]
+    family = set(draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=5)))
+    while True:
+        closed = family | {a | b for a in family for b in family} | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    masks = draw(st.permutations(sorted(family)))
+    ids = [f"e{i}" for i in range(len(masks))]
+    at = dict(zip(masks, ids))
+    inclusion = [[at[a], at[b]] for a in masks for b in masks if a & b == a]
+    some_id = st.sampled_from(ids)
+    maps = "granular" if 0 in family and draw(st.booleans()) else None
+    return {
+        "elements": [{"id": at[m], "carrier": [o for i, o in enumerate(objs) if m >> i & 1]} for m in masks],
+        "parthood": inclusion,
+        "order": inclusion,
+        "join": [[at[a], at[b], at[a | b]] for a in masks for b in masks],
+        "meet": [[at[a], at[b], at[a & b]] for a in masks for b in masks],
+        "granulation": draw(st.lists(some_id, unique=True, max_size=3)),
+        "lower": maps or [[x, draw(some_id)] for x in ids],
+        "upper": maps or [[x, draw(some_id)] for x in ids],
+        "bottom": draw(some_id),
+        "top": draw(some_id),
+        "flavor": flavor,
+    }
+
+
+def _drawn_partition(draw, objects):
+    labels = draw(st.lists(st.integers(0, len(objects) - 1), min_size=len(objects), max_size=len(objects)))
+    blocks: dict[int, list[str]] = {}
+    for obj, label in zip(objects, labels):
+        blocks.setdefault(label, []).append(obj)
+    return list(blocks.values())
+
+
+@st.composite
+def set_hgos_spaces(draw, path):
+    """A setHGOS space built along one construction path."""
+    if path in ("powerset_space", "powerset document"):
+        objects = [f"o{i}" for i in range(draw(st.integers(1, 6)))]
+        s = powerset_space(objects, _drawn_partition(draw, objects))
+        return s if path == "powerset_space" else space_from_dict(space_to_dict(s))
+    if path == "derive":
+        objects = tuple(f"o{i}" for i in range(draw(st.integers(1, 5))))
+        attributes = tuple(f"a{i}" for i in range(draw(st.integers(1, 2))))
+        value = st.frozensets(st.sampled_from("xyz"), min_size=1, max_size=2)
+        valuation = {(a, o): draw(value) for a in attributes for o in objects}
+        return table_to_set_hgos(InformationTable(objects, attributes, valuation), attributes)
+    doc = _lattice_document(draw)
+    if path == "lattice document":
+        return space_from_dict(doc)
+    maps = space_from_dict(doc)  # its lower and upper, derived when they are 'granular'
+    return GranularSpace(
+        [e["id"] for e in doc["elements"]],
+        map(tuple, doc["parthood"]),
+        map(tuple, doc["order"]),
+        {(a, b): r for a, b, r in doc["join"]},
+        {(a, b): r for a, b, r in doc["meet"]},
+        doc["granulation"],
+        maps.lower,
+        maps.upper,
+        doc["bottom"],
+        doc["top"],
+        "setHGOS",
+        {e["id"]: e["carrier"] for e in doc["elements"]},
+    )
+
+
+class TestSetLatticeTheorem:
+    """validate_space reports PT1, PT2 and G1-G5 on setHGOS spaces without
+    scanning them; their scans, called directly, must agree everywhere."""
+
+    @pytest.mark.parametrize("path", ["powerset_space", "powerset document", "lattice document",
+                                      "constructor", "derive"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_lattice_scans_find_nothing_on_set_hgos(self, path, data):
+        s = data.draw(set_hgos_spaces(path))
+        assert classify_flavor(s) == "setHGOS"
+        t = s.tables
+        for axiom in _SET_LATTICE_AXIOMS:
+            check, *args = _AXIOM_CHECKS[axiom]
+            assert check(s, t, *args) == ([], 0), axiom
+        assert validate_space(s) == naive_validate_space(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_undeclared_set_lattices_are_proved_too(self, data):
+        # a set lattice declared HGOS classifies as setHGOS and skips the scans
+        s = space_from_dict(_lattice_document(data.draw, flavor="HGOS"))
+        assert classify_flavor(s) == "setHGOS"
+        assert validate_space(s) == naive_validate_space(s)
+
+    @pytest.mark.parametrize("shape", ["M3", "N5"])
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_non_distributive_lattices_keep_their_witnesses(self, shape, carried):
+        # M3 (three atoms) and N5 (a pentagon) are lattices but not
+        # distributive; with carriers their joins are not unions, so they
+        # are not setHGOS and G3 and G4 are scanned
+        above = {"0": "0abc1", "a": "a1", "b": "b1", "c": "c1", "1": "1"}
+        if shape == "N5":
+            above["a"] = "ab1"
+        els = list(above)
+        carriers = {"0": "", "a": "x", "b": "xy" if shape == "N5" else "y", "c": "z", "1": "xyz"}
+        leq = [(a, b) for a in els for b in els if b in above[a]]
+        # the least common upper bound has the most elements above it
+        join = {(a, b): max((z for z in els if z in above[a] and z in above[b]), key=lambda z: len(above[z]))
+                for a in els for b in els}
+        meet = {(a, b): min((z for z in els if a in above[z] and b in above[z]), key=lambda z: len(above[z]))
+                for a in els for b in els}
+        s = GranularSpace(els, leq, leq, join, meet, ["a"], {x: x for x in els}, {x: x for x in els},
+                          "0", "1", "HGOS", carriers if carried else None)
+        assert classify_flavor(s) == "HGOS"
+        reports = {r.axiom: r for r in validate_space(s)}
+        assert [r.holds for r in map(reports.get, ("PT1", "PT2", "G1", "G2", "G5"))] == [True] * 5
+        assert not reports["G3"].holds and not reports["G4"].holds
+        assert validate_space(s) == naive_validate_space(s)
+        with pytest.raises(StructuralError, match="setHGOS requires"):
+            GranularSpace(els, leq, leq, join, meet, ["a"], {x: x for x in els}, {x: x for x in els},
+                          "0", "1", "setHGOS", carriers)
+
+
+class TestWorkBudget:
+    def test_admits_what_the_commands_and_benchmark_run(self):
+        # the 8-object power set with k0 k1 k2 and the four default weights,
+        # and the 6-object power set with three terms and one weight
+        assert check_work(256, 3, 4) < WORK_BUDGET
+        assert check_work(64, 3, 1) < WORK_BUDGET
+        powerset_space([f"o{i}" for i in range(8)], [[f"o{i}" for i in range(8)]])
+
+    def test_counts_pairs_functions_and_combinations(self):
+        assert check_work(9) == 81
+        # 81 * (1 + 2) + 2*(2 + 1) + 4 + 8*2 + 16*2
+        assert check_work(9, 2, 1) == 243 + 6 + 4 + 16 + 32
+
+    @pytest.mark.parametrize("objects", [12, 17, 10_000])
+    def test_power_sets_over_budget_are_refused_before_building(self, objects):
+        names = [f"o{i}" for i in range(objects)]
+        with pytest.raises(SizeError, match=r"^estimated work .* exceeds the budget of 10,000,000"):
+            powerset_space(names, [names])
+
+    def test_documents_over_budget_are_refused_before_reading_tables(self):
+        doc = {"elements": [{"id": f"e{i}"} for i in range(4000)], "parthood": None, "order": [],
+               "join": [], "meet": [], "granulation": [], "lower": [], "upper": [],
+               "bottom": "e0", "top": "e0", "flavor": "GGS"}
+        with pytest.raises(SizeError, match=r"^estimated work 16,000,000 exceeds .* \(4,000 elements\)$"):
+            space_from_dict(doc)
