@@ -10,9 +10,12 @@ check_rif_axiom report, with its witness and skipped counts, and of the
 verdict alone, which stops at the first offending row.  Each is timed twice:
 on a new copy of the function, so the call pays for the rank rows and
 masks it reads, and ("built") on a function whose rank rows and masks
-every axiom reads are already built.  The last two lines per function time
-one verify_prif and one classify call on a fresh copy.  The space's index
-tables and axiom rows are built once, before the first timing.  Stdlib only.
+every axiom reads are already built; its kept R2/R3 verdict is cleared
+before each call, so a built verdict times a scan.  The last two lines per
+function time one verify_prif and one classify call on a fresh copy.  The
+last line times one rif_failure_search with budget 20 on the space.  The
+space's index tables and axiom rows are built once, before the first
+timing.  Stdlib only.
 """
 
 import argparse
@@ -26,6 +29,7 @@ from random import Random
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from rif_forge.algebra import rif_failure_search
 from rif_forge.inclusion import (
     RIF_AXIOM_ORDER, InclusionFunction, _holds, check_rif_axiom, classify, k0, k1, k2, kst,
     random_kappa, verify_prif,
@@ -41,6 +45,12 @@ def fresh(f: InclusionFunction) -> InclusionFunction:
 def built(f: InclusionFunction) -> InclusionFunction:
     for axiom in RIF_AXIOM_ORDER:
         check_rif_axiom(f, axiom)
+    return f
+
+
+def unkept(f: InclusionFunction) -> InclusionFunction:
+    """f without its kept R2/R3 verdict, so that the next one scans."""
+    f._ranked.order_verdict = None
     return f
 
 
@@ -89,7 +99,7 @@ def main() -> None:
             ms, rep = best_ms(report, lambda: fresh(f), args.repeat)
             ms_built, _ = best_ms(report, lambda: ready, args.repeat)
             v_ms, holds = best_ms(verdict, lambda: fresh(f), args.repeat)
-            v_built, _ = best_ms(verdict, lambda: ready, args.repeat)
+            v_built, _ = best_ms(verdict, lambda: unkept(ready), args.repeat)
             if holds != rep.holds:
                 raise SystemExit(f"verdict of {axiom} on {f.label} differs from its report")
             print(f"{axiom:<12}{ms:>10.2f}{ms_built:>8.2f}{len(rep.witnesses):>11}{rep.skipped:>9}"
@@ -99,6 +109,10 @@ def main() -> None:
         print(f"{'verify_prif':<12}{ms:>10.2f}  violated: {', '.join(violated) or 'none'}")
         ms, name = best_ms(classify, lambda: fresh(f), args.repeat)
         print(f"{'classify':<12}{ms:>10.2f}  {name}")
+
+    ms, res = best_ms(lambda space: rif_failure_search(space, 20), lambda: s, args.repeat)
+    print(f"\nrif_failure_search, budget 20: {ms:.2f} ms, pool of {len(res.rif_pool)}, "
+          f"{res.otimes_checked} products rechecked, {res.trials} convex-sum trials")
 
 
 if __name__ == "__main__":

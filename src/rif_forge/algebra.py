@@ -348,19 +348,31 @@ def rif_failure_search(s: GranularSpace, budget: int, seed: int = 0) -> SearchRe
     that actually classify as RIF on s, each confirmed by exhaustive scan.
     A reported witness is the full list of pairs on which one exhaustive
     check_rif_axiom scan of R1 failed.
+
+    Functions are classified once per canonical form (den, nums): the form
+    is canonical, so equal keys are pointwise-equal functions with one
+    class.  otimes is commutative, so f*g and g*f share one key, and a
+    product of pool members often equals one already classified.
     """
     if classify_flavor(s) != "setHGOS":
         raise InputError("closure search expects a set-based hemiring space")
     if budget < 1:
         raise ParameterError(f"budget must be positive, got {budget}")
     rng = Random(seed)
+    classes: dict[tuple[int, tuple[int, ...]], str] = {}
+
+    def class_of(f: InclusionFunction) -> str:
+        key = (f.den, tuple(f.nums))
+        if key not in classes:
+            classes[key] = classify(f)
+        return classes[key]
 
     base = [k0(s), k1(s), k2(s)]
-    pool = [f for f in base if classify(f) == "RIF"]
+    pool = [f for f in base if class_of(f) == "RIF"]
     for f in base:
         for g in base:
             prod = otimes(f, g)
-            if classify(prod) == "RIF" and not any(prod.pointwise_equal(p) for p in pool):
+            if class_of(prod) == "RIF" and not any(prod.pointwise_equal(p) for p in pool):
                 pool.append(prod)
     if not pool:
         raise InputError("no RIF could be built on this space")
@@ -371,7 +383,7 @@ def rif_failure_search(s: GranularSpace, budget: int, seed: int = 0) -> SearchRe
         for g in pool:
             prod = otimes(f, g)
             otimes_checked += 1
-            if classify(prod) != "RIF":
+            if class_of(prod) != "RIF":
                 otimes_counterexample = prod.label
                 break
         if otimes_counterexample:

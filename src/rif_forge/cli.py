@@ -73,6 +73,8 @@ def _load(path: str) -> GranularSpace:
         return load_space(resolved)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {resolved}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read space file {resolved}: {exc}") from exc
 
 
 def _emit(fmt: str, out: Optional[str], payload: dict, lines: list[str]) -> None:
@@ -131,23 +133,33 @@ def _rat(text: str) -> Fraction:
         raise ParameterError(f"not a rational: {text!r}") from exc
 
 
-def _function_env(s: GranularSpace, env_path: Optional[str]) -> dict[str, InclusionFunction]:
-    bound = terms.default_env(s) if s.is_set_extensional else {}
+def _evaluate(s: GranularSpace, texts: Iterable[str], env_path: Optional[str] = None,
+              functions: int = 0, weights: int = 0,
+              more: Iterable[terms.AlgebraTerm] = ()) -> list[InclusionFunction]:
+    """The functions of the terms texts, then of the parsed terms more, on s.
+
+    k0, k1 and k2 are bound on a set-extensional space, each built the
+    first time a term reads it; then each name of the env_path file, in
+    file order, to its term's value.  Every term is parsed, and check_work
+    asked over all their nodes (with functions and weights), before any is
+    evaluated.
+    """
+    named = []
     if env_path:
         try:
             raw = json.loads(pathlib.Path(env_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read environment file {env_path}: {exc}") from exc
         if not (isinstance(raw, dict) and all(isinstance(text, str) for text in raw.values())):
             raise InputError("environment file must map names to term strings")
-        for name, text in raw.items():
-            bound[name] = terms.eval_term(terms.parse_term(text), bound, s)
-    return bound
-
-
-def _eval(s: GranularSpace, text: str, env_path: Optional[str] = None) -> InclusionFunction:
-    env = _function_env(s, env_path)
-    return terms.eval_term(terms.parse_term(text), env, s)
+        named = [(name, terms.parse_term(text)) for name, text in raw.items()]
+    parsed = [terms.parse_term(text) for text in texts] + list(more)
+    nodes = sum(terms.term_nodes(term) for term in [term for _, term in named] + parsed)
+    check_work(len(s.elements), functions, weights, nodes)
+    env = terms.default_env(s) if s.is_set_extensional else {}
+    for name, term in named:
+        env[name] = terms.eval_term(term, env, s)
+    return [terms.eval_term(term, env, s) for term in parsed]
 
 
 format_option = click.option(
@@ -227,7 +239,7 @@ def approximate(space_file, fmt, out):
 def classify_cmd(space_file, term, relation, env_path, fmt, out):
     """Name the most specific class of a function and report every axiom."""
     s = _load(space_file)
-    f = _eval(s, term, env_path)
+    [f] = _evaluate(s, [term], env_path)
     # the table prints no witnesses, so it reads verdicts and skip counts only
     reports = [check_rif_axiom(f, ax, relation) for ax in RIF_AXIOM_ORDER] if fmt == "json" else []
     verdicts = [(r.axiom, r.holds, r.skipped) for r in reports] or [
@@ -262,12 +274,13 @@ def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, 
         raise ParameterError(f"--random-terms must not be negative, got {random_terms}")
     s = _load(space_file)
     texts = list(term_list) or ["k0", "k1", "k2"]
-    check_work(len(s.elements), len(texts) + random_terms, len(alphas) or len(DEFAULT_WEIGHTS))
-    env = _function_env(s, env_path)
-    fns = [terms.eval_term(terms.parse_term(t), env, s) for t in texts]
+    counts = (len(texts) + random_terms, len(alphas) or len(DEFAULT_WEIGHTS))
+    # asked before the random terms are drawn, and by _evaluate again with
+    # every term's nodes before any is evaluated
+    check_work(len(s.elements), *counts)
     rng = Random(seed)
-    for _ in range(random_terms):
-        fns.append(terms.eval_term(sampling.random_wqrif_term(rng), env, s))
+    drawn = [sampling.random_wqrif_term(rng) for _ in range(random_terms)]
+    fns = _evaluate(s, texts, env_path, *counts, drawn)
     weights = [_rat(a) for a in alphas] or DEFAULT_WEIGHTS
     reports = algebra.check_laws(s, fns, weights)
     passed = all(r.holds for r in reports)
@@ -305,7 +318,7 @@ def prif_verify(space_file, term, trials, seed, relation, fmt, out):
         raise ParameterError(f"--trials must be positive, got {trials}")
     s = _load(space_file)
     if term is not None:
-        batteries = [(term, verify_prif(_eval(s, term), relation))]
+        batteries = [(term, verify_prif(_evaluate(s, [term])[0], relation))]
     else:
         rng = Random(seed)
         batteries = []
@@ -398,7 +411,7 @@ def rif_failure_search_cmd(space_file, budget, seed, fmt, out):
 def vprs(space_file, target, term, alpha, beta, fixed, fmt, out):
     """Variable-precision lower/upper regions of one element."""
     s = _load(space_file)
-    f = _eval(s, term)
+    [f] = _evaluate(s, [term])
     params = measures.VprsParams(_rat(alpha), _rat(beta))
     x = find_element(s, target)
     op = measures.fixed_vprs if fixed else measures.vprs
@@ -436,11 +449,10 @@ def fit_alpha_cmd(space_file, f_term, h_term, samples_file, fmt, out):
     element ids or brace-rendered carriers.
     """
     s = _load(space_file)
-    f = _eval(s, f_term)
-    h = _eval(s, h_term)
+    f, h = _evaluate(s, [f_term, h_term])
     try:
         raw = json.loads(pathlib.Path(samples_file).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read samples file {samples_file}: {exc}") from exc
     if not isinstance(raw, list):
         raise InputError("samples file must hold a list of [x, y, value] triples")
@@ -473,7 +485,7 @@ def derive(csv_file, attrs, value_delimiter, out):
     try:
         with open(csv_file, newline="", encoding="utf-8") as handle:
             info = table.read_table_csv(handle, value_delimiter=value_delimiter)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read table {csv_file}: {exc}") from exc
     chosen = [a.strip() for a in attrs.split(",")] if attrs else list(info.attributes)
     s = table.table_to_set_hgos(info, chosen)

@@ -20,6 +20,14 @@ resp. related to b.  check_rif_axiom lists the flagged rows' witnesses from
 their candidates in element order of a, then b, then c; verify_prif and
 classify read verdicts, which stop at the first flagged row.
 
+Theorem: where R1 holds under a relation P, R2 and R3 under P are one
+statement.  R1 says f(b,c) == 1 exactly where P(b,c), so for every b the
+c with f(b,c) == 1 are the c with P(b,c): R2's and R3's groups (b, c...)
+are equal, and so are their scans, witnesses and verdicts.  R2 reads no
+relation at all, so a function's R2 verdict is scanned once and kept on
+its rank rows, and R3 reads it under every relation whose masks equal
+R1's masks of f.
+
 Class names: RIF requires R1 and R2, qRIF requires R0 and R2, wqRIF
 requires R0 and R3.  classify returns the most specific one.
 """
@@ -195,7 +203,8 @@ class _RankedRows:
     read, for the axiom scans only: comp[r] is the rank of 1 - image[r]/den
     (-1 when absent), one_masks[i] and zero_masks[i] have bit j set iff
     f(a_i, a_j) == 1, resp. == 0, one_groups are the groups of the nonzero
-    one_masks, and masks(i) gives row i's rank masks.
+    one_masks, and masks(i) gives row i's rank masks.  order_verdict is
+    the verdict of R2's order scan once one was read, else None.
     """
 
     def __init__(self, f: InclusionFunction):
@@ -208,6 +217,7 @@ class _RankedRows:
         self.one = rank.get(self.den, -1)
         self.zero = rank.get(0, -1)
         self._masks, self._bits = [None] * n, [1 << j for j in range(n)]
+        self.order_verdict: Optional[bool] = None
 
     comp = cached_property(lambda fr: [fr._rank.get(fr.den - x, -1) for x in fr.image])
     one_masks = cached_property(lambda fr: [_row_mask(row, fr.one) for row in fr.rows])
@@ -375,8 +385,18 @@ def check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood"
 
 def _verdict(f: InclusionFunction, axiom: str, relation: str) -> tuple[bool, int]:
     """(holds, skipped) of check_rif_axiom(f, axiom, relation), stopping at
-    the first flagged row instead of listing every witness."""
+    the first flagged row instead of listing every witness.
+
+    R2 reads no relation, and where f's one_masks equal the relation's
+    masks, R1 holds and R3 is R2's scan (the theorem in the module
+    docstring).  The first of them asked scans, and each later one reads
+    its verdict, kept as f's order_verdict.  Every other verdict scans."""
     scan, skipped = _axiom_kernel(f, axiom, relation, None)
+    fr = f._ranked
+    if axiom == "R2" or (axiom == "R3" and fr.one_masks == _space_rows(f.space, relation).rel_masks):
+        if fr.order_verdict is None:
+            fr.order_verdict = next(scan, 0) == 0
+        return fr.order_verdict, skipped
     return next(scan, 0) == 0, skipped
 
 

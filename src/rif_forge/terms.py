@@ -26,6 +26,7 @@ position and the token set expected there.
 from __future__ import annotations
 
 import re
+from collections.abc import MutableMapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
@@ -269,13 +270,60 @@ def parse_term(text: str) -> AlgebraTerm:
     return _Parser(text).parse()
 
 
+def term_nodes(term: AlgebraTerm) -> int:
+    """The number of nodes of term.  Evaluating it builds at most one
+    function per node."""
+    op = _BY_NODE.get(type(term))
+    if op is None:
+        return 1
+    return 1 + sum(term_nodes(getattr(term, field.name))
+                   for kind, field in zip(op.kinds, fields(term)) if kind == "term")
+
+
 # -- evaluation ---------------------------------------------------------------
 
 
-def default_env(s: GranularSpace) -> dict[str, InclusionFunction]:
+class FunctionEnv(MutableMapping):
+    """Names bound to functions, some of them given as builders: a name's
+    builder runs the first time the name's function is read (through [],
+    get, items or values), and its function is kept.  Iterating and `in`
+    build nothing.  Binding a name replaces its builder or function."""
+
+    def __init__(self, builders: Mapping[str, Callable[[], InclusionFunction]]):
+        self._builders = dict(builders)
+        self._functions: dict[str, InclusionFunction] = {}
+
+    def __getitem__(self, name: str) -> InclusionFunction:
+        if name in self._builders:
+            self._functions[name] = self._builders[name]()
+            del self._builders[name]
+        return self._functions[name]
+
+    def __setitem__(self, name: str, f: InclusionFunction) -> None:
+        self._builders.pop(name, None)
+        self._functions[name] = f
+
+    def __delitem__(self, name: str) -> None:
+        if self._builders.pop(name, None) is None:
+            del self._functions[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._functions or name in self._builders
+
+    def __iter__(self):
+        return iter([*self._functions, *self._builders])
+
+    def __len__(self) -> int:
+        return len(self._functions) + len(self._builders)
+
+
+def default_env(s: GranularSpace) -> FunctionEnv:
     """The built-in named functions available to terms on a set-extensional
-    space."""
-    return {"k0": k0(s), "k1": k1(s), "k2": k2(s)}
+    space: k0, k1 and k2, each built the first time it is read, so a term
+    that names k0 alone builds k0 alone."""
+    # the builders look k0, k1 and k2 up when they run, so a wrapper bound
+    # to those names later on (a profiler's, say) sees the builds
+    return FunctionEnv({"k0": lambda: k0(s), "k1": lambda: k1(s), "k2": lambda: k2(s)})
 
 
 def eval_term(

@@ -1,7 +1,7 @@
 import pytest
 
 from fixture_data import FIXTURE_PATH
-from rif_forge import load_space, powerset_space
+from rif_forge import load_space, powerset_space, terms
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +14,17 @@ def two_block_space():
     """Three objects, blocks {x1,x2} and {x3}; the smallest space where
     sharp composition leaves the RIF class."""
     return powerset_space(["x1", "x2", "x3"], [["x1", "x2"], ["x3"]])
+
+
+@pytest.fixture()
+def built_base_functions(monkeypatch):
+    """The names of the base functions k0, k1 and k2 that terms build, in
+    the order they are built."""
+    names = []
+    for name in ("k0", "k1", "k2"):
+        build = getattr(terms, name)
+        monkeypatch.setattr(terms, name, lambda s, name=name, build=build: names.append(name) or build(s))
+    return names
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,12 @@ from fractions import Fraction, Fraction as F
 from itertools import product
 from math import gcd
 from random import Random
-from typing import Sequence
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rif_forge import algebra
 from rif_forge import (
     CarrierError,
     DegenerateSpaceError,
@@ -46,8 +47,8 @@ from rif_forge import (
     space_from_dict,
     top_function,
 )
-from rif_forge.algebra import _LawInputs, _check_alpha, _law, _same_space, _scan
-from rif_forge.inclusion import ONE, ZERO
+from rif_forge.algebra import SearchResult, _LawInputs, _check_alpha, _law, _same_space, _scan
+from rif_forge.inclusion import ONE, ZERO, class_from_axioms
 
 SINGLE_ELEMENT = {
     "flavor": "HGOS",
@@ -268,6 +269,76 @@ class TestFailureSearch:
         assert result.sharp_witness is not None
         # independent confirmation: the sharpened base function leaves RIF
         assert classify(sharp(k0(two_block_space))) != "RIF"
+
+
+def naive_rif_failure_search(s: GranularSpace, budget: int, seed: int = 0,
+                             classified: Optional[list] = None) -> SearchResult:
+    """rif_failure_search as it was before classes were kept per canonical
+    form: one classification per function built, each from full reports.
+    The canonical form of each function classified is appended to
+    classified."""
+    def naive_classify_by_reports(f: InclusionFunction) -> str:
+        if classified is not None:
+            classified.append((f.den, tuple(f.nums)))
+        return class_from_axioms({ax: check_rif_axiom(f, ax).holds for ax in ("R0", "R1", "R2", "R3")})
+
+    rng = Random(seed)
+    base = [k0(s), k1(s), k2(s)]
+    pool = [f for f in base if naive_classify_by_reports(f) == "RIF"]
+    for f in base:
+        for g in base:
+            prod = otimes(f, g)
+            if naive_classify_by_reports(prod) == "RIF" and not any(prod.pointwise_equal(p) for p in pool):
+                pool.append(prod)
+    otimes_checked = 0
+    otimes_counterexample = None
+    for f in pool:
+        for g in pool:
+            prod = otimes(f, g)
+            otimes_checked += 1
+            if naive_classify_by_reports(prod) != "RIF":
+                otimes_counterexample = prod.label
+                break
+        if otimes_counterexample:
+            break
+    oplus_witness = None
+    trials = 0
+    while trials < budget and oplus_witness is None:
+        trials += 1
+        f = rng.choice(pool)
+        g = rng.choice(pool)
+        den = rng.randint(1, 12)
+        cand = oplus(Fraction(rng.randint(0, den), den), f, g)
+        report = check_rif_axiom(cand, "R1")
+        if not report.holds:
+            oplus_witness = (cand.label, report.witnesses)
+    sharp_witness = None
+    for f in pool:
+        sf = sharp(f)
+        report = check_rif_axiom(sf, "R1")
+        if not report.holds:
+            sharp_witness = (sf.label, report.witnesses)
+            break
+    return SearchResult(tuple(f.label for f in pool), trials, oplus_witness, sharp_witness,
+                        otimes_checked, otimes_counterexample)
+
+
+@pytest.mark.parametrize("objects", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed, budget", [(0, 1), (1, 20), (7, 50)])
+def test_search_classifies_each_product_once_with_the_same_result(objects, seed, budget, monkeypatch):
+    names = [f"o{i}" for i in range(objects)]
+    s = powerset_space(names, random_partition(names, Random(seed)))
+    classified = []
+
+    def counted(f, *args):
+        classified.append((f.den, tuple(f.nums)))
+        return classify(f, *args)
+
+    monkeypatch.setattr(algebra, "classify", counted)
+    naive_classified = []
+    assert rif_failure_search(s, budget, seed) == naive_rif_failure_search(s, budget, seed, naive_classified)
+    # one classification per distinct function the former search classified
+    assert sorted(classified) == sorted(set(naive_classified))
 
 
 @settings(max_examples=25, deadline=None)

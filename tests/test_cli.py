@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from fixture_data import FIXTURE_PATH, APPROXIMATION_ROWS
 from rif_forge import powerset_space, save_space, space_from_dict, space_to_dict, validate_space
+from rif_forge import terms
 from rif_forge.cli import main
 
 
@@ -310,6 +311,124 @@ class TestWorkBudget:
         assert result.stderr == (
             "error: estimated work 16,777,216 exceeds the budget of 10,000,000 (4,096 elements)\n")
         assert result.stdout == ""
+
+
+# 255 nodes whose value is k0: over the budget on the 8-object power set
+# (256 * 256 * 256 units), far inside it on the 9-element fixture
+BIG_TERM = "otimes(top," * 127 + "k0" + ")" * 127
+
+
+@pytest.fixture(scope="module")
+def eight_object_space(tmp_path_factory):
+    path = tmp_path_factory.mktemp("large") / "powerset8.json"
+    objects = [f"o{i}" for i in range(8)]
+    save_space(powerset_space(objects, [objects[:3], objects[3:]]), path)
+    return str(path)
+
+
+class TestTermWorkBudget:
+    """Commands that evaluate terms ask the work budget over every term's
+    nodes first: each node builds one function of n * n values."""
+
+    @pytest.mark.parametrize("command", [
+        ["classify", "{space}", BIG_TERM],
+        ["prif-verify", "{space}", "--function", BIG_TERM],
+        ["vprs", "{space}", "{{o0}}", "--function", BIG_TERM, "--alpha", "1/2", "--beta", "1/4"],
+        ["fit-alpha", "{space}", BIG_TERM, "k0", "samples.json"],
+        ["check-laws", "{space}", BIG_TERM],
+    ])
+    def test_a_large_term_on_a_large_space_exits_2(self, runner, eight_object_space, command):
+        result = runner.invoke(main, [arg.format(space=eight_object_space) for arg in command])
+        assert result.exit_code == 2, result.exception
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: estimated work "), result.stderr
+        assert lines[0].endswith(" term nodes)") and "(256 elements" in lines[0]
+        assert result.stdout == ""
+
+    def test_classify_states_the_estimate(self, runner, eight_object_space):
+        result = runner.invoke(main, ["classify", eight_object_space, BIG_TERM])
+        assert result.stderr == ("error: estimated work 16,777,216 exceeds the budget of 10,000,000 "
+                                 "(256 elements, 255 term nodes)\n")
+
+    def test_env_file_terms_count(self, runner, eight_object_space, tmp_path):
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"big": BIG_TERM}), encoding="utf-8")
+        result = runner.invoke(main, ["classify", eight_object_space, "k0", "--env", str(env)])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr == ("error: estimated work 16,842,752 exceeds the budget of 10,000,000 "
+                                 "(256 elements, 256 term nodes)\n")
+
+    def test_the_same_term_passes_on_the_fixture(self, runner, tmp_path):
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"big": BIG_TERM}), encoding="utf-8")
+        result = runner.invoke(main, ["classify", str(FIXTURE_PATH), BIG_TERM])
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout.startswith("class: RIF\n")
+        result = runner.invoke(main, ["check-laws", str(FIXTURE_PATH), "big", "k1", "--env", str(env)])
+        assert result.exit_code == 0, result.stderr
+
+    def test_small_terms_pass_on_the_large_space(self, runner, eight_object_space):
+        result = runner.invoke(main, ["classify", eight_object_space, "kst(k0, 1/4, 3/4)"])
+        assert result.exit_code == 0, result.stderr
+
+
+class TestUnreadableInputs:
+    """An input file that cannot be read as UTF-8 text, or is a directory,
+    exits 2 with one `error: cannot read` line."""
+
+    NOT_UTF8 = b"\xff\xfe{}"
+
+    def assert_cannot_read(self, result, what):
+        assert result.exit_code == 2, result.exception
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {what} "), result.stderr
+        assert result.stdout == ""
+
+    def test_space_file_that_is_a_directory(self, runner, tmp_path):
+        self.assert_cannot_read(runner.invoke(main, ["validate", str(tmp_path)]), "space file")
+
+    def test_space_file_that_is_not_utf8(self, runner, tmp_path):
+        bad = tmp_path / "space.json"
+        bad.write_bytes(self.NOT_UTF8)
+        self.assert_cannot_read(runner.invoke(main, ["validate", str(bad)]), "space file")
+
+    @pytest.mark.parametrize("command", ["classify", "check-laws"])
+    def test_env_file_that_is_not_utf8(self, runner, tmp_path, command):
+        env = tmp_path / "env.json"
+        env.write_bytes(self.NOT_UTF8)
+        result = runner.invoke(main, [command, str(FIXTURE_PATH), "k0", "--env", str(env)])
+        self.assert_cannot_read(result, "environment file")
+
+    def test_samples_file_that_is_not_utf8(self, runner, tmp_path):
+        samples = tmp_path / "samples.json"
+        samples.write_bytes(self.NOT_UTF8)
+        result = runner.invoke(main, ["fit-alpha", str(FIXTURE_PATH), "k0", "k1", str(samples)])
+        self.assert_cannot_read(result, "samples file")
+
+    def test_csv_that_is_not_utf8(self, runner, tmp_path):
+        src = tmp_path / "table.csv"
+        src.write_bytes(b"object,color\no1,r\xffd\n")
+        self.assert_cannot_read(runner.invoke(main, ["derive", str(src)]), "table")
+
+
+class TestBaseFunctionsBuiltOnRead:
+    def test_classify_k0_never_builds_k1_or_k2(self, runner, monkeypatch):
+        def refuse(s):
+            raise AssertionError("built a base function the term does not name")
+
+        monkeypatch.setattr(terms, "k1", refuse)
+        monkeypatch.setattr(terms, "k2", refuse)
+        result = runner.invoke(main, ["classify", str(FIXTURE_PATH), "k0"])
+        assert result.exit_code == 0, result.exception
+        assert result.stdout.startswith("class: RIF\n")
+
+    def test_fit_alpha_builds_each_named_function_once(self, runner, tmp_path, built_base_functions):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps([["ab", "bc", "1/2"]]), encoding="utf-8")
+        result = runner.invoke(main, ["fit-alpha", str(FIXTURE_PATH), "k0", "otimes(k2,k0)", str(samples)])
+        assert result.exit_code == 0, result.exception
+        assert sorted(built_base_functions) == ["k0", "k2"]
 
 
 class TestPrifVerify:

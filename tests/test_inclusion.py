@@ -21,7 +21,7 @@ from rif_forge import (
     satisfies_class,
     verify_prif,
 )
-from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO, _holds
+from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO, _holds, _verdict
 from rif_forge.sampling import random_partition
 
 
@@ -394,12 +394,26 @@ def powerset_spaces(draw):
     return powerset_space(objects, list(blocks.values()))
 
 
-FUNCTION_KINDS = ("kappa", "kappa-unit-diagonal", "k0", "k1", "k2", "kst")
+FUNCTION_KINDS = ("kappa", "kappa-unit-diagonal", "r1-kappa-parthood", "r1-kappa-order",
+                  "k0", "k1", "k2", "kst")
+
+
+def r1_kappa(s, rng: Random, relation: str) -> InclusionFunction:
+    """1 exactly on the pairs related under relation, and a random value
+    below 1 elsewhere: R1 holds under relation, and R2 and R3 mostly fail."""
+    related = s.parthood if relation == "parthood" else s.order
+    values = {}
+    for pair in s.pairs():
+        q = rng.randint(1, 12)
+        values[pair] = F(1) if pair in related else F(rng.randint(0, q - 1), q)
+    return InclusionFunction(s, values, f"r1-kappa-{relation}")
 
 
 def build_function(kind: str, s, seed: int, lo: F, hi: F) -> InclusionFunction:
     if kind == "kappa":
         return random_kappa(s, Random(seed))
+    if kind.startswith("r1-kappa-"):
+        return r1_kappa(s, Random(seed), kind.removeprefix("r1-kappa-"))
     if kind == "kappa-unit-diagonal":
         values = dict(random_kappa(s, Random(seed)).values)
         values.update({(a, a): F(1) for a in s.elements})
@@ -428,6 +442,38 @@ def test_ranked_scan_matches_naive_scan(data, kind, seed, bounds, fixture_space)
         assert classify(f, relation) == naive_classify(holds)
         for verdict in verify_prif(f, relation):
             assert dict(verdict.axioms) == {ax: holds[ax] for ax in verdict.axioms}, verdict.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(FUNCTION_KINDS),
+    seed=st.integers(min_value=0, max_value=10_000),
+    bounds=st.tuples(st.fractions(0, 1, max_denominator=6), st.fractions(0, 1, max_denominator=6))
+    .filter(lambda b: b[0] < b[1]),
+)
+def test_r2_r3_verdicts_in_any_order_match_naive_scan(data, kind, seed, bounds, fixture_space):
+    # R2 and, where R1 holds, R3 share one order-scan verdict; asking them
+    # in either order, alone, or under the other relation first must not
+    # change what either reads
+    s = data.draw(st.one_of(st.just(fixture_space), powerset_spaces()), label="space")
+    f = build_function(kind, s, seed, *bounds)
+    relations = ("parthood", "order")
+    expected = {(ax, rel): naive_check_rif_axiom(f, ax, rel).holds for ax in ("R2", "R3") for rel in relations}
+    r1 = {rel: naive_check_rif_axiom(f, "R1", rel).holds for rel in relations}
+    if kind.startswith("r1-kappa-"):
+        assert r1[kind.removeprefix("r1-kappa-")]
+    for rels in (relations, relations[::-1]):
+        for axioms in (("R2", "R3"), ("R3", "R2"), ("R2",), ("R3",)):
+            g = InclusionFunction._of_rows(s, f.nums, f.den, f.label)
+            for rel in rels:
+                for ax in axioms:
+                    assert _verdict(g, ax, rel) == (expected[ax, rel], 0), (ax, rel, rels, axioms)
+            if "R2" in axioms:
+                assert g._ranked.order_verdict == expected["R2", "parthood"] == expected["R2", "order"]
+            for rel in rels:
+                if r1[rel]:
+                    assert expected["R2", rel] == expected["R3", rel]
 
 
 class _ValueTable:

@@ -769,6 +769,16 @@ class TestWorkBudget:
         assert check_work(9) == 81
         # 81 * (1 + 2) + 2*(2 + 1) + 4 + 8*2 + 16*2
         assert check_work(9, 2, 1) == 243 + 6 + 4 + 16 + 32
+        # each term node builds one function of 81 values
+        assert check_work(9, nodes=5) == 81 * 6
+        assert check_work(9, 2, 1, 5) == 81 * 8 + 6 + 4 + 16 + 32
+
+    def test_term_nodes_are_stated_over_budget(self):
+        assert check_work(256, nodes=151) < WORK_BUDGET
+        with pytest.raises(SizeError, match=r"^estimated work 10,027,008 exceeds .* \(256 elements, 152 term nodes\)$"):
+            check_work(256, nodes=152)
+        with pytest.raises(SizeError, match=r"\(256 elements, 3 functions, 4 weights, 200 term nodes\)$"):
+            check_work(256, 3, 4, 200)
 
     @pytest.mark.parametrize("objects", [12, 17, 10_000])
     def test_power_sets_over_budget_are_refused_before_building(self, objects):

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from rif_forge import (
     AlphaSumTerm,
     BaseTerm,
+    DegenerateSpaceError,
     FlatTerm,
     InputError,
     KstTerm,
@@ -23,6 +24,8 @@ from rif_forge import (
     eval_term,
     evaluate,
     k0,
+    k1,
+    k2,
     parse_term,
     random_set_hgos,
     random_wqrif_term,
@@ -30,7 +33,8 @@ from rif_forge import (
 )
 from fixture_data import FIXTURE_PATH
 from rif_forge.cli import main
-from rif_forge.terms import MAX_POW_EXPONENT, RESERVED
+from rif_forge import terms
+from rif_forge.terms import MAX_POW_EXPONENT, RESERVED, term_nodes
 
 
 class TestParsing:
@@ -209,6 +213,72 @@ class TestEvaluation:
     def test_top_term(self, fixture_space):
         f = evaluate("top", fixture_space)
         assert all(v == 1 for v in f.values.values())
+
+
+class TestDefaultEnv:
+    """default_env names k0, k1 and k2 from the start and builds each the
+    first time it is read."""
+
+    @pytest.fixture()
+    def built(self, built_base_functions):
+        return built_base_functions
+
+    def test_names_are_listed_before_any_is_built(self, fixture_space, built):
+        env = default_env(fixture_space)
+        assert sorted(env) == ["k0", "k1", "k2"] and len(env) == 3
+        assert "k1" in env and "k3" not in env
+        assert built == []
+
+    def test_each_read_builds_once(self, fixture_space, built):
+        env = default_env(fixture_space)
+        f = env["k1"]
+        assert env["k1"] is f and built == ["k1"]
+        assert env.get("k2").pointwise_equal(k2(fixture_space)) and built == ["k1", "k2"]
+        assert env.get("k3") is None
+        assert {name: g.label for name, g in env.items()} == {"k0": "k0", "k1": "k1", "k2": "k2"}
+        assert sorted(g.label for g in env.values()) == ["k0", "k1", "k2"]
+        assert sorted(built) == ["k0", "k1", "k2"]
+
+    def test_binding_replaces_a_builder(self, fixture_space, built):
+        env = default_env(fixture_space)
+        env["k0"] = k1(fixture_space)
+        env["extra"] = k2(fixture_space)
+        del env["k2"]
+        assert sorted(env) == ["extra", "k0", "k1"]
+        assert env["k0"].label == "k1" and built == []
+        with pytest.raises(KeyError):
+            del env["k2"]
+
+    def test_a_failed_build_keeps_its_name(self, fixture_space, monkeypatch):
+        def degenerate(s):
+            raise DegenerateSpaceError("k2 needs a nonempty top carrier")
+
+        monkeypatch.setattr(terms, "k2", degenerate)
+        env = default_env(fixture_space)
+        with pytest.raises(DegenerateSpaceError):
+            env["k2"]
+        assert sorted(env) == ["k0", "k1", "k2"]
+
+    def test_evaluate_builds_only_what_the_term_reads(self, fixture_space, built):
+        assert evaluate("otimes(k0, sharp(k0))", fixture_space).label == "otimes(k0,sharp(k0))"
+        assert built == ["k0"]
+
+    def test_unbound_name_lists_every_default_name(self, fixture_space, built):
+        with pytest.raises(ResolutionError, match=r"^name 'mystery' is not bound \(have: k0, k1, k2\)$"):
+            evaluate("mystery", fixture_space)
+        assert built == []
+
+
+@pytest.mark.parametrize("text, nodes", [
+    ("k0", 1),
+    ("top", 1),
+    ("sharp(k1)", 2),
+    ("oplus(1/2, otimes(k0, top), kst(sigma(k1), 1/4, 3/4))", 7),
+    ("pow(flat(pow(k2, 2)), 3)", 4),
+    ("sharp(" * 200 + "k0" + ")" * 200, 201),
+])
+def test_term_nodes_counts_every_node(text, nodes):
+    assert term_nodes(parse_term(text)) == nodes
 
 
 def test_random_terms_evaluate_to_weak_quasi_members():
