@@ -423,6 +423,17 @@ class TestBaseFunctionsBuiltOnRead:
         assert result.exit_code == 0, result.exception
         assert result.stdout.startswith("class: RIF\n")
 
+    def test_env_file_rebinds_a_base_name(self, runner, tmp_path, built_base_functions):
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"k0": "kst(k1, 1/4, 3/4)"}), encoding="utf-8")
+        result = runner.invoke(main, ["classify", str(FIXTURE_PATH), "k0", "--env", str(env), "--format", "json"])
+        assert result.exit_code == 0, result.exception
+        assert built_base_functions == ["k1"]
+        direct = runner.invoke(main, ["classify", str(FIXTURE_PATH), "kst(k1, 1/4, 3/4)", "--format", "json"])
+        rebound, expected = json.loads(result.stdout), json.loads(direct.stdout)
+        assert rebound["term"] == "k0"
+        assert (rebound["class"], rebound["axioms"]) == (expected["class"], expected["axioms"])
+
     def test_fit_alpha_builds_each_named_function_once(self, runner, tmp_path, built_base_functions):
         samples = tmp_path / "samples.json"
         samples.write_text(json.dumps([["ab", "bc", "1/2"]]), encoding="utf-8")
