@@ -31,7 +31,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rif_forge.algebra import rif_failure_search
 from rif_forge.inclusion import (
-    RIF_AXIOM_ORDER, InclusionFunction, _holds, check_rif_axiom, classify, k0, k1, k2, kst,
+    RIF_AXIOM_ORDER, InclusionFunction, _verdict, check_rif_axiom, classify, k0, k1, k2, kst,
     random_kappa, verify_prif,
 )
 from rif_forge.sampling import random_partition
@@ -94,7 +94,7 @@ def main() -> None:
                 return check_rif_axiom(g, axiom)
 
             def verdict(g):
-                return _holds(g, axiom, "parthood")
+                return _verdict(g, axiom, "parthood")[0]
 
             ms, rep = best_ms(report, lambda: fresh(f), args.repeat)
             ms_built, _ = best_ms(report, lambda: ready, args.repeat)

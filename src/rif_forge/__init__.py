@@ -39,9 +39,7 @@ from .space import (
     save_space,
     space_from_dict,
     space_to_dict,
-    strong_weak_equal,
     validate_space,
-    weak_equal,
 )
 from .table import (
     EquivalenceRelation,

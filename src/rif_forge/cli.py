@@ -133,6 +133,14 @@ def _rat(text: str) -> Fraction:
         raise ParameterError(f"not a rational: {text!r}") from exc
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path, which the error messages call what."""
+    try:
+        return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _evaluate(s: GranularSpace, texts: Iterable[str], env_path: Optional[str] = None,
               functions: int = 0, weights: int = 0,
               more: Iterable[terms.AlgebraTerm] = ()) -> list[InclusionFunction]:
@@ -146,10 +154,7 @@ def _evaluate(s: GranularSpace, texts: Iterable[str], env_path: Optional[str] = 
     """
     named = []
     if env_path:
-        try:
-            raw = json.loads(pathlib.Path(env_path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read environment file {env_path}: {exc}") from exc
+        raw = _read_json(env_path, "environment file")
         if not (isinstance(raw, dict) and all(isinstance(text, str) for text in raw.values())):
             raise InputError("environment file must map names to term strings")
         named = [(name, terms.parse_term(text)) for name, text in raw.items()]
@@ -226,7 +231,7 @@ def approximate(space_file, fmt, out):
     return 0
 
 
-@main.command()
+@main.command(name="classify")
 @click.argument("space_file")
 @click.argument("term")
 @click.option("--relation", type=click.Choice(["parthood", "order"]), default="parthood",
@@ -252,9 +257,6 @@ def classify_cmd(space_file, term, relation, env_path, fmt, out):
         lines.append(f"{ax}: {'pass' if holds else 'fail'}{note}")
     _emit(fmt, out, payload, lines)
     return 0 if named != "none" else EXIT_SEMANTIC
-
-
-main.add_command(classify_cmd, name="classify")
 
 
 @main.command(name="check-laws")
@@ -361,34 +363,18 @@ def rif_failure_search_cmd(space_file, budget, seed, fmt, out):
     """Hunt for operations that push RIFs out of the RIF class."""
     s = _load(space_file)
     res = algebra.rif_failure_search(s, budget, seed)
-    payload = {
-        "rif_pool": list(res.rif_pool),
-        "trials": res.trials,
-        "oplus_witness": None
-        if res.oplus_witness is None
-        else {"function": res.oplus_witness[0],
-              "pairs": [list(w) for w in res.oplus_witness[1]]},
-        "sharp_witness": None
-        if res.sharp_witness is None
-        else {"function": res.sharp_witness[0],
-              "pairs": [list(w) for w in res.sharp_witness[1]]},
-        "otimes_checked": res.otimes_checked,
-        "otimes_counterexample": res.otimes_counterexample,
-    }
-    lines = [
-        f"pool: {', '.join(res.rif_pool)}",
-        f"convex-sum trials: {res.trials}",
-    ]
-    if res.oplus_witness:
-        lines.append(f"convex-sum witness: {res.oplus_witness[0]}")
-        lines += _tuple_lines("pair", res.oplus_witness[1][:5])
-    else:
-        lines.append("convex-sum witness: none found")
-    if res.sharp_witness:
-        lines.append(f"sharp witness: {res.sharp_witness[0]}")
-        lines += _tuple_lines("pair", res.sharp_witness[1][:5])
-    else:
-        lines.append("sharp witness: none found")
+    payload = {"rif_pool": list(res.rif_pool), "trials": res.trials}
+    lines = [f"pool: {', '.join(res.rif_pool)}", f"convex-sum trials: {res.trials}"]
+    for key, name, witness in (("oplus_witness", "convex-sum", res.oplus_witness),
+                               ("sharp_witness", "sharp", res.sharp_witness)):
+        if witness is None:
+            payload[key] = None
+            lines.append(f"{name} witness: none found")
+        else:
+            payload[key] = {"function": witness[0], "pairs": [list(w) for w in witness[1]]}
+            lines.append(f"{name} witness: {witness[0]}")
+            lines += _tuple_lines("pair", witness[1][:5])
+    payload.update(otimes_checked=res.otimes_checked, otimes_counterexample=res.otimes_counterexample)
     lines.append(
         f"products rechecked: {res.otimes_checked}, "
         f"counterexample: {res.otimes_counterexample or 'none'}"
@@ -450,10 +436,7 @@ def fit_alpha_cmd(space_file, f_term, h_term, samples_file, fmt, out):
     """
     s = _load(space_file)
     f, h = _evaluate(s, [f_term, h_term])
-    try:
-        raw = json.loads(pathlib.Path(samples_file).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read samples file {samples_file}: {exc}") from exc
+    raw = _read_json(samples_file, "samples file")
     if not isinstance(raw, list):
         raise InputError("samples file must hold a list of [x, y, value] triples")
     samples = []

@@ -400,11 +400,6 @@ def _verdict(f: InclusionFunction, axiom: str, relation: str) -> tuple[bool, int
     return next(scan, 0) == 0, skipped
 
 
-def _holds(f: InclusionFunction, axiom: str, relation: str) -> bool:
-    """check_rif_axiom(f, axiom, relation).holds, read as a verdict."""
-    return _verdict(f, axiom, relation)[0]
-
-
 def class_from_axioms(holds: Mapping[str, bool]) -> str:
     """Most specific of RIF, qRIF, wqRIF, or 'none', from which of R0, R1,
     R2 and R3 hold."""
@@ -420,7 +415,7 @@ def class_from_axioms(holds: Mapping[str, bool]) -> str:
 def classify(f: InclusionFunction, relation: str = "parthood") -> str:
     """Most specific of RIF, qRIF, wqRIF, or 'none'."""
     return class_from_axioms(
-        {ax: _holds(f, ax, relation) for ax in ("R0", "R1", "R2", "R3")}
+        {ax: _verdict(f, ax, relation)[0] for ax in ("R0", "R1", "R2", "R3")}
     )
 
 
@@ -467,7 +462,7 @@ def verify_prif(f: InclusionFunction, relation: str = "parthood") -> list[PrifVe
     prif7, prif8 and prif9 are only meaningful on complement-closed
     set-HGOS; elsewhere they are reported as not applicable.
     """
-    ax = {name: _holds(f, name, relation) for name in RIF_AXIOM_ORDER}
+    ax = {name: _verdict(f, name, relation)[0] for name in RIF_AXIOM_ORDER}
     on_sets = complement_closed_set_hgos(f.space)
 
     def pick(*names: str) -> dict[str, bool]:

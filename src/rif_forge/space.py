@@ -7,22 +7,18 @@ explicit and finite, and stored by element index (SpaceTables): a relation
 is one bitmask row per element, an operation one row of result indices per
 element, -1 where it is undefined, and an approximation map one index per
 element.  Documents, the constructor and powerset_space all write these
-tables; the id forms s.parthood and s.order (sets of id pairs), s.join and
-s.meet (dicts from id pairs to ids, a missing key meaning undefined), and
-s.lower and s.upper (dicts from ids to ids) are views built on first read.
+tables, the only copy of the relations, operations and maps; by id, a
+space answers part, leq, join_of, meet_of, lower_of and upper_of from them.
 
-Equalities between possibly-undefined operation values come in two
-strengths.  The weak reading holds unless both sides are defined and
-differ; the strong weak reading additionally demands that definedness
-agree.  Axiom checkers below use the weak reading for the lattice axioms
-and count the instances they had to skip.
+An equality between possibly-undefined operation values is read weakly:
+it holds unless both sides are defined and differ.  The lattice axioms
+below use that reading and count the instances they had to skip.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -37,8 +33,6 @@ from .errors import (
 
 FLAVORS = ("GGS", "GS", "HGOS", "setHGOS")
 
-ADMISSIBILITY_ORDER = ("WRA", "LS", "FU")
-
 # The most work one construction or law check may take on, in the units of
 # check_work's estimate.
 WORK_BUDGET = 10**7
@@ -47,20 +41,6 @@ WORK_BUDGET = 10**7
 def render_carrier(carrier: Iterable[str]) -> str:
     """Canonical brace rendering of an extensional carrier, sorted tokens."""
     return "{" + ",".join(sorted(carrier)) + "}"
-
-
-def weak_equal(lhs: Optional[str], rhs: Optional[str]) -> bool:
-    """True unless both sides are defined and differ."""
-    if lhs is None or rhs is None:
-        return True
-    return lhs == rhs
-
-
-def strong_weak_equal(lhs: Optional[str], rhs: Optional[str]) -> bool:
-    """True iff definedness agrees and defined values agree."""
-    if (lhs is None) != (rhs is None):
-        return False
-    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -160,15 +140,6 @@ class GranularSpace:
         if failure := _extensionality_failure(self):
             raise StructuralError(f"flavor setHGOS requires {failure}")
 
-    # -- string views of the tables, built on first read -------------------
-
-    parthood = cached_property(lambda s: frozenset(_pair_ids(s.elements, s.tables.parthood)))
-    order = cached_property(lambda s: frozenset(_pair_ids(s.elements, s.tables.order)))
-    join = cached_property(lambda s: {(a, b): r for a, b, r in _entry_ids(s.elements, s.tables.join)})
-    meet = cached_property(lambda s: {(a, b): r for a, b, r in _entry_ids(s.elements, s.tables.meet)})
-    lower = cached_property(lambda s: dict(zip(s.elements, map(s.elements.__getitem__, s.tables.lower))))
-    upper = cached_property(lambda s: dict(zip(s.elements, map(s.elements.__getitem__, s.tables.upper))))
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -252,16 +223,6 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _pair_ids(els: Sequence[str], masks: list[int]) -> list[tuple[str, str]]:
-    """(a_i, a_j) for each bit j of each masks[i], in index order."""
-    return [(els[i], els[j]) for i, m in enumerate(masks) for j in _bits(m)]
-
-
-def _entry_ids(els: Sequence[str], rows: list[list[int]]) -> list[tuple[str, str, str]]:
-    """(a_i, a_j, a_r) for each defined r = rows[i][j], in index order."""
-    return [(els[i], els[j], els[r]) for i, row in enumerate(rows) for j, r in enumerate(row) if r >= 0]
 
 
 @dataclass(eq=False)
@@ -488,11 +449,31 @@ def granular_upper(s: GranularSpace, x: str) -> str:
 
 def _granular(key: str, s: GranularSpace, x: str) -> str:
     for eid in s.elements:
-        if eid not in s.carriers:
-            raise CarrierError(f"element {eid!r} has no carrier")
+        s.carrier_of(eid)  # CarrierError for the first element without one
     if x not in s._index:
         raise InputError(f"unknown element {x!r}")
-    return s.elements[_derive_granular(key, [x], s._index, s.carriers, s.granulation, s.tables.parthood)[0]]
+    t = s.tables
+    grans = [t.index[g] for g in s.granulation]
+    return s.elements[_granule_unions(key, [t.index[x]], t.carriers, grans, t.parthood, t.objects)[0]]
+
+
+def _granule_unions(key: str, cols, masks: list[int], grans: list[int], parthood: list[int],
+                    objects: list[str]) -> list[int]:
+    """Per element index x of cols, the index of the element whose carrier
+    is the union of the granules grans that are parts of x (lower) or whose
+    carriers meet x's (upper).  Each union must be an element."""
+    at = {m: i for i, m in enumerate(masks)}
+    out = []
+    for x in cols:
+        union, cx = 0, masks[x]
+        for g in grans:
+            if parthood[g] >> x & 1 if key == "lower" else masks[g] & cx:
+                union |= masks[g]
+        if union not in at:
+            shown = render_carrier(objects[b] for b in _bits(union))
+            raise ClosureError(f"union carrier {shown} is not an element")
+        out.append(at[union])
+    return out
 
 
 def classify_flavor(s: GranularSpace) -> str:
@@ -582,14 +563,14 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
     bit = {o: 1 << i for i, o in enumerate(ordered)}
     masks = [sum(map(bit.__getitem__, c)) for c in universe]
     at = {m: i for i, m in enumerate(masks)}
-    block_masks = [sum(map(bit.__getitem__, b)) for b in blks]  # disjoint: sums are unions
+    grans = [at[sum(map(bit.__getitem__, b))] for b in blks]
     part = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
+    lower, upper = (_granule_unions(key, range(len(masks)), masks, grans, part, ordered)
+                    for key in ("lower", "upper"))
     tables = SpaceTables(
         ids, {eid: i for i, eid in enumerate(ids)}, part, part,
         [[at[a | b] for b in masks] for a in masks], [[at[a & b] for b in masks] for a in masks],
-        [at[sum(b for b in block_masks if a & b == b)] for a in masks],
-        [at[sum(b for b in block_masks if a & b)] for a in masks],
-        ordered, masks,
+        lower, upper, ordered, masks,
     )
     granulation = [render_carrier(b) for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
     return GranularSpace._of_tables(tables, dict(zip(ids, universe)), granulation, ids[0], ids[-1], "setHGOS")
@@ -676,8 +657,11 @@ def _read(ids: list, carriers: dict, raw) -> tuple:
         problems.append(StructuralError("granulation ids must be unique"))
     if unknown := [g for g in granulation if g not in index]:
         problems.append(StructuralError(f"granulation names unknown element {unknown[0]!r}"))
-    lower = _approximation(raw, "lower", ids, index, carriers, parthood, problems)
-    upper = _approximation(raw, "upper", ids, index, carriers, parthood, problems)
+    objects = sorted(set().union(*carriers.values()))
+    bit = {o: 1 << i for i, o in enumerate(objects)}
+    masks = [sum(map(bit.__getitem__, carriers[e])) for e in ids] if set(carriers) == set(ids) else None
+    lower = _approximation(raw, "lower", ids, index, masks, objects, parthood, problems)
+    upper = _approximation(raw, "upper", ids, index, masks, objects, parthood, problems)
     for key in ("bottom", "top"):
         if not isinstance(raw[key], str):
             problems.append(SpaceFormatError(f"{key} must be a string id"))
@@ -702,9 +686,6 @@ def _read(ids: list, carriers: dict, raw) -> tuple:
     if problems:
         raise problems[0]
 
-    objects = sorted(set().union(*carriers.values()))
-    bit = {o: 1 << i for i, o in enumerate(objects)}
-    masks = [sum(map(bit.__getitem__, carriers[e])) for e in ids] if len(carriers) == len(ids) else None
     tables = SpaceTables(tuple(ids), index, parthood, order, join, meet, lower, upper, objects, masks)
     return tables, carriers, granulation, raw["bottom"], raw["top"], raw["flavor"]
 
@@ -793,19 +774,20 @@ def _conflict(where: str, shown: str, value: str, earlier: str) -> SpaceFormatEr
     return SpaceFormatError(f"{where} maps {shown} to {value!r}, but an earlier entry maps it to {earlier!r}")
 
 
-def _approximation(raw, key: str, ids: list, index: dict, carriers: dict, parthood: list[int],
-                   problems: list) -> list[int]:
+def _approximation(raw, key: str, ids: list, index: dict, masks: Optional[list[int]], objects: list[str],
+                   parthood: list[int], problems: list) -> list[int]:
     """The lower or upper section as one index per element: read from its
     pairs, after all of them are checked for shape, or derived from the
     granules ('granular')."""
     val = raw[key]
     if val == "granular":
-        if set(carriers) != set(ids):
+        if masks is None:
             raise SpaceFormatError(f"{key} mode 'granular' needs a carrier on every element")
         for g in raw["granulation"]:
             if g not in index:
                 raise StructuralError(f"granulation names unknown element {g!r}")
-        return _derive_granular(key, ids, index, carriers, raw["granulation"], parthood)
+        grans = [index[g] for g in raw["granulation"]]
+        return _granule_unions(key, [index[x] for x in ids], masks, grans, parthood, objects)
     if not isinstance(val, list):
         raise SpaceFormatError(f"{key} must be an array of pairs or 'granular'")
     out, seen, conflict, stray = [-1] * len(ids), {}, None, None
@@ -827,22 +809,6 @@ def _approximation(raw, key: str, ids: list, index: dict, carriers: dict, partho
     return out
 
 
-def _derive_granular(key: str, ids: list, index: dict, carriers: dict, granulation: list,
-                     parthood: list[int]) -> list[int]:
-    """lower: the union of the granules that are parts of x; upper: of the
-    granules whose carriers meet x's.  Each union must be an element."""
-    by_carrier = {c: e for e, c in carriers.items()}
-    grans = [(index[g], carriers[g]) for g in granulation]
-    out = []
-    for x in ids:
-        i, cx = index[x], carriers[x]
-        union = frozenset().union(*[c for g, c in grans if (parthood[g] >> i & 1 if key == "lower" else c & cx)])
-        if union not in by_carrier:
-            raise ClosureError(f"union carrier {render_carrier(union)} is not an element")
-        out.append(index[by_carrier[union]])
-    return out
-
-
 def space_to_dict(s: GranularSpace) -> dict:
     """Deterministic JSON-ready representation; inverse of space_from_dict.
     Rows come in element index order."""
@@ -853,20 +819,16 @@ def space_to_dict(s: GranularSpace) -> dict:
         if eid in s.carriers:
             entry["carrier"] = sorted(s.carriers[eid])
         elements.append(entry)
-
-    return {
-        "elements": elements,
-        "parthood": [list(p) for p in _pair_ids(els, t.parthood)],
-        "order": [list(p) for p in _pair_ids(els, t.order)],
-        "join": [list(e) for e in _entry_ids(els, t.join)],
-        "meet": [list(e) for e in _entry_ids(els, t.meet)],
-        "granulation": list(s.granulation),
-        "lower": [[x, els[v]] for x, v in zip(els, t.lower)],
-        "upper": [[x, els[v]] for x, v in zip(els, t.upper)],
-        "bottom": s.bottom,
-        "top": s.top,
-        "flavor": s.flavor,
-    }
+    doc = {"elements": elements}
+    for key in ("parthood", "order"):
+        doc[key] = [[els[i], els[j]] for i, m in enumerate(getattr(t, key)) for j in _bits(m)]
+    for key in ("join", "meet"):
+        doc[key] = [[els[i], els[j], els[r]] for i, row in enumerate(getattr(t, key))
+                    for j, r in enumerate(row) if r >= 0]
+    doc["granulation"] = list(s.granulation)
+    for key in ("lower", "upper"):
+        doc[key] = [[x, els[v]] for x, v in zip(els, getattr(t, key))]
+    return doc | {"bottom": s.bottom, "top": s.top, "flavor": s.flavor}
 
 
 def save_space(s: GranularSpace, path) -> None:

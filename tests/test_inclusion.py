@@ -21,7 +21,7 @@ from rif_forge import (
     satisfies_class,
     verify_prif,
 )
-from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO, _holds, _verdict
+from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO, _verdict
 from rif_forge.sampling import random_partition
 
 
@@ -401,11 +401,11 @@ FUNCTION_KINDS = ("kappa", "kappa-unit-diagonal", "r1-kappa-parthood", "r1-kappa
 def r1_kappa(s, rng: Random, relation: str) -> InclusionFunction:
     """1 exactly on the pairs related under relation, and a random value
     below 1 elsewhere: R1 holds under relation, and R2 and R3 mostly fail."""
-    related = s.parthood if relation == "parthood" else s.order
+    related = s.part if relation == "parthood" else s.leq
     values = {}
     for pair in s.pairs():
         q = rng.randint(1, 12)
-        values[pair] = F(1) if pair in related else F(rng.randint(0, q - 1), q)
+        values[pair] = F(1) if related(*pair) else F(rng.randint(0, q - 1), q)
     return InclusionFunction(s, values, f"r1-kappa-{relation}")
 
 
@@ -498,7 +498,7 @@ def test_masks_wider_than_a_word_match_naive_scan():
     s = powerset_space([f"x{i}" for i in range(6)], [["x0", "x1"], ["x2"], ["x3", "x4", "x5"]])
     assert len(s.elements) == 64
     # order and parthood are both inclusion here, so one naive scan serves both
-    assert s.order == s.parthood
+    assert s.tables.order == s.tables.parthood
     for f in wide_functions(s):
         expected = {ax: naive_check_rif_axiom(_ValueTable(f), ax) for ax in RIF_AXIOM_ORDER}
         holds = {ax: r.holds for ax, r in expected.items()}
@@ -515,4 +515,4 @@ def test_verdicts_on_128_elements_match_reports(relation):
     s = powerset_space([f"x{i}" for i in range(7)], [["x0", "x1", "x2"], ["x3"], ["x4", "x5", "x6"]])
     for f in wide_functions(s):
         for axiom in RIF_AXIOM_ORDER:
-            assert _holds(f, axiom, relation) == check_rif_axiom(f, axiom, relation).holds, (f.label, axiom)
+            assert _verdict(f, axiom, relation)[0] == check_rif_axiom(f, axiom, relation).holds, (f.label, axiom)

@@ -449,8 +449,7 @@ def naive_to_dict(s: NaiveSpace) -> dict:
     }
 
 
-SPACE_FIELDS = ("elements", "carriers", "parthood", "order", "join", "meet", "granulation",
-                "lower", "upper", "bottom", "top", "flavor")
+SPACE_FIELDS = ("elements", "carriers", "granulation", "bottom", "top", "flavor")
 
 
 def assert_same_space(s, naive):
@@ -581,3 +580,14 @@ def test_powerset_tables_match_the_former_loader(data, n):
         blocks.setdefault(label, []).append(obj)
     s = powerset_space(objects, list(blocks.values()))
     assert_same_space(s, naive_load(space_to_dict(s)))
+
+
+@pytest.mark.parametrize("key", ["lower", "upper"])
+def test_granular_maps_with_a_duplicated_id_fail_as_in_the_naive_loader(key):
+    # a duplicated id is reported only after the sections are read, so a
+    # "granular" map is derived first: per id, as the naive loader does
+    for i, j in ((i, j) for i in range(len(IDS)) for j in range(len(IDS)) if i != j):
+        doc = json.loads(json.dumps(FIXTURE))
+        doc["elements"][i]["id"] = doc["elements"][j]["id"]
+        doc[key] = "granular"
+        assert outcome(space_from_dict, doc)[1] == outcome(naive_load, doc)[1], (i, j)

@@ -1,0 +1,91 @@
+"""Leftovers in the package source: imports a module never reads, and
+private module-level names that no module of the package reads.
+
+Both are read from the syntax tree alone (stdlib ast), so a name counts
+as read wherever it appears as a loaded name, an attribute, an imported
+name or inside a quoted annotation.  The package's __init__ re-exports
+what it imports, so its imports are not checked.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rif_forge"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            yield from (arg.annotation for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                        if arg is not None and arg.annotation is not None)
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def names(tree) -> set[str]:
+    """The ids of every name read, those inside quoted annotations included."""
+    out = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out |= names(ast.parse(node.value, mode="eval"))
+    return out
+
+
+def read_names(tree) -> set[str]:
+    """Every name the module reads: its names, attributes and imported names."""
+    out = names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unused_imports(tree) -> list[str]:
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = names(tree)
+    return [name for name in bound if name not in used]
+
+
+def private_definitions(tree) -> list[str]:
+    """The module-level names starting with one underscore that the module binds."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                bound += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in bound if name.startswith("_") and not name.startswith("__")]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_no_unused_imports(module):
+    assert unused_imports(MODULES[module]) == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_private_name_is_read(module):
+    read = set().union(*map(read_names, MODULES.values()))
+    assert [name for name in private_definitions(MODULES[module]) if name not in read] == []
+
+
+def test_the_checks_catch_leftovers():
+    tree = ast.parse("from functools import cached_property\nimport os\n_UNREAD = 1\n"
+                     "def _dead():\n    return os.sep\n")
+    assert unused_imports(tree) == ["cached_property"]
+    assert private_definitions(tree) == ["_UNREAD", "_dead"]
+    assert not {"_UNREAD", "_dead"} & read_names(tree)

@@ -26,10 +26,8 @@ from rif_forge import (
     save_space,
     space_from_dict,
     space_to_dict,
-    strong_weak_equal,
     table_to_set_hgos,
     validate_space,
-    weak_equal,
 )
 from rif_forge.space import (
     _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, WORK_BUDGET, AxiomReport, representable_elements,
@@ -68,19 +66,6 @@ class TestRendering:
         assert render_carrier(frozenset()) == "{}"
         assert render_carrier({"b", "a"}) == "{a,b}"
         assert render_carrier({"e", "a", "c", "b"}) == "{a,b,c,e}"
-
-    def test_weak_equal(self):
-        assert weak_equal(None, "x")
-        assert weak_equal("x", None)
-        assert weak_equal(None, None)
-        assert weak_equal("x", "x")
-        assert not weak_equal("x", "y")
-
-    def test_strong_weak_equal(self):
-        assert strong_weak_equal(None, None)
-        assert strong_weak_equal("x", "x")
-        assert not strong_weak_equal(None, "x")
-        assert not strong_weak_equal("x", "y")
 
 
 class TestStructuralValidation:
@@ -181,8 +166,9 @@ class TestFixtureAxioms:
         assert by_axiom["PT1"].skipped == 0
 
     def test_parthood_counts(self, fixture_space):
-        assert len(fixture_space.parthood) == 33
-        assert len(fixture_space.order) == 25
+        s = fixture_space
+        assert sum(s.part(a, b) for a, b in s.pairs()) == 33
+        assert sum(s.leq(a, b) for a, b in s.pairs()) == 25
 
     def test_parthood_coincides_with_inclusion_after_closure(self, fixture_space):
         s = fixture_space
@@ -192,7 +178,7 @@ class TestFixtureAxioms:
 
     def test_order_is_strictly_smaller_than_parthood(self, fixture_space):
         s = fixture_space
-        assert s.order < s.parthood
+        assert {ab for ab in s.pairs() if s.leq(*ab)} < {ab for ab in s.pairs() if s.part(*ab)}
         assert not s.leq("bot", "a")
         assert s.part("bot", "a")
 
@@ -371,8 +357,8 @@ class TestSerialization:
         raw["lower"] = "granular"
         raw["upper"] = "granular"
         derived = space_from_dict(raw)
-        assert derived.lower == fixture_space.lower
-        assert derived.upper == fixture_space.upper
+        assert derived.tables.lower == fixture_space.tables.lower
+        assert derived.tables.upper == fixture_space.tables.upper
 
     def test_granular_mode_requires_carriers(self, fixture_space):
         raw = space_to_dict(fixture_space)
@@ -451,10 +437,10 @@ def test_random_powerset_spaces_satisfy_all_axioms(data, n):
 
 
 def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
-    """validate_space as it was before the index tables, kept verbatim as
-    the oracle: string ids, dict lookups and one loop per axiom."""
+    """validate_space as it was before the index tables, kept as the
+    oracle: string ids, one id query per lookup and one loop per axiom."""
     els = s.elements
-    jn, mt = s.join.get, s.meet.get
+    jn, mt = (lambda ab: s.join_of(*ab)), (lambda ab: s.meet_of(*ab))
     reports = []
 
     wit = [(x,) for x in els if not s.part(x, x)]
@@ -475,7 +461,7 @@ def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
             lm, rm = mt((a, b)), mt((b, a))
             if None in (lj, rj) or None in (lm, rm):
                 skipped += 1
-            if not (weak_equal(lj, rj) and weak_equal(lm, rm)):
+            if not (_weak_equal(lj, rj) and _weak_equal(lm, rm)):
                 wit.append((a, b))
     reports.append(AxiomReport.of("G1", wit, skipped))
 
@@ -486,7 +472,7 @@ def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
             absorbed_meet = _naive_apply(jn, mt((a, b)), a)
             if absorbed_join is None or absorbed_meet is None:
                 skipped += 1
-            if not (weak_equal(absorbed_join, a) and weak_equal(absorbed_meet, a)):
+            if not (_weak_equal(absorbed_join, a) and _weak_equal(absorbed_meet, a)):
                 wit.append((a, b))
     reports.append(AxiomReport.of("G2", wit, skipped))
 
@@ -498,7 +484,7 @@ def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
                 rhs = _naive_apply(mt, jn((a, c)), jn((b, c)))
                 if lhs is None or rhs is None:
                     skipped += 1
-                if not weak_equal(lhs, rhs):
+                if not _weak_equal(lhs, rhs):
                     wit.append((a, b, c))
     reports.append(AxiomReport.of("G3", wit, skipped))
 
@@ -510,7 +496,7 @@ def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
                 rhs = _naive_apply(jn, mt((a, c)), mt((b, c)))
                 if lhs is None or rhs is None:
                     skipped += 1
-                if not weak_equal(lhs, rhs):
+                if not _weak_equal(lhs, rhs):
                     wit.append((a, b, c))
     reports.append(AxiomReport.of("G4", wit, skipped))
 
@@ -532,8 +518,8 @@ def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
 
     wit = []
     for a in els:
-        la, ua = s.lower[a], s.upper[a]
-        if not (s.part(la, a) and s.lower[la] == la and s.part(ua, s.upper[ua])):
+        la, ua = s.lower_of(a), s.upper_of(a)
+        if not (s.part(la, a) and s.lower_of(la) == la and s.part(ua, s.upper_of(ua))):
             wit.append((a,))
     reports.append(AxiomReport.of("UL1", wit))
 
@@ -541,14 +527,14 @@ def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
     for a in els:
         for b in els:
             if s.part(a, b):
-                if not (s.part(s.lower[a], s.lower[b]) and s.part(s.upper[a], s.upper[b])):
+                if not (s.part(s.lower_of(a), s.lower_of(b)) and s.part(s.upper_of(a), s.upper_of(b))):
                     wit.append((a, b))
     reports.append(AxiomReport.of("UL2", wit))
 
     wit = []
-    if not (s.lower[s.bottom] == s.bottom and s.upper[s.bottom] == s.bottom):
+    if not (s.lower_of(s.bottom) == s.bottom and s.upper_of(s.bottom) == s.bottom):
         wit.append((s.bottom,))
-    if not (s.part(s.lower[s.top], s.top) and s.part(s.upper[s.top], s.top)):
+    if not (s.part(s.lower_of(s.top), s.top) and s.part(s.upper_of(s.top), s.top)):
         wit.append((s.top,))
     reports.append(AxiomReport.of("UL3", wit))
 
@@ -556,6 +542,10 @@ def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
     reports.append(AxiomReport.of("TB", wit))
 
     return reports
+
+
+def _weak_equal(lhs, rhs):
+    return lhs is None or rhs is None or lhs == rhs
 
 
 def _naive_apply(table_get, x, y):
@@ -694,8 +684,8 @@ def set_hgos_spaces(draw, path):
         {(a, b): r for a, b, r in doc["join"]},
         {(a, b): r for a, b, r in doc["meet"]},
         doc["granulation"],
-        maps.lower,
-        maps.upper,
+        {x: maps.lower_of(x) for x in maps.elements},
+        {x: maps.upper_of(x) for x in maps.elements},
         doc["bottom"],
         doc["top"],
         "setHGOS",
