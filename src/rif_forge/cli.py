@@ -36,6 +36,7 @@ from .inclusion import (
 from .space import (
     AxiomReport,
     GranularSpace,
+    _json_text,
     check_admissibility,
     check_work,
     classify_flavor,
@@ -79,11 +80,14 @@ def _load(path: str) -> GranularSpace:
 
 def _emit(fmt: str, out: Optional[str], payload: dict, lines: list[str]) -> None:
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = "\n".join(lines) + "\n"
     if out:
-        pathlib.Path(out).write_text(text, encoding="utf-8")
+        try:
+            pathlib.Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         click.echo(text, nl=False)
 

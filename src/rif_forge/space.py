@@ -17,9 +17,11 @@ below use that reading and count the instances they had to skip.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -594,15 +596,30 @@ def check_partition(blocks: Iterable[frozenset[str]], carrier: frozenset[str], c
 
 
 def load_space(source) -> GranularSpace:
-    """Build a space from a JSON file path, JSON text object, or plain dict."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise SpaceFormatError("space document must be a JSON object")
-    return space_from_dict(raw)
+    """Build a space from a JSON file path, JSON text object, or plain dict.
+
+    The cyclic garbage collector is paused while the document is decoded
+    and read into tables, and left as it was found.  A decoded document is
+    a tree of lists, dicts and strings, and the tables hold ints, so what
+    the load allocates forms no cycle: a collection in that window would
+    only rescan it.  Cyclic garbage made before the load waits for the
+    first collection after it.  The pause is process-wide: other threads
+    run without cyclic collection until the load returns.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if isinstance(source, dict):
+            raw = source
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise SpaceFormatError("space document must be a JSON object")
+        return space_from_dict(raw)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def space_from_dict(raw: dict) -> GranularSpace:
@@ -833,8 +850,63 @@ def space_to_dict(s: GranularSpace) -> dict:
 
 def save_space(s: GranularSpace, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_dict(s), fh, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(space_to_dict(s)) + "\n")
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), for values made of dicts with str keys,
+    lists, tuples, strings, ints, bools and None; any other value raises
+    TypeError.  Nested values are written where newline starts their lines.
+
+    Strings are encoded by the C encoder json.dumps uses.  A list of
+    lists of strings, all of one nonzero width (a document's relation,
+    operation and map sections), is written by one % template per row.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        text = _json_rows(value, inner)
+        if text is None:
+            text = ("," + inner).join([_json_text(item, inner) for item in value])
+        return "[" + inner + text + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_rows(rows, newline: str) -> Optional[str]:
+    """The items of rows, each a list of strings of one nonzero width, as
+    json.dumps writes them where newline starts their lines; None for any
+    other rows."""
+    width = len(rows[0]) if type(rows[0]) in (list, tuple) else 0
+    if not width or not {list, tuple}.issuperset(map(type, rows)) or set(map(len, rows)) != {width}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    try:  # each distinct cell is encoded once
+        encoded = {cell: encode_basestring_ascii(cell) for cell in set(cells)}
+    except TypeError:  # a cell that is not a string
+        return None
+    inner = newline + "  "
+    row = "[" + inner + ("," + inner).join(["%s"] * width) + newline + "]"
+    return ("," + newline).join([row] * len(rows)) % tuple(map(encoded.__getitem__, cells))
 
 
 def find_element(s: GranularSpace, token: str) -> str:

@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, ParameterError
 from .space import GranularSpace, check_partition, powerset_space
 
 CSV_OBJECT_COLUMN = "object"
@@ -110,6 +110,8 @@ def read_table_csv(source, value_delimiter: str = "|") -> InformationTable:
     """Read a table from CSV: header row, first column 'object', remaining
     columns attributes.  Cells hold zero or more tokens split on the
     delimiter; surrounding whitespace per token is stripped."""
+    if not value_delimiter:
+        raise ParameterError("the value delimiter must not be empty")
     if hasattr(source, "read"):
         text = source.read()
     else:

@@ -599,3 +599,28 @@ class TestDerive:
     def test_missing_csv(self, runner, tmp_path):
         result = runner.invoke(main, ["derive", str(tmp_path / "ghost.csv")])
         assert result.exit_code == 2
+
+    def test_empty_value_delimiter_exits_2(self, runner, tmp_path):
+        src = tmp_path / "table.csv"
+        src.write_text(self.CSV, encoding="utf-8")
+        result = runner.invoke(main, ["derive", str(src), "--value-delimiter", ""])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: the value delimiter must not be empty\n"
+        assert result.stdout == ""
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("args", [
+        ["approximate", str(FIXTURE_PATH)],
+        ["validate", str(FIXTURE_PATH), "--format", "json"],
+    ], ids=["table", "json"])
+    def test_out_in_a_missing_directory_exits_2(self, runner, tmp_path, args):
+        target = tmp_path / "missing" / "out.txt"
+        result = runner.invoke(main, [*args, "--out", str(target)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: "), result.stderr
+        assert result.stdout == ""
+        assert not target.parent.exists()

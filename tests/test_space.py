@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -30,7 +31,7 @@ from rif_forge import (
     validate_space,
 )
 from rif_forge.space import (
-    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, WORK_BUDGET, AxiomReport, representable_elements,
+    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, WORK_BUDGET, AxiomReport, _json_text, representable_elements,
 )
 
 from fixture_data import APPROXIMATION_ROWS
@@ -387,6 +388,115 @@ class TestSerialization:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(json.JSONDecodeError):
             load_space(path)
+
+
+# strings json.dumps must escape: quotes, backslashes, control characters
+# and non-ASCII text, and the % that the row templates format with
+_json_strings = st.text() | st.text(alphabet='"\\%/\n\t\x00\x1f\x7fé€😀ab', max_size=8)
+_json_scalars = st.none() | st.booleans() | st.integers() | _json_strings
+# lists of equal-width lists (or tuples) of strings, the shape of a
+# document's relation, operation and map sections
+_json_tables = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(_json_strings, min_size=width, max_size=width)
+    | st.tuples(*[_json_strings] * width), min_size=1, max_size=6))
+_json_values = st.recursive(
+    _json_scalars | _json_tables,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """_json_text writes what json.dumps(indent=2) writes, the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_json_values)
+    def test_equals_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        10**200, -(2**70), [], {}, [[]], [[], []], [["a"], ["b", "c"]], [["a", 1]], [["a", ["b"]]],
+        {"rows": [["%s", "%%"], ["%d", "\\"]]}, [True, False, None, 0],
+    ])
+    def test_equals_json_dumps_on_edge_cases(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_equals_json_dumps_on_a_space_document(self, fixture_space):
+        objects = [f"o{i}" for i in range(4)]
+        for s in (fixture_space, powerset_space(objects, [objects[:1], objects[1:]])):
+            doc = space_to_dict(s)
+            assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        1.5, [0.0], {"a": float("nan")}, {1: "a"}, {"a": {None: 1}}, {("a", "b"): 1}, {True: 1},
+        b"bytes", {"a", "b"}, object(), [["a", "b"], ["c", 1.5]],
+    ])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def _two_object_document(**changes) -> str:
+    """The power set of two objects as JSON text, with some sections replaced."""
+    return json.dumps(space_to_dict(powerset_space(["a", "b"], [["a", "b"]])) | changes)
+
+
+class TestLoadPausesTheCollector:
+    @pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+    def collector(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.fixture()
+    def power_set_file(self, tmp_path):
+        objects = [f"o{i}" for i in range(6)]
+        path = tmp_path / "power_set.json"
+        path.write_text(json.dumps(space_to_dict(powerset_space(objects, [objects[:2], objects[2:]]))),
+                        encoding="utf-8")
+        return path
+
+    def test_no_collection_runs_inside_a_load(self, power_set_file):
+        before = gc.isenabled()
+        gc.enable()
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            s = load_space(power_set_file)
+        finally:
+            gc.callbacks.remove(count)
+            (gc.enable if before else gc.disable)()
+        assert len(s.elements) == 64
+        assert started == []
+
+    def test_a_load_leaves_the_collector_as_it_was(self, collector, power_set_file):
+        load_space(power_set_file)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("text, error", [
+        (None, OSError),  # the path is a directory
+        ("{not json", json.JSONDecodeError),
+        ("[]", SpaceFormatError),
+        ('{"elements": "x"}', SpaceFormatError),
+        (_two_object_document(flavor="XYZ"), StructuralError),
+        (_two_object_document(elements=[{"id": f"e{i}"} for i in range(4000)]), SizeError),
+    ], ids=["unreadable", "malformed", "not an object", "missing keys", "structural", "size"])
+    def test_a_failed_load_leaves_the_collector_as_it_was(self, collector, tmp_path, text, error):
+        path = tmp_path / "space.json"
+        if text is None:
+            path = tmp_path
+        else:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(error):
+            load_space(path)
+        assert gc.isenabled() is collector
 
 
 class TestFindElement:

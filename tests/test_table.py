@@ -7,6 +7,7 @@ from rif_forge import (
     EquivalenceRelation,
     InformationTable,
     InputError,
+    ParameterError,
     classical_lower,
     classical_upper,
     classify_flavor,
@@ -183,6 +184,13 @@ class TestCsv:
     def test_empty_object_id_rejected(self):
         with pytest.raises(InputError):
             read_table_csv(io.StringIO("object,a\n,v\n"))
+
+    def test_empty_delimiter_rejected_before_reading(self, tmp_path):
+        with pytest.raises(ParameterError, match="^the value delimiter must not be empty$"):
+            read_table_csv(io.StringIO("object,a\no1,v\n"), value_delimiter="")
+        # a missing file is not opened
+        with pytest.raises(ParameterError):
+            read_table_csv(tmp_path / "ghost.csv", value_delimiter="")
 
 
 class TestTableToSpace:
