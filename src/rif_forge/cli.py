@@ -146,15 +146,13 @@ def _read_json(path: str, what: str):
 
 
 def _evaluate(s: GranularSpace, texts: Iterable[str], env_path: Optional[str] = None,
-              functions: int = 0, weights: int = 0,
-              more: Iterable[terms.AlgebraTerm] = ()) -> list[InclusionFunction]:
+              functions: int = 0, more: Iterable[terms.AlgebraTerm] = ()) -> list[InclusionFunction]:
     """The functions of the terms texts, then of the parsed terms more, on s.
 
     k0, k1 and k2 are bound on a set-extensional space, each built the
     first time a term reads it; then each name of the env_path file, in
     file order, to its term's value.  Every term is parsed, and check_work
-    asked over all their nodes (with functions and weights), before any is
-    evaluated.
+    asked over all their nodes and functions, before any is evaluated.
     """
     named = []
     if env_path:
@@ -164,7 +162,7 @@ def _evaluate(s: GranularSpace, texts: Iterable[str], env_path: Optional[str] = 
         named = [(name, terms.parse_term(text)) for name, text in raw.items()]
     parsed = [terms.parse_term(text) for text in texts] + list(more)
     nodes = sum(terms.term_nodes(term) for term in [term for _, term in named] + parsed)
-    check_work(len(s.elements), functions, weights, nodes)
+    check_work(len(s.elements), functions, nodes)
     env = terms.default_env(s) if s.is_set_extensional else {}
     for name, term in named:
         env[name] = terms.eval_term(term, env, s)
@@ -280,13 +278,13 @@ def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, 
         raise ParameterError(f"--random-terms must not be negative, got {random_terms}")
     s = _load(space_file)
     texts = list(term_list) or ["k0", "k1", "k2"]
-    counts = (len(texts) + random_terms, len(alphas) or len(DEFAULT_WEIGHTS))
+    functions = len(texts) + random_terms
     # asked before the random terms are drawn, and by _evaluate again with
     # every term's nodes before any is evaluated
-    check_work(len(s.elements), *counts)
+    check_work(len(s.elements), functions)
     rng = Random(seed)
     drawn = [sampling.random_wqrif_term(rng) for _ in range(random_terms)]
-    fns = _evaluate(s, texts, env_path, *counts, drawn)
+    fns = _evaluate(s, texts, env_path, functions, drawn)
     weights = [_rat(a) for a in alphas] or DEFAULT_WEIGHTS
     reports = algebra.check_laws(s, fns, weights)
     passed = all(r.holds for r in reports)

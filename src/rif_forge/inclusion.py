@@ -198,9 +198,8 @@ class _RankedRows:
 
     image is f's sorted distinct numerators and rows[i][j] the rank of the
     numerator at (a_i, a_j) in it, so ranks compare exactly as the values
-    do; ranks holds the same ranks in s.pairs() order.  one and zero are
-    the ranks of 1 and 0 (-1 when absent).  The rest is built on first
-    read, for the axiom scans only: comp[r] is the rank of 1 - image[r]/den
+    do.  one and zero are the ranks of 1 and 0 (-1 when absent).  The rest
+    is built on first read: comp[r] is the rank of 1 - image[r]/den
     (-1 when absent), one_masks[i] and zero_masks[i] have bit j set iff
     f(a_i, a_j) == 1, resp. == 0, one_groups are the groups of the nonzero
     one_masks, and masks(i) gives row i's rank masks.  order_verdict is
@@ -212,7 +211,7 @@ class _RankedRows:
         self.den = f.den
         self.image = image = sorted(set(f.nums))
         self._rank = rank = {x: r for r, x in enumerate(image)}
-        self.ranks = ranks = list(map(rank.__getitem__, f.nums))
+        ranks = list(map(rank.__getitem__, f.nums))
         self.rows = [ranks[i * n:(i + 1) * n] for i in range(n)]
         self.one = rank.get(self.den, -1)
         self.zero = rank.get(0, -1)

@@ -511,24 +511,20 @@ def _extensionality_failure(s: GranularSpace) -> Optional[str]:
 # -- work budget ----------------------------------------------------------
 
 
-def check_work(n: int, functions: int = 0, weights: int = 0, nodes: int = 0) -> int:
+def check_work(n: int, functions: int = 0, nodes: int = 0) -> int:
     """The estimated work of a space of n elements, of evaluating terms of
     that many nodes on it, and of checking the laws over that many
-    functions and weights; SizeError when it exceeds WORK_BUDGET.  Callers
-    ask before they build anything.
+    functions; SizeError when it exceeds WORK_BUDGET.  Callers ask before
+    they build anything.
 
     The estimate counts the n*n entries of each join and meet table, of
-    each function's rows and of the rows each term node builds, and one
-    unit per operand combination of the laws: for m functions and w
-    weights, m**2 (Comm), m**3 (Assoc), m (Identity, Top), m*w
-    (Idempotence), m**3*w (Distributivity) and at most m**4*(1 + w)
-    (Order1, Order2).  A combination reads the distinct rank tuples of its
-    operands, which are not known before the functions are.
+    each function's rows and of the rows each term node builds.  check_laws
+    scans three laws over each function's rows and proves the other eight,
+    so its weights add no work.
     """
-    m, w = functions, weights
-    estimate = n * n * (1 + m + nodes) + m * (2 + w) + m**2 + m**3 * (1 + w) + m**4 * (1 + w)
+    estimate = n * n * (1 + functions + nodes)
     if estimate > WORK_BUDGET:
-        of = (f"{_count(n)} elements" + (f", {_count(m)} functions, {w} weights" if m else "")
+        of = (f"{_count(n)} elements" + (f", {_count(functions)} functions" if functions else "")
               + (f", {_count(nodes)} term nodes" if nodes else ""))
         raise SizeError(f"estimated work {_count(estimate)} exceeds the budget of {WORK_BUDGET:,} ({of})")
     return estimate

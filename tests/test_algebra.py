@@ -47,7 +47,7 @@ from rif_forge import (
     space_from_dict,
     top_function,
 )
-from rif_forge.algebra import SearchResult, _LawInputs, _check_alpha, _law, _same_space, _scan
+from rif_forge.algebra import SearchResult, _check_alpha, _law, _same_space
 from rif_forge.inclusion import ONE, ZERO, class_from_axioms
 
 SINGLE_ELEMENT = {
@@ -393,12 +393,13 @@ class TestFitAlpha:
             )
 
 
-# -- the distinct-tuple law kernel against the pair-by-pair loop -------------
+# -- check_laws against the pair-by-pair loop ----------------------------------
 #
 # naive_check_laws is check_laws as it was before the pointwise laws were
-# evaluated once per distinct value tuple: it builds every product and
-# blend as a function and compares them pair by pair.  It is kept
-# verbatim as the oracle for the reports, witnesses and witness order.
+# evaluated once per distinct value tuple, and later proved: it builds
+# every product and blend as a function and compares them pair by pair.
+# It is kept verbatim as the oracle for the reports, witnesses and
+# witness order.
 
 
 def naive_check_laws(
@@ -539,43 +540,52 @@ def naive_check_laws(
     return reports
 
 
-def _law_case(kind: str, seed: int, fixture_space):
-    """Functions and weights for one oracle comparison: wqRIF terms on the
-    GGS fixture or on a power set of 2-4 objects (the laws-wqrif workload's
-    shape), or random kappas, which break WeakSharpComp, WeakFlatComp and
-    R0Plus.  Sometimes one operand is passed twice."""
+def _law_case(space: str, functions: str, seed: int, fixture_space):
+    """Functions and weights for one oracle comparison.  The space is the
+    GGS fixture, a power set of 1-4 objects (the laws-wqrif workload's
+    shape) or the one-element HGOS space; the functions are wqRIF terms
+    (not on the HGOS space, which has no carriers), or random kappas, most
+    of them not RIFs, which break WeakSharpComp, WeakFlatComp and R0Plus.
+    Operands are often passed more than once, and the weights often
+    include 0 and 1."""
     rng = Random(seed)
-    s = fixture_space if kind == "fixture" else random_set_hgos(rng)
-    env = default_env(s)
-    if kind == "kappa":
-        fns = [random_kappa(s, rng) for _ in range(rng.randint(1, 3))] + [env["k0"]]
+    if space == "fixture":
+        s = fixture_space
+    elif space == "powerset":
+        s = random_set_hgos(rng, min_objects=1)
     else:
+        s = space_from_dict(SINGLE_ELEMENT)
+    if functions == "kappa" or not s.is_set_extensional:
+        fns = [random_kappa(s, rng) for _ in range(rng.randint(1, 3))]
+        fns.append(k0(s) if s.is_set_extensional else top_function(s))
+    else:
+        env = default_env(s)
         fns = [eval_term(random_wqrif_term(rng), env, s) for _ in range(rng.randint(1, 3))]
-    if rng.random() < 0.3:
-        fns.append(fns[0])
+    for _ in range(rng.randint(0, 2)):
+        fns.insert(rng.randint(0, len(fns)), rng.choice(fns))
     alphas = [random_unit_rational(rng) for _ in range(rng.randint(0, 2))]
+    alphas += rng.sample([F(0), F(1)], rng.randint(0, 2))
+    rng.shuffle(alphas)
     return s, fns, alphas
 
 
 @settings(max_examples=100, deadline=None)
-@given(kind=st.sampled_from(["wqrif", "fixture", "kappa"]), seed=st.integers(0, 10_000))
-def test_law_reports_match_pairwise_loop(fixture_space, kind, seed):
-    s, fns, alphas = _law_case(kind, seed, fixture_space)
+@given(space=st.sampled_from(["powerset", "fixture", "single"]), functions=st.sampled_from(["wqrif", "kappa"]),
+       seed=st.integers(0, 10_000))
+def test_law_reports_match_pairwise_loop(fixture_space, space, functions, seed):
+    s, fns, alphas = _law_case(space, functions, seed, fixture_space)
     got = [(r.law, r.holds, r.witnesses) for r in check_laws(s, fns, alphas)]
     assert got == [(r.law, r.holds, r.witnesses) for r in naive_check_laws(s, fns, alphas)]
-    # Order1 and Order2 range over the pairs leq finds comparable
-    below = [(i, j) for i, f in enumerate(fns) for j, h in enumerate(fns) if leq(f, h)]
-    assert _LawInputs(s, fns, alphas).combos(0) == [c + d for c in below for d in below]
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), objects=st.integers(0, 5), count=st.integers(4, 6),
        weights=st.integers(1, 3))
 def test_joint_rank_classes_keep_law_reports(fixture_space, seed, objects, count, weights):
-    # Operands whose rank columns coincide or repeat: one function passed
-    # twice, top (one rank everywhere), and pow(k0, 2), which has the rank
-    # column of k0 over other values.  The fixture stands for 0 objects;
-    # on 5 objects the oracle's pair loop is held to 4 functions and 1 weight.
+    # Operands whose values coincide or repeat: one function passed twice,
+    # top (1 everywhere), and pow(k0, 2), whose values are ordered as k0's
+    # but differ from them.  The fixture stands for 0 objects; on 5 objects
+    # the oracle's pair loop is held to 4 functions and 1 weight.
     rng = Random(seed)
     if objects == 5:
         count, weights = 4, 1
@@ -586,12 +596,8 @@ def test_joint_rank_classes_keep_law_reports(fixture_space, seed, objects, count
     fns = [base, top_function(s), base, power(base, 2)]
     fns += [env["k1"], env["k2"], random_kappa(s, rng), eval_term(random_wqrif_term(rng), env, s)][:count - 4]
     rng.shuffle(fns)
-    assert base._ranked.ranks == power(base, 2)._ranked.ranks
+    assert base._ranked.rows == power(base, 2)._ranked.rows
     alphas = [random_unit_rational(rng) for _ in range(weights)]
-    inp = _LawInputs(s, fns, alphas)
-    for arity in (1, 2, 3):
-        for idx in product(range(len(fns)), repeat=arity):
-            assert inp.distinct(idx) == set(zip(*[inp.cols[i] for i in idx]))
     got = [(r.law, r.holds, r.witnesses) for r in check_laws(s, fns, alphas)]
     assert got == [(r.law, r.holds, r.witnesses) for r in naive_check_laws(s, fns, alphas)]
 
@@ -599,42 +605,9 @@ def test_joint_rank_classes_keep_law_reports(fixture_space, seed, objects, count
 def test_oracle_cases_include_failing_laws(fixture_space):
     failing = set()
     for seed in range(20):
-        s, fns, alphas = _law_case("kappa", seed, fixture_space)
+        s, fns, alphas = _law_case("powerset", "kappa", seed, fixture_space)
         failing |= {r.law for r in check_laws(s, fns, alphas) if not r.holds}
     assert {"WeakSharpComp", "WeakFlatComp", "R0Plus"} <= failing
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10_000), arity=st.integers(0, 3), weighted=st.booleans())
-def test_scan_traces_failing_tuples_like_a_pair_loop(seed, arity, weighted):
-    # The pointwise laws cannot fail on [0,1] values, so the tracing of
-    # failing tuples back to operands, weights and pairs is checked with a
-    # test that does fail: the operands' values plus the weight exceed a
-    # limit.  Arity 0 stands for the comparable quadruples of the order
-    # laws, whose witnesses name no pairs.
-    rng = Random(seed)
-    s = random_set_hgos(rng)
-    fns = [InclusionFunction(s, random_kappa(s, rng).values, f"kappa{i}") for i in range(2)]
-    fns.append(InclusionFunction(s, {p: min(v * 2, ONE) for p, v in fns[0].values.items()}, "double"))
-    alphas = [random_unit_rational(rng) for _ in range(2)]
-    limit = random_unit_rational(rng) * max(arity, 4)
-
-    def test(inp, w, tuples, *idx):
-        shift = 0 if w is None else inp.alphas[w]
-        ims = [[F(x, inp.dens[i]) for x in inp.images[i]] for i in idx]
-        return {t for t in tuples if sum(im[r] for im, r in zip(ims, t)) + shift > limit}
-
-    inp = _LawInputs(s, fns, alphas)
-    got = _scan(inp, test, arity, weighted)
-    want = []
-    for idx in product(range(len(fns)), repeat=arity or 4):
-        if not arity and not (leq(fns[idx[0]], fns[idx[1]]) and leq(fns[idx[2]], fns[idx[3]])):
-            continue
-        for alpha in alphas if weighted else [0]:
-            tag = tuple(fns[i].label for i in idx) + ((str(alpha),) if weighted else ())
-            bad = [p for p in s.pairs() if sum(fns[i].values[p] for i in idx) + alpha > limit]
-            want += [tag + p for p in bad] if arity else [tag] * bool(bad)
-    assert got == want
 
 
 _units = st.fractions(0, 1, max_denominator=24)
@@ -929,6 +902,7 @@ def test_law_reports_on_constant_functions_match_pairwise_loop(two_block_space, 
     # element has a granule part, whatever their distance from 1
     s = two_block_space
     fns = [InclusionFunction(s, {p: value for p in s.pairs()}, "c"), k0(s)]
-    got = [(r.law, r.witnesses) for r in check_laws(s, fns, [F(1, 3)])]
-    assert got == [(r.law, r.witnesses) for r in naive_check_laws(s, fns, [F(1, 3)])]
+    alphas = [F(0), F(1, 3), F(1)]
+    got = [(r.law, r.witnesses) for r in check_laws(s, fns, alphas)]
+    assert got == [(r.law, r.witnesses) for r in naive_check_laws(s, fns, alphas)]
     assert ("R0Plus", ()) in got if value == 1 else ("R0Plus", ()) not in got

@@ -5,14 +5,16 @@ perfbench/reference.py imports nothing from rif_forge: it recomputes every
 value from carriers, partition blocks and Fractions, and writes a power
 set as a space document of its own.  It is loaded here from its file,
 read-only, as a second oracle.  On power sets of 2-4 objects, random wqRIF
-terms (and the three concrete functions) must agree with it at every
-element pair; its document must load as the space powerset_space builds,
-and save and load back; and the approximations and the U1, R0, R1 and IR0
-witnesses must be those it recomputes.
+terms, oplus at the weights 0 and 1, pow with exponent 3 and the three
+concrete functions must agree with it at every element pair; its document
+must load as the space powerset_space builds, and save and load back; and
+the approximations and the U1, R0, R1 and IR0 witnesses must be those it
+recomputes.
 """
 
 import importlib.util
 import json
+from fractions import Fraction as F
 from pathlib import Path
 from random import Random
 
@@ -57,6 +59,23 @@ def test_terms_agree_with_the_reference_at_every_pair(seed):
     for tree in [reference.random_term(rng, depth=rng.randint(1, 3)) for _ in range(3)]:
         f = eval_term(parse_term(reference.render_term(tree)), env, s)
         assert _disagreements(model, s, f, lambda a, b: model.value(tree, a, b)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_endpoint_weights_and_cubes_agree_with_the_reference_at_every_pair(seed):
+    # check_laws proves its pointwise laws from the operators' values, so
+    # every draw checks them at the edges random_term reaches only by
+    # chance: oplus at weights exactly 0 and 1, and pow with exponent 3
+    rng = Random(seed)
+    model, s = _space(rng)
+    env = default_env(s)
+    left, right = (reference.random_term(rng, depth=rng.randint(1, 2)) for _ in range(2))
+    trees = [("oplus", F(0), left, right), ("oplus", F(1), left, right), ("pow", left, 3),
+             ("oplus", F(0), ("pow", right, 3), left)]
+    for tree in trees:
+        f = eval_term(parse_term(reference.render_term(tree)), env, s)
+        assert _disagreements(model, s, f, lambda a, b: model.value(tree, a, b)) == [], tree
 
 
 @settings(max_examples=60, deadline=None)
