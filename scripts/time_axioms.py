@@ -8,9 +8,9 @@ random kappa drawn from --seed.  For each function and each axiom U1 to RB
 it prints the wall time (the best of --repeat runs) of the full
 check_rif_axiom report, with its witness and skipped counts, and of the
 verdict alone, which stops at the first offending row.  Each is timed twice:
-on a new copy of the function, so the call pays for the rank rows and
-masks it reads, and ("built") on a function whose rank rows and masks
-every axiom reads are already built; its kept R2/R3 verdict is cleared
+on a new copy of the function, so the call pays for the row slices and
+masks it reads, and ("built") on a function whose rows and masks every
+axiom reads are already built; its kept R2/R3 verdict is cleared
 before each call, so a built verdict times a scan.  The last two lines per
 function time one verify_prif and one classify call on a fresh copy.  The
 last line times one rif_failure_search with budget 20 on the space.  The
@@ -50,7 +50,7 @@ def built(f: InclusionFunction) -> InclusionFunction:
 
 def unkept(f: InclusionFunction) -> InclusionFunction:
     """f without its kept R2/R3 verdict, so that the next one scans."""
-    f._ranked.order_verdict = None
+    f._axiom_rows.order_verdict = None
     return f
 
 

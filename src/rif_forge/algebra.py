@@ -238,12 +238,14 @@ def rif_failure_search(s: GranularSpace, budget: int, seed: int = 0) -> SearchRe
     Functions are classified once per canonical form (den, nums): the form
     is canonical, so equal keys are pointwise-equal functions with one
     class.  otimes is commutative, so f*g and g*f share one key, and a
-    product of pool members often equals one already classified.
+    product of pool members often equals one already classified.  Each
+    trial draws one function, and check_work counts budget of them first.
     """
-    if classify_flavor(s) != "setHGOS":
-        raise InputError("closure search expects a set-based hemiring space")
     if budget < 1:
         raise ParameterError(f"budget must be positive, got {budget}")
+    check_work(len(s.elements), budget)
+    if classify_flavor(s) != "setHGOS":
+        raise InputError("closure search expects a set-based hemiring space")
     rng = Random(seed)
     classes: dict[tuple[int, tuple[int, ...]], str] = {}
 

@@ -322,31 +322,26 @@ def prif_verify(space_file, term, trials, seed, relation, fmt, out):
         raise ParameterError(f"--trials must be positive, got {trials}")
     s = _load(space_file)
     if term is not None:
-        batteries = [(term, verify_prif(_evaluate(s, [term])[0], relation))]
+        trials, batteries = 1, [(term, verify_prif(_evaluate(s, [term])[0], relation))]
     else:
+        # one function a trial, asked before any is drawn; each battery is tallied, then dropped
+        check_work(len(s.elements), trials)
         rng = Random(seed)
-        batteries = []
-        for i in range(trials):
-            f = random_kappa(s, rng)
-            batteries.append((f"trial-{i}", verify_prif(f, relation)))
-    violations = []
-    names = [v.name for v in batteries[0][1]]
-    applicable = {name: 0 for name in names}
+        batteries = ((f"trial-{i}", verify_prif(random_kappa(s, rng), relation)) for i in range(trials))
+    violations, applicable = [], {}
     for label, verdicts in batteries:
         for v in verdicts:
-            if v.applicable:
-                applicable[v.name] += 1
+            applicable[v.name] = applicable.get(v.name, 0) + v.applicable
             if v.applicable and v.violated:
-                violations.append({"trial": label, "name": v.name,
-                                   "axioms": dict(v.axioms)})
+                violations.append({"trial": label, "name": v.name, "axioms": dict(v.axioms)})
     payload = {
-        "trials": len(batteries),
+        "trials": trials,
         "applicable": applicable,
         "violations": violations,
         "pass": not violations,
     }
-    lines = [f"trials: {len(batteries)}"]
-    for name in names:
+    lines = [f"trials: {trials}"]
+    for name in applicable:
         bad = sum(1 for v in violations if v["name"] == name)
         lines.append(f"{name}: applicable {applicable[name]}, violated {bad}")
     lines.append("pass" if not violations else "FAIL")

@@ -513,9 +513,9 @@ def _extensionality_failure(s: GranularSpace) -> Optional[str]:
 
 def check_work(n: int, functions: int = 0, nodes: int = 0) -> int:
     """The estimated work of a space of n elements, of evaluating terms of
-    that many nodes on it, and of checking the laws over that many
-    functions; SizeError when it exceeds WORK_BUDGET.  Callers ask before
-    they build anything.
+    that many nodes on it, and of that many functions: checked by the laws,
+    or drawn one a trial by prif-verify and rif_failure_search; SizeError
+    when it exceeds WORK_BUDGET.  Callers ask before they build anything.
 
     The estimate counts the n*n entries of each join and meet table, of
     each function's rows and of the rows each term node builds.  check_laws

@@ -17,6 +17,7 @@ from rif_forge import (
     LawReport,
     LAW_ORDER,
     ParameterError,
+    SizeError,
     check_laws,
     check_rif_axiom,
     classify,
@@ -263,6 +264,12 @@ class TestFailureSearch:
     def test_budget_validation(self, two_block_space):
         with pytest.raises(ParameterError):
             rif_failure_search(two_block_space, budget=0)
+
+    def test_budget_over_the_work_budget_is_refused(self, two_block_space):
+        # every trial draws one function: a budget of a billion is refused
+        # before anything is drawn, not run until killed
+        with pytest.raises(SizeError, match=r"\(8 elements, 1,000,000,000 functions\)$"):
+            rif_failure_search(two_block_space, budget=10**9)
 
     def test_sharp_witness_actually_breaks_exactness(self, two_block_space):
         result = rif_failure_search(two_block_space, budget=5, seed=1)
@@ -581,7 +588,7 @@ def test_law_reports_match_pairwise_loop(fixture_space, space, functions, seed):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), objects=st.integers(0, 5), count=st.integers(4, 6),
        weights=st.integers(1, 3))
-def test_joint_rank_classes_keep_law_reports(fixture_space, seed, objects, count, weights):
+def test_coinciding_and_repeated_operands_keep_law_reports(fixture_space, seed, objects, count, weights):
     # Operands whose values coincide or repeat: one function passed twice,
     # top (1 everywhere), and pow(k0, 2), whose values are ordered as k0's
     # but differ from them.  The fixture stands for 0 objects; on 5 objects
@@ -596,7 +603,8 @@ def test_joint_rank_classes_keep_law_reports(fixture_space, seed, objects, count
     fns = [base, top_function(s), base, power(base, 2)]
     fns += [env["k1"], env["k2"], random_kappa(s, rng), eval_term(random_wqrif_term(rng), env, s)][:count - 4]
     rng.shuffle(fns)
-    assert base._ranked.rows == power(base, 2)._ranked.rows
+    # squares of nonnegative numerators order as the numerators do
+    assert power(base, 2).nums == [x * x for x in base.nums]
     alphas = [random_unit_rational(rng) for _ in range(weights)]
     got = [(r.law, r.holds, r.witnesses) for r in check_laws(s, fns, alphas)]
     assert got == [(r.law, r.holds, r.witnesses) for r in naive_check_laws(s, fns, alphas)]

@@ -313,6 +313,17 @@ class TestWorkBudget:
         assert len(lines[0].split(", ")) == 43
         assert lines[2:] == [f"{law}: pass" for law in LAW_ORDER]
 
+    @pytest.mark.parametrize("command", [["prif-verify", "--trials"], ["rif-failure-search", "--budget"]])
+    def test_a_billion_trials(self, runner, command):
+        # one function a trial: refused before any is drawn
+        name, option = command
+        result = runner.invoke(main, [name, str(FIXTURE_PATH), option, "1000000000"])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr == (
+            "error: estimated work 81,000,000,081 exceeds the budget of 10,000,000 "
+            "(9 elements, 1,000,000,000 functions)\n")
+        assert result.stdout == ""
+
     def test_derive_of_a_table_with_too_many_objects(self, runner, tmp_path):
         src = tmp_path / "table.csv"
         src.write_text("object,color\n" + "".join(f"o{i},red\n" for i in range(12)), encoding="utf-8")
