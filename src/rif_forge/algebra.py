@@ -6,8 +6,8 @@ constant-1 unit, pointwise powers and the pointwise order.  Each works on
 the integer rows of its operands (numerators over one denominator) and
 builds the rows of its result.  check_laws reports the hemiring and order
 laws from their proof and scans the laws of sharp, flat and sigma exactly
-in integers, and rif_failure_search hunts for operations that leave the
-RIF class.
+in integers, and rif_failure_search hunts for sharp images that leave the
+RIF class and reports closure under products and convex sums from its proof.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ParameterError
@@ -212,10 +211,9 @@ def _law(law: str, witnesses: Iterable[tuple[str, ...]]) -> LawReport:
 class SearchResult:
     """Outcome of the closure-failure hunt on one space.
 
-    oplus_witness / sharp_witness are (description, falsifying pairs)
-    tuples when a class escape was found, None otherwise.  Products of
-    pool members are rechecked along the way; a product escaping the RIF
-    class would land in otimes_counterexample (none is expected).
+    sharp_witness, (description, falsifying pairs) or None, is the only
+    field found by a scan; the other fields after rif_pool are reported
+    from the theorems in rif_failure_search's docstring.
     """
 
     rif_pool: tuple[str, ...]
@@ -226,70 +224,46 @@ class SearchResult:
     otimes_counterexample: Optional[str]
 
 
+# the search builds k0, k1, k2, their six unordered products and a sharp image of each
+_SEARCH_FUNCTIONS = 3 + 6 + 9
+
+
 def rif_failure_search(s: GranularSpace, budget: int, seed: int = 0) -> SearchResult:
-    """Search for convex sums of RIFs breaking R1, and for sharp images of
-    RIFs breaking R1, spending at most budget convex-sum trials.
+    """Search for sharp images of RIFs breaking R1; report closure of the
+    RIF class under products and convex sums from its proof.
 
-    Pool members are the concrete functions (and their pairwise products)
-    that actually classify as RIF on s, each confirmed by exhaustive scan.
-    A reported witness is the full list of pairs on which one exhaustive
-    check_rif_axiom scan of R1 failed.
-
-    Functions are classified once per canonical form (den, nums): the form
-    is canonical, so equal keys are pointwise-equal functions with one
-    class.  otimes is commutative, so f*g and g*f share one key, and a
-    product of pool members often equals one already classified.  Each
-    trial draws one function, and check_work counts budget of them first.
+    The pool is those of k0, k1, k2 that classify as RIF, then the
+    distinct products of pairs of them.  With values in [0,1]:
+    - f*g == 1 exactly where f == 1 and g == 1, so R1 for f and g gives R1
+      for f*g; where f*g(b,c) == 1, f(a,b) <= f(a,c) and g(a,b) <= g(a,c)
+      by R2, and products of non-negative values keep the order, so R2
+      holds too.  Products of RIFs are RIFs: otimes_checked is
+      len(pool)**2, otimes_counterexample None, and the pool's products
+      are not classified.
+    - For a weight w in (0,1), w*f + (1-w)*g == 1 exactly where f == 1
+      and g == 1, and at w = 0 or 1 the sum is one of the operands, so
+      every blend of pool members keeps R1: trials is budget and
+      oplus_witness None.
+    sharp_witness is the first pool member's sharp image that fails R1,
+    with every pair it fails at.  Nothing is drawn, so seed has no effect.
+    A budget below 1 raises ParameterError, then check_work's count of
+    the functions built may raise SizeError, then a space that is not
+    setHGOS or has no RIF among k0, k1, k2 raises InputError.
     """
     if budget < 1:
         raise ParameterError(f"budget must be positive, got {budget}")
-    check_work(len(s.elements), budget)
+    check_work(len(s.elements), _SEARCH_FUNCTIONS)
     if classify_flavor(s) != "setHGOS":
         raise InputError("closure search expects a set-based hemiring space")
-    rng = Random(seed)
-    classes: dict[tuple[int, tuple[int, ...]], str] = {}
-
-    def class_of(f: InclusionFunction) -> str:
-        key = (f.den, tuple(f.nums))
-        if key not in classes:
-            classes[key] = classify(f)
-        return classes[key]
-
-    base = [k0(s), k1(s), k2(s)]
-    pool = [f for f in base if class_of(f) == "RIF"]
-    for f in base:
-        for g in base:
-            prod = otimes(f, g)
-            if class_of(prod) == "RIF" and not any(prod.pointwise_equal(p) for p in pool):
-                pool.append(prod)
-    if not pool:
+    rifs = [f for f in (k0(s), k1(s), k2(s)) if classify(f) == "RIF"]
+    if not rifs:
         raise InputError("no RIF could be built on this space")
-
-    otimes_checked = 0
-    otimes_counterexample = None
-    for f in pool:
-        for g in pool:
+    pool = list(rifs)
+    for i, f in enumerate(rifs):
+        for g in rifs[i:]:
             prod = otimes(f, g)
-            otimes_checked += 1
-            if class_of(prod) != "RIF":
-                otimes_counterexample = prod.label
-                break
-        if otimes_counterexample:
-            break
-
-    oplus_witness = None
-    trials = 0
-    while trials < budget and oplus_witness is None:
-        trials += 1
-        f = rng.choice(pool)
-        g = rng.choice(pool)
-        den = rng.randint(1, 12)
-        alpha = Fraction(rng.randint(0, den), den)
-        cand = oplus(alpha, f, g)
-        report = check_rif_axiom(cand, "R1")
-        if not report.holds:
-            oplus_witness = (cand.label, report.witnesses)
-
+            if not any(prod.pointwise_equal(p) for p in pool):
+                pool.append(prod)
     sharp_witness = None
     for f in pool:
         sf = sharp(f)
@@ -297,14 +271,9 @@ def rif_failure_search(s: GranularSpace, budget: int, seed: int = 0) -> SearchRe
         if not report.holds:
             sharp_witness = (sf.label, report.witnesses)
             break
-
     return SearchResult(
-        rif_pool=tuple(f.label for f in pool),
-        trials=trials,
-        oplus_witness=oplus_witness,
-        sharp_witness=sharp_witness,
-        otimes_checked=otimes_checked,
-        otimes_counterexample=otimes_counterexample,
+        rif_pool=tuple(f.label for f in pool), trials=budget, oplus_witness=None,
+        sharp_witness=sharp_witness, otimes_checked=len(pool) ** 2, otimes_counterexample=None,
     )
 
 

@@ -514,13 +514,15 @@ def _extensionality_failure(s: GranularSpace) -> Optional[str]:
 def check_work(n: int, functions: int = 0, nodes: int = 0) -> int:
     """The estimated work of a space of n elements, of evaluating terms of
     that many nodes on it, and of that many functions: checked by the laws,
-    or drawn one a trial by prif-verify and rif_failure_search; SizeError
-    when it exceeds WORK_BUDGET.  Callers ask before they build anything.
+    drawn one a trial by prif-verify, or built by rif_failure_search (18,
+    whatever its budget); SizeError when it exceeds WORK_BUDGET.  Callers
+    ask before they build anything.
 
     The estimate counts the n*n entries of each join and meet table, of
     each function's rows and of the rows each term node builds.  check_laws
     scans three laws over each function's rows and proves the other eight,
-    so its weights add no work.
+    and rif_failure_search proves its products and convex sums, so neither
+    the weights nor the search budget add work.
     """
     estimate = n * n * (1 + functions + nodes)
     if estimate > WORK_BUDGET:

@@ -46,6 +46,7 @@ from rif_forge import (
     sharp,
     sigma,
     space_from_dict,
+    space_to_dict,
     top_function,
 )
 from rif_forge.algebra import SearchResult, _check_alpha, _law, _same_space
@@ -256,6 +257,8 @@ class TestFailureSearch:
         assert a.rif_pool == b.rif_pool
         assert a.oplus_witness == b.oplus_witness
         assert a.sharp_witness == b.sharp_witness
+        # nothing is drawn: the seed does not change the result
+        assert rif_failure_search(two_block_space, budget=25, seed=12) == a
 
     def test_requires_set_based_space(self, fixture_space):
         with pytest.raises(InputError):
@@ -265,11 +268,20 @@ class TestFailureSearch:
         with pytest.raises(ParameterError):
             rif_failure_search(two_block_space, budget=0)
 
-    def test_budget_over_the_work_budget_is_refused(self, two_block_space):
-        # every trial draws one function: a budget of a billion is refused
-        # before anything is drawn, not run until killed
-        with pytest.raises(SizeError, match=r"\(8 elements, 1,000,000,000 functions\)$"):
-            rif_failure_search(two_block_space, budget=10**9)
+    def test_a_billion_trials_are_reported_from_the_proof(self, two_block_space):
+        # no trial runs, so a budget of a billion costs nothing
+        result = rif_failure_search(two_block_space, budget=10**9)
+        assert result.trials == 10**9
+        assert result.oplus_witness is None
+
+    def test_work_estimate_counts_the_functions_built(self, two_block_space, monkeypatch):
+        # 3 base functions, 6 products and 9 sharp images of 64 values each,
+        # on top of the 64-entry tables, whatever the budget
+        monkeypatch.setattr("rif_forge.space.WORK_BUDGET", 64 * 19 - 1)
+        with pytest.raises(SizeError, match=r"^estimated work 1,216 exceeds .* \(8 elements, 18 functions\)$"):
+            rif_failure_search(two_block_space, budget=1)
+        monkeypatch.setattr("rif_forge.space.WORK_BUDGET", 64 * 19)
+        assert rif_failure_search(two_block_space, budget=10**9).trials == 10**9
 
     def test_sharp_witness_actually_breaks_exactness(self, two_block_space):
         result = rif_failure_search(two_block_space, budget=5, seed=1)
@@ -330,22 +342,33 @@ def naive_rif_failure_search(s: GranularSpace, budget: int, seed: int = 0,
                         otimes_checked, otimes_counterexample)
 
 
-@pytest.mark.parametrize("objects", [2, 3, 4, 5])
+def with_declared_approximations(s: GranularSpace, rng: Random) -> GranularSpace:
+    """s as a setHGOS document whose lower and upper maps send each
+    element to a random element, so sharp reads non-classical images."""
+    doc = space_to_dict(s)
+    for key in ("lower", "upper"):
+        doc[key] = [[x, rng.choice(s.elements)] for x in s.elements]
+    return space_from_dict(doc)
+
+
+@pytest.mark.parametrize("objects", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("seed, budget", [(0, 1), (1, 20), (7, 50)])
 def test_search_classifies_each_product_once_with_the_same_result(objects, seed, budget, monkeypatch):
+    # The search equals the former one, which scanned products and convex
+    # sums, and classifies exactly k0, k1 and k2, once each.
     names = [f"o{i}" for i in range(objects)]
-    s = powerset_space(names, random_partition(names, Random(seed)))
-    classified = []
+    rng = Random(seed)
+    power_set = powerset_space(names, random_partition(names, rng))
+    for s in (power_set, with_declared_approximations(power_set, rng)):
+        classified = []
 
-    def counted(f, *args):
-        classified.append((f.den, tuple(f.nums)))
-        return classify(f, *args)
+        def counted(f, *args):
+            classified.append((f.den, tuple(f.nums)))
+            return classify(f, *args)
 
-    monkeypatch.setattr(algebra, "classify", counted)
-    naive_classified = []
-    assert rif_failure_search(s, budget, seed) == naive_rif_failure_search(s, budget, seed, naive_classified)
-    # one classification per distinct function the former search classified
-    assert sorted(classified) == sorted(set(naive_classified))
+        monkeypatch.setattr(algebra, "classify", counted)
+        assert rif_failure_search(s, budget, seed) == naive_rif_failure_search(s, budget, seed)
+        assert classified == [(f.den, tuple(f.nums)) for f in (k0(s), k1(s), k2(s))]
 
 
 @settings(max_examples=25, deadline=None)
@@ -354,18 +377,24 @@ def test_blends_of_rifs_keep_r1_and_r2(seed):
     # For a weight strictly inside (0,1) a blend is 1 exactly where both
     # operands are 1, and at weight 0 or 1 it is one of the operands, so
     # the exact-1 characterization (R1) and R2 survive blending.
+    # Products of RIFs are RIFs by the same kind of argument, and k0, k1
+    # and k2 are RIFs on every set space, so the search's pool is exactly
+    # the base functions and their products.
     rng = Random(seed)
     s = random_set_hgos(rng)
     base = [k0(s), k1(s), k2(s)]
+    assert [classify(f) for f in base] == ["RIF"] * 3, seed
     products = [otimes(f, g) for i, f in enumerate(base) for g in base[i:]]
     pool = [f for f in base + products if classify(f) == "RIF"]
     assert pool
     alpha = random_unit_rational(rng)
     for f in pool:
         for g in pool:
-            blend = oplus(alpha, f, g)
-            for axiom in ("R1", "R2"):
-                assert check_rif_axiom(blend, axiom).holds, (seed, blend.label, axiom)
+            assert classify(otimes(f, g)) == "RIF", (seed, f.label, g.label)
+            for weight in (alpha, F(0), F(1)):
+                blend = oplus(weight, f, g)
+                for axiom in ("R1", "R2"):
+                    assert check_rif_axiom(blend, axiom).holds, (seed, blend.label, axiom)
 
 
 class TestFitAlpha:

@@ -313,16 +313,23 @@ class TestWorkBudget:
         assert len(lines[0].split(", ")) == 43
         assert lines[2:] == [f"{law}: pass" for law in LAW_ORDER]
 
-    @pytest.mark.parametrize("command", [["prif-verify", "--trials"], ["rif-failure-search", "--budget"]])
-    def test_a_billion_trials(self, runner, command):
+    def test_a_billion_trials(self, runner):
         # one function a trial: refused before any is drawn
-        name, option = command
-        result = runner.invoke(main, [name, str(FIXTURE_PATH), option, "1000000000"])
+        result = runner.invoke(main, ["prif-verify", str(FIXTURE_PATH), "--trials", "1000000000"])
         assert result.exit_code == 2, result.exception
         assert result.stderr == (
             "error: estimated work 81,000,000,081 exceeds the budget of 10,000,000 "
             "(9 elements, 1,000,000,000 functions)\n")
         assert result.stdout == ""
+
+    def test_a_billion_search_trials_on_a_power_set(self, runner, tmp_path):
+        # the convex-sum trials are settled by proof, so no budget adds work
+        space = tmp_path / "three.json"
+        save_space(powerset_space(["u", "v", "w"], [["u", "v"], ["w"]]), space)
+        result = runner.invoke(main, ["rif-failure-search", str(space), "--budget", "1000000000"])
+        assert result.exit_code == 0, result.exception
+        assert "convex-sum trials: 1000000000\nconvex-sum witness: none found\n" in result.stdout
+        assert result.stderr == ""
 
     def test_derive_of_a_table_with_too_many_objects(self, runner, tmp_path):
         src = tmp_path / "table.csv"
