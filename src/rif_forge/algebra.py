@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -92,19 +91,26 @@ def flat(f: InclusionFunction) -> InclusionFunction:
     return _gather(f, f.space.tables.upper, "flat")
 
 
-def sigma_degrees(f: InclusionFunction, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Numerators of sigma(f), over f.den, at the (i, j) element index pairs."""
-    t, nums = f.space.tables, f.nums
-    grans = [t.index[w] for w in f.space.granulation]
-    parts = [[w * t.n for w in grans if t.parthood[w] >> a & 1] for a in range(t.n)]
-    lows = t.lower
-    return [max(nums[w + lows[j]] for w in parts[i]) if parts[i] else f.den for i, j in pairs]
+def sigma_degrees(f: InclusionFunction) -> list[list[int]]:
+    """sigma(f) by row: list i holds at the index of lower(a_j) the numerator
+    of sigma(f)(a_i, a_j) over f.den, the elementwise max of the rows of a_i's
+    granule parts (the first one twice, so max gets two), once per distinct
+    part set; the space keeps the part rows' offsets w * n in nums."""
+    s, nums, n = f.space, f.nums, f.space.tables.n
+    if "granule parts" not in s._derived:
+        t, grans = s.tables, [s._index[w] for w in s.granulation]
+        s._derived["granule parts"] = [tuple(w * n for w in grans if t.parthood[w] >> a & 1) for a in range(n)]
+    parts = s._derived["granule parts"]
+    rows = {p: list(map(max, nums[p[0]:p[0] + n], *(nums[w:w + n] for w in p))) if p else [f.den] * n
+            for p in set(parts)}
+    return [rows[p] for p in parts]
 
 
 def sigma(f: InclusionFunction) -> InclusionFunction:
     """Granule-mediated sum: best degree of a granule part of a inside the
     lower approximation of b, and 1 when a has no granule part."""
-    nums = sigma_degrees(f, product(range(len(f.space.elements)), repeat=2))
+    lows = f.space.tables.lower
+    nums = [d for row in sigma_degrees(f) for d in map(row.__getitem__, lows)]
     return _rows(f.space, nums, f.den, f"sigma({f.label})")
 
 
@@ -141,12 +147,12 @@ def _weak_comp(s: GranularSpace, fns: Sequence[InclusionFunction], inward: bool)
 
 def _r0_plus(s: GranularSpace, fns: Sequence[InclusionFunction]) -> list[tuple[str, ...]]:
     """(f, a, b) with a part of b and sigma(f)(a, b) != 1, read only at the parthood pairs."""
-    els = s.elements
+    els, lows = s.elements, s.tables.lower
     related = [(i, j) for i, m in enumerate(s.tables.parthood) for j in _bits(m)]
     wit = []
     for f in fns:
-        degrees = sigma_degrees(f, related)
-        wit += [(f.label, els[i], els[j]) for (i, j), d in zip(related, degrees) if d != f.den]
+        rows = sigma_degrees(f)
+        wit += [(f.label, els[i], els[j]) for i, j in related if rows[i][lows[j]] != f.den]
     return wit
 
 

@@ -351,8 +351,10 @@ def prif_verify(space_file, term, trials, seed, relation, fmt, out):
 
 @main.command(name="rif-failure-search")
 @click.argument("space_file")
-@click.option("--budget", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--budget", type=int, default=200, show_default=True,
+              help="Reported as the convex-sum trials; no trial runs, closure is proved.")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Has no effect: the search draws nothing at random.")
 @format_option
 @out_option
 @_exits

@@ -12,12 +12,14 @@ they are, rounding and converting nothing: numerators over one denominator
 den compare exactly as the values do, 1 is den, 0 is 0, and R6's
 f(a,b) + f(a,c) == 1 is f(a,c)'s numerator equal to den - f(a,b)'s.  Each
 axiom has one kernel that reads a row (a, or a and b) as a bitmask of its
-offending last elements, combining row masks built on first use: where f
-is 0, 1, or equal to or below a numerator, and where the relation holds,
-meets are bottom or undefined and joins are top.  R2 and R3 at (a, b) are
-one AND: below_a[f(a,b)] & the c with f(b,c) == 1, resp. related to b.
+offending last elements, combining row masks: where f is 0, 1, or equal to
+or below a numerator, and where the relation holds, meets are bottom or
+undefined and joins are top.  R2 and R3 at (a, b) are one AND:
+below_a[f(a,b)] & the c with f(b,c) == 1, resp. related to b.
 check_rif_axiom lists the witnesses of the flagged rows the kernel yields;
-verify_prif and classify read verdicts, which stop at the first one.
+verify_prif and classify read verdicts, which stop at the first one.  A
+row's masks of f are built when a scan first reaches the row, so a verdict
+builds only the rows up to its stop.
 
 Theorem: where R1 holds under a relation P, R2 and R3 under P are one
 statement.  R1 says f(b,c) == 1 exactly where P(b,c), so for every b the
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter, eq, mul
 from random import Random
 from typing import Mapping, Optional
 
@@ -66,15 +69,19 @@ class InclusionFunction:
     """
 
     def __init__(self, space: GranularSpace, values: Mapping[tuple[str, str], Fraction], label: str):
-        vals = []
-        for a, b in space.pairs():
-            try:
-                v = values[(a, b)]
-            except KeyError:
-                raise InputError(f"value missing for pair ({a!r},{b!r})") from None
-            vals.append(v if isinstance(v, Fraction) else Fraction(v))
-        den = lcm(*{v.denominator for v in vals})
-        self._store(space, [v.numerator * (den // v.denominator) for v in vals], den, label)
+        # C-level passes: read, convert unless all are Fractions, scale to one den
+        try:
+            vals = list(map(values.__getitem__, space.pairs()))
+        except KeyError:
+            a, b = next(p for p in space.pairs() if p not in values)
+            raise InputError(f"value missing for pair ({a!r},{b!r})") from None
+        if set(map(type, vals)) != {Fraction}:
+            vals = list(map(Fraction, vals))
+        qs = list(map(attrgetter("denominator"), vals))
+        dens = set(qs)
+        den = lcm(*dens)
+        scale = {q: den // q for q in dens}.__getitem__
+        self._store(space, list(map(mul, map(attrgetter("numerator"), vals), map(scale, qs))), den, label)
 
     @classmethod
     def _of_rows(cls, space: GranularSpace, nums: list[int], den: int, label: str) -> "InclusionFunction":
@@ -194,37 +201,40 @@ def _carrier_masks(s: GranularSpace) -> tuple[list[int], int]:
 
 class _AxiomRows:
     """f by element index: rows[i] is the slice of f.nums at (a_i, a_j) for
-    every j, over f's denominator den, and bits[j] is 1 << j.  Built on
-    first read: one_masks[i] and zero_masks[i] have bit j set iff
-    f(a_i, a_j) == 1, resp. == 0, one_groups are the groups of the nonzero
-    one_masks, and masks(i) gives row i's numerator masks.  order_verdict
-    is the verdict of R2's order scan once one was read, else None.
-    """
+    every j, over f's denominator den, and bits[j] is 1 << j.  Each row's
+    masks are built on its first read: ones[i] and zeros[i] have bit j set
+    iff f(a_i, a_j) == 1, resp. == 0, one_groups[j] is (j, ones[j], its set
+    bits), and masks[i] gives row i's numerator masks.  order_verdict is the
+    verdict of R2's order scan once one was read, else None."""
 
     def __init__(self, f: InclusionFunction):
         n, nums = len(f.space.elements), f.nums
-        self.den = f.den
-        self.rows = [nums[i * n:(i + 1) * n] for i in range(n)]
-        self._masks, self.bits = [None] * n, [1 << j for j in range(n)]
+        self.den = den = f.den
+        self.rows = rows = [nums[i * n:(i + 1) * n] for i in range(n)]
+        self.bits = bits = [1 << j for j in range(n)]
+        self.ones = ones = _Lazy(n, lambda i: _row_mask(rows[i], den))
+        self.zeros = _Lazy(n, lambda i: _row_mask(rows[i], 0))
+        self.one_groups = _Lazy(n, lambda j: (j, m := ones[j], _bits(m)))
+        self.masks = _Lazy(n, lambda i: _value_masks(rows[i], bits))
         self.order_verdict: Optional[bool] = None
 
-    one_masks = cached_property(lambda fr: [_row_mask(row, fr.den) for row in fr.rows])
-    zero_masks = cached_property(lambda fr: [_row_mask(row, 0) for row in fr.rows])
-    one_groups = cached_property(lambda fr: _groups(fr.one_masks))
 
-    def masks(self, i: int) -> tuple[dict[int, int], dict[int, int]]:
-        """(equal, below) of row i, built on first use: each maps every
-        numerator x in the row to the bitmask of the j with rows[i][j] == x,
-        resp. < x."""
-        if self._masks[i] is None:
-            equal, below, acc = {}, {}, 0
-            for x, bit in zip(self.rows[i], self.bits):
-                equal[x] = equal.get(x, 0) | bit
-            for x in sorted(equal):
-                below[x] = acc
-                acc |= equal[x]
-            self._masks[i] = equal, below
-        return self._masks[i]
+class _Lazy:
+    """n items, item i made as make(i) on its first read.  Iterating makes
+    each as it is reached, or reads the list once every item is made."""
+
+    def __init__(self, n: int, make):
+        self.items, self.make, self.unmade = [None] * n, make, n
+
+    def __getitem__(self, i: int):
+        x = self.items[i]
+        if x is None:
+            x = self.items[i] = self.make(i)
+            self.unmade -= 1
+        return x
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.items))) if self.unmade else iter(self.items)
 
 
 class _SpaceRows:
@@ -251,6 +261,18 @@ class _SpaceRows:
 def _row_mask(row: list[int], value: int) -> int:
     """The bitmask of the j with row[j] == value."""
     return sum(1 << j for j, r in enumerate(row) if r == value)
+
+
+def _value_masks(row: list[int], bits: list[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """(equal, below) of a row: each maps every numerator x in the row to the
+    bitmask of the j with row[j] == x, resp. < x."""
+    equal, below, acc = {}, {}, 0
+    for x, bit in zip(row, bits):
+        equal[x] = equal.get(x, 0) | bit
+    for x in sorted(equal):
+        below[x] = acc
+        acc |= equal[x]
+    return equal, below
 
 
 def _groups(masks: list[int]) -> list[tuple[int, int, list[int]]]:
@@ -298,16 +320,16 @@ def _axiom_kernel(f: InclusionFunction, axiom: str, relation: str):
     skipped = 0
     if axiom in ("R0", "R1", "IR0"):
         rows = ((a, rel & ~ones if axiom == "R0" else rel ^ ones if axiom == "R1" else ones & ~rel)
-                for a, rel, ones in zip(last, sp.rel_masks, fr.one_masks))
+                for a, rel, ones in zip(last, sp.rel_masks, fr.ones))
     elif axiom == "R4":
-        zero, undef = fr.zero_masks, sp.meet_undefined
-        skipped = sum((z & u).bit_count() for z, u in zip(zero, undef))
+        zero, undef = fr.zeros, sp.meet_undefined
+        skipped = sum((zero[i] & u).bit_count() for i, u in enumerate(undef) if u)
         rows = ((a, z & ~(b | u)) for a, z, b, u in zip(last, zero, sp.meet_bottom, undef))
     else:
         # R5: the proper-bottom condition guards the whole biconditional;
         # read as a conjunct on the left it is unsatisfiable wherever
         # bottom meets are defined, which would break prif6 everywhere
-        zero, bot, undef = fr.zero_masks, sp.meet_bottom, sp.meet_undefined
+        zero, bot, undef = fr.zeros, sp.meet_bottom, sp.meet_undefined
         skipped = sum(undef[i].bit_count() for i in pb)
         rows = ((last[i], bot[i] & ~zero[i] if axiom == "IR4" else (bot[i] ^ zero[i]) & ~undef[i])
                 for i in pb)
@@ -317,8 +339,7 @@ def _axiom_kernel(f: InclusionFunction, axiom: str, relation: str):
 def _order_scan(fr: _AxiomRows, els, groups):
     """R2 and R3: (a, b, c) for each group (b, c...) with f(a,c) < f(a,b).
     The row (a, b) offends at below_a[f(a,b)] & group."""
-    for i, (a, row) in enumerate(zip(els, fr.rows)):
-        below = fr.masks(i)[1]
+    for a, row, (_, below) in zip(els, fr.rows, fr.masks):
         for j, m, ks in groups:
             bad = below[row[j]] & m
             if bad:
@@ -331,7 +352,7 @@ def _complement_scan(fr: _AxiomRows, els, sp: _SpaceRows):
     The row (a, b) offends at group & ~equal_a[den - f(a,b)]."""
     den = fr.den
     for i in sp.proper_bottom:
-        a, row, equal = els[i], fr.rows[i], fr.masks(i)[0]
+        a, row, equal = els[i], fr.rows[i], fr.masks[i][0]
         for j, m, ks in sp.top_groups:
             bad = m & ~equal.get(den - row[j], 0)
             if bad:
@@ -359,13 +380,13 @@ def _verdict(f: InclusionFunction, axiom: str, relation: str) -> tuple[bool, int
     """(holds, skipped) of check_rif_axiom(f, axiom, relation): holds iff
     the kernel flags no row, so the scan stops at the first flagged one.
 
-    R2 reads no relation, and where f's one_masks equal the relation's
-    masks, R1 holds and R3 is R2's scan (the theorem in the module
-    docstring).  The first of them asked scans, and each later one reads
-    its verdict, kept as f's order_verdict.  Every other verdict scans."""
+    R2 reads no relation, and where f's ones equal the relation's masks,
+    R1 holds and R3 is R2's scan (the theorem in the module docstring).
+    The first of them asked scans, and each later one reads its verdict,
+    kept as f's order_verdict.  Every other verdict scans."""
     scan, skipped = _axiom_kernel(f, axiom, relation)
     fr = f._axiom_rows
-    if axiom == "R2" or (axiom == "R3" and fr.one_masks == _space_rows(f.space, relation).rel_masks):
+    if axiom == "R2" or (axiom == "R3" and all(map(eq, fr.ones, _space_rows(f.space, relation).rel_masks))):
         if fr.order_verdict is None:
             fr.order_verdict = next(scan, None) is None
         return fr.order_verdict, skipped

@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -121,8 +121,8 @@ class GranularSpace:
         self._by_carrier = {c: e for e, c in carriers.items()}
         self.granulation, self.bottom, self.top, self.flavor = tuple(granulation), bottom, top, flavor
         # Data derived from the space on first use and kept (the inclusion
-        # axiom scans' rows).  Nothing changes a space after construction,
-        # so what is kept stays valid.
+        # axiom scans' rows, sigma's granule parts).  Nothing changes a
+        # space after construction, so what is kept stays valid.
         self._derived: dict = {}
         self._enforce_flavor()
 
@@ -191,7 +191,7 @@ class GranularSpace:
         return x
 
     def pairs(self) -> Iterable[tuple[str, str]]:
-        return ((a, b) for a in self.elements for b in self.elements)
+        return product(self.elements, repeat=2)
 
     def __eq__(self, other):
         if other is self:

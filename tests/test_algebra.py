@@ -1,6 +1,7 @@
 from fractions import Fraction, Fraction as F
 from itertools import product
-from math import gcd
+from math import gcd, lcm
+from types import MappingProxyType
 from random import Random
 from typing import Optional, Sequence
 
@@ -923,6 +924,76 @@ def test_missing_pair_and_bad_kst_thresholds_keep_their_errors(fixture_space):
         with pytest.raises(ParameterError) as want:
             naive_kst(f, low, high)
         assert str(got.value) == str(want.value)
+
+
+class FormerInclusionFunction(InclusionFunction):
+    """InclusionFunction with its former constructor, verbatim: it read,
+    converted and scaled the values one pair at a time."""
+
+    def __init__(self, space: GranularSpace, values, label: str):
+        vals = []
+        for a, b in space.pairs():
+            try:
+                v = values[(a, b)]
+            except KeyError:
+                raise InputError(f"value missing for pair ({a!r},{b!r})") from None
+            vals.append(v if isinstance(v, Fraction) else Fraction(v))
+        den = lcm(*{v.denominator for v in vals})
+        self._store(space, [v.numerator * (den // v.denominator) for v in vals], den, label)
+
+
+class SubFraction(Fraction):
+    """A Fraction subclass: the constructor reads it as the value it holds."""
+
+
+# Each form a value may take in a mapping, and which values it can hold
+# exactly: ints and bools hold integers, floats dyadic rationals.
+VALUE_FORMS = {
+    "fraction": (lambda v: v, lambda v: True),
+    "subclass": (SubFraction, lambda v: True),
+    "string": (lambda v: f"{v.numerator}/{v.denominator}", lambda v: True),
+    "int": (int, lambda v: v.denominator == 1),
+    "bool": (bool, lambda v: v in (0, 1)),
+    "float": (float, lambda v: v.denominator & (v.denominator - 1) == 0),
+}
+OUT_OF_RANGE = [F(-1), F(-1, 2), F(-1, 3), F(4, 3), F(3, 2), F(2)]
+
+
+@st.composite
+def value_mappings(draw, s: GranularSpace):
+    """A value mapping for s in a mix of forms, with up to three pairs
+    missing and up to three values outside [0,1], maybe read-only.  The
+    forms and counts are drawn; each pair's value comes from a drawn seed."""
+    forms = sorted(draw(st.sets(st.sampled_from(sorted(VALUE_FORMS)), min_size=1), label="forms"))
+    rng, pairs = Random(draw(st.integers(0, 10_000), label="seed")), list(s.pairs())
+
+    def written(v: Fraction):
+        fit = [name for name in forms if VALUE_FORMS[name][1](v)] or ["fraction"]
+        return VALUE_FORMS[rng.choice(fit)][0](v)
+
+    values = {p: written(rng.choice([F(0), F(1), F(1, 2), F(1, 4), random_unit_rational(rng)])) for p in pairs}
+    counts = st.one_of(st.just(0), st.integers(1, 3))
+    for p in rng.sample(pairs, min(draw(counts, label="out of range"), len(pairs))):
+        values[p] = written(rng.choice(OUT_OF_RANGE))
+    for p in rng.sample(pairs, min(draw(counts, label="missing"), len(pairs))):
+        del values[p]
+    return MappingProxyType(values) if draw(st.booleans(), label="read-only") else values
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10_000))
+def test_constructor_matches_the_former_one_on_any_mapping(data, seed, fixture_space):
+    s = data.draw(st.sampled_from([fixture_space, random_set_hgos(Random(seed))]), label="space")
+    values = data.draw(value_mappings(s), label="values")
+    try:
+        want = FormerInclusionFunction(s, values, "drawn")
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            InclusionFunction(s, values, "drawn")
+        assert str(got.value) == str(exc)
+    else:
+        f = InclusionFunction(s, values, "drawn")
+        assert (f.nums, f.den, f.label) == (want.nums, want.den, want.label)
 
 
 def test_pointwise_equal_compares_denominators(two_block_space):

@@ -515,6 +515,18 @@ class TestFailureSearchCommand:
         result = runner.invoke(main, ["rif-failure-search", str(FIXTURE_PATH)])
         assert result.exit_code == 2
 
+    def test_help_says_what_seed_and_budget_do(self, runner, tmp_path):
+        result = runner.invoke(main, ["rif-failure-search", "--help"])
+        assert result.exit_code == 0
+        text = " ".join(result.output.split())
+        assert "--seed INTEGER Has no effect" in text
+        assert "--budget INTEGER Reported as the convex-sum trials; no trial runs" in text
+        space = tmp_path / "three.json"
+        save_space(powerset_space(["u", "v", "w"], [["u", "v"], ["w"]]), space)
+        outputs = {runner.invoke(main, ["rif-failure-search", str(space), "--seed", seed]).output
+                   for seed in ("4", "9")}
+        assert len(outputs) == 1
+
 
 class TestVprs:
     def test_plain_regions(self, runner):

@@ -481,6 +481,28 @@ def test_r2_r3_verdicts_in_any_order_match_naive_scan(data, kind, seed, bounds, 
                     assert expected["R2", rel] == expected["R3", rel]
 
 
+@pytest.mark.parametrize("relation", ["parthood", "order"])
+@pytest.mark.parametrize("kind", FUNCTION_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    bounds=st.tuples(st.fractions(0, 1, max_denominator=6), st.fractions(0, 1, max_denominator=6))
+    .filter(lambda b: b[0] < b[1]),
+)
+def test_verdicts_asked_first_leave_reports_whole(data, kind, relation, seed, bounds, fixture_space):
+    # a verdict builds a row's masks only up to its first flagged row; the
+    # reports asked after the verdicts must still read every row whole
+    s = data.draw(st.one_of(st.just(fixture_space), powerset_spaces()), label="space")
+    f = build_function(kind, s, seed, *bounds)
+    expected = {ax: naive_check_rif_axiom(f, ax, relation) for ax in RIF_AXIOM_ORDER}
+    g = InclusionFunction._of_rows(s, f.nums, f.den, f.label)
+    for axiom in data.draw(st.permutations(RIF_AXIOM_ORDER), label="verdict order"):
+        assert _verdict(g, axiom, relation) == (expected[axiom].holds, expected[axiom].skipped), axiom
+    for axiom in data.draw(st.permutations(RIF_AXIOM_ORDER), label="report order"):
+        assert check_rif_axiom(g, axiom, relation) == expected[axiom], axiom
+
+
 class _ValueTable:
     """f as the naive scan reads it, one value at a time, but from f's
     value dict: a 64-element scan makes a quarter of a million reads."""
