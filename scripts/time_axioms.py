@@ -5,42 +5,32 @@
 Builds the power set of N objects (2**N elements) with a seeded random
 partition as granulation, and on it k0, k1, k2, kst(k0, 1/4, 3/4) and a
 random kappa drawn from --seed.  Every time is in ms, over --repeat runs,
-and printed as the best run, then the lower quartile, median and upper
-quartile (q1/median/q3): whole runs on a shared machine shift together, so
-the best alone can mislead.  For each function the first line times
-building it with InclusionFunction(s, f.values, label) from its table of
-Fractions.  For each axiom U1 to RB it then times the full
-check_rif_axiom report, with its witness and skipped counts, and the
-verdict alone, which stops at the first offending row.  Each is timed
-twice: on a new copy of the function, so the call pays for the row slices
-and masks it reads, and ("built") on a function whose rows and masks every
-axiom reads are already built; its kept R2/R3 verdict is cleared before
-each call, so a built verdict times a scan.  The last two lines per
-function time one verify_prif and one classify call on a fresh copy.  The
-last line times one rif_failure_search with budget 20 on the space: it
-classifies k0, k1 and k2 and scans sharp images, and its products and
-convex-sum trials are settled by proof.  The space's index tables and axiom
-rows are built once, before the first timing.  Stdlib only.
+and printed as scripts/timing.py prints it: best, then q1/median/q3.  For
+each function the first line times building it with InclusionFunction(s,
+f.values, label) from its table of Fractions.  For each axiom U1 to RB it
+then times the full check_rif_axiom report, with its witness and skipped
+counts, and the verdict alone, which stops at the first offending row.
+Each is timed twice: on a new copy of the function, so the call pays for
+the row slices and masks it reads, and ("built") on a function whose rows
+and masks every axiom reads are already built; its kept R2/R3 verdict is
+cleared before each call, so a built verdict times a scan.  The last two
+lines per function time one verify_prif and one classify call on a fresh
+copy.  The last line times one rif_failure_search with budget 20 on the
+space: it classifies k0, k1 and k2 and scans sharp images, and its
+products and convex-sum trials are settled by proof.  The space's index
+tables and axiom rows are built once, before the first timing.  Stdlib
+only.
 """
-import argparse
-import os
-import pathlib
-import platform
-import statistics
-import sys
-import time
 from fractions import Fraction
 from random import Random
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+from timing import MACHINE, parse_args, power_set, timed
 
 from rif_forge.algebra import rif_failure_search
 from rif_forge.inclusion import (
     RIF_AXIOM_ORDER, InclusionFunction, _verdict, check_rif_axiom, classify, k0, k1, k2, kst,
     random_kappa, verify_prif,
 )
-from rif_forge.sampling import random_partition
-from rif_forge.space import powerset_space
 
 
 def fresh(f: InclusionFunction) -> InclusionFunction:
@@ -59,42 +49,21 @@ def unkept(f: InclusionFunction) -> InclusionFunction:
     return f
 
 
-def timed(call, make, repeat: int):
-    """The wall times of repeat calls of call(make()), make untimed, as
-    "best q1/median/q3" in ms, and the last call's result."""
-    times = []
-    for _ in range(repeat):
-        arg = make()
-        start = time.perf_counter()
-        result = call(arg)
-        times.append((time.perf_counter() - start) * 1000)
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive") if repeat > 1 else times * 3
-    return f"{min(times):.2f} {q1:.2f}/{median:.2f}/{q3:.2f}", result
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--objects", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeat", type=int, default=5)
-    args = parser.parse_args()
-    if not 1 <= args.objects <= 8 or args.repeat < 1:
-        parser.error("--objects must lie in 1..8 and --repeat must be positive")
-
-    objects = [f"o{i}" for i in range(1, args.objects + 1)]
+    args = parse_args(__doc__, repeat=5)
     rng = Random(args.seed)
-    s = powerset_space(objects, random_partition(objects, rng))
+    s = power_set(args.objects, rng)
     fns = [k0(s), k1(s), k2(s), kst(k0(s), Fraction(1, 4), Fraction(3, 4)), random_kappa(s, rng)]
     built(fns[0])  # the space's index tables and axiom rows
 
     print(f"# {len(s.elements)} elements, {len(s.granulation)} granules, seed {args.seed}, "
           f"best q1/median/q3 of {args.repeat} in ms, relation parthood")
-    print(f"# {os.cpu_count()} cpus, Python {platform.python_version()}, {platform.machine()}")
+    print(MACHINE)
     for f in fns:
         ready = built(fresh(f))
         table = f.values
         print(f"\n{f.label}: image of {len(f.image())} values")
-        ms, _ = timed(lambda values: InclusionFunction(s, values, f.label), lambda: table, args.repeat)
+        ms, _ = timed(lambda: InclusionFunction(s, table, f.label), args.repeat)
         print(f"{'construct':<12}{ms:>26}")
         print(f"{'axiom':<12}{'report':>26}{'built':>26}{'witnesses':>11}{'skipped':>9}"
               f"{'verdict':>26}{'built':>26}  holds")
@@ -105,23 +74,24 @@ def main() -> None:
             def verdict(g):
                 return _verdict(g, axiom, "parthood")[0]
 
-            ms, rep = timed(report, lambda: fresh(f), args.repeat)
-            ms_built, _ = timed(report, lambda: ready, args.repeat)
-            v_ms, holds = timed(verdict, lambda: fresh(f), args.repeat)
-            v_built, _ = timed(verdict, lambda: unkept(ready), args.repeat)
+            ms, rep = timed(report, args.repeat, lambda: fresh(f))
+            ms_built, _ = timed(lambda: report(ready), args.repeat)
+            v_ms, holds = timed(verdict, args.repeat, lambda: fresh(f))
+            v_built, _ = timed(verdict, args.repeat, lambda: unkept(ready))
             if holds != rep.holds:
                 raise SystemExit(f"verdict of {axiom} on {f.label} differs from its report")
             print(f"{axiom:<12}{ms:>26}{ms_built:>26}{len(rep.witnesses):>11}{rep.skipped:>9}"
                   f"{v_ms:>26}{v_built:>26}  {holds}")
-        ms, verdicts = timed(verify_prif, lambda: fresh(f), args.repeat)
+        ms, verdicts = timed(verify_prif, args.repeat, lambda: fresh(f))
         violated = [v.name for v in verdicts if v.applicable and v.violated]
         print(f"{'verify_prif':<12}{ms:>26}  violated: {', '.join(violated) or 'none'}")
-        ms, name = timed(classify, lambda: fresh(f), args.repeat)
+        ms, name = timed(classify, args.repeat, lambda: fresh(f))
         print(f"{'classify':<12}{ms:>26}  {name}")
 
-    ms, res = timed(lambda space: rif_failure_search(space, 20), lambda: s, args.repeat)
+    ms, res = timed(lambda: rif_failure_search(s, 20), args.repeat)
     print(f"\nrif_failure_search, budget 20: {ms} ms, pool of {len(res.rif_pool)}, "
           f"{res.otimes_checked} products and {res.trials} convex-sum trials settled by proof")
+
 
 if __name__ == "__main__":
     main()

@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when a semantic check fails (axiom, law or
-classification failures, undefined measures), 2 on input problems
-(unreadable files, malformed JSON, unparsable terms, bad parameters).
+Each command returns its exit code (0 on success, 1 when an axiom, law or
+class check fails), and the command group exits with it.  The group also
+turns an error a command raises into one `error:` line on stderr and exit
+2 for input problems (unreadable files, malformed JSON, unparsable terms,
+bad parameters) or 1 for semantic ones (undefined measures, missing
+carriers).  Every command takes --format and --out, derive --out only.
 Reports are deterministic: identical inputs and seed produce identical
 bytes.  Space-file arguments are tried as given, then relative to
 RIF_FORGE_FIXTURES, then against the packaged fixtures.
@@ -10,15 +13,13 @@ RIF_FORGE_FIXTURES, then against the packaged fixtures.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import pathlib
-import sys
 from fractions import Fraction
 from importlib import resources
 from random import Random
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import click
 
@@ -92,28 +93,6 @@ def _emit(fmt: str, out: Optional[str], payload: dict, lines: list[str]) -> None
         click.echo(text, nl=False)
 
 
-def _exits(callback: Callable[..., int]) -> Callable[..., None]:
-    """Make a command callback that returns its exit code exit with it.
-
-    Input problems exit 2 and semantic failures exit 1, each with one
-    `error:` line on stderr.
-    """
-
-    @functools.wraps(callback)
-    def run(*args, **kwargs) -> None:
-        try:
-            code = callback(*args, **kwargs)
-        except InputError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        except SemanticError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_SEMANTIC)
-        sys.exit(code)
-
-    return run
-
-
 def _axiom_rows(reports: Iterable[AxiomReport]) -> list[dict]:
     return [
         {
@@ -169,22 +148,40 @@ def _evaluate(s: GranularSpace, texts: Iterable[str], env_path: Optional[str] = 
     return [terms.eval_term(term, env, s) for term in parsed]
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True
-)
-out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
+class _CommandGroup(click.Group):
+    """Exits with the code its command returns; an InputError exits 2 and
+    a SemanticError 1, each with one `error:` line on stderr."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            code = super().invoke(ctx)
+        except (InputError, SemanticError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            code = EXIT_INPUT if isinstance(exc, InputError) else EXIT_SEMANTIC
+        ctx.exit(code)
 
 
-@click.group()
+_out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
+_relation_option = click.option("--relation", type=click.Choice(["parthood", "order"]),
+                                default="parthood", show_default=True)
+_env_option = click.option("--env", "env_path", type=click.Path(exists=False), default=None,
+                           help="JSON file mapping names to term strings.")
+
+
+def _reported(command):
+    """Add --format, then --out, after the options command declares."""
+    return click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table",
+                        show_default=True)(_out_option(command))
+
+
+@click.group(cls=_CommandGroup)
 def main():
     """Granular operator spaces, inclusion functions, and their algebra."""
 
 
 @main.command()
 @click.argument("space_file")
-@format_option
-@out_option
-@_exits
+@_reported
 def validate(space_file, fmt, out):
     """Check every space axiom, admissibility, and the flavor."""
     s = _load(space_file)
@@ -203,9 +200,7 @@ def validate(space_file, fmt, out):
 
 @main.command()
 @click.argument("space_file")
-@format_option
-@out_option
-@_exits
+@_reported
 def approximate(space_file, fmt, out):
     """Emit the lower/upper approximation of every element."""
     s = _load(space_file)
@@ -236,13 +231,9 @@ def approximate(space_file, fmt, out):
 @main.command(name="classify")
 @click.argument("space_file")
 @click.argument("term")
-@click.option("--relation", type=click.Choice(["parthood", "order"]), default="parthood",
-              show_default=True)
-@click.option("--env", "env_path", type=click.Path(exists=False), default=None,
-              help="JSON file mapping names to term strings.")
-@format_option
-@out_option
-@_exits
+@_relation_option
+@_env_option
+@_reported
 def classify_cmd(space_file, term, relation, env_path, fmt, out):
     """Name the most specific class of a function and report every axiom."""
     s = _load(space_file)
@@ -264,14 +255,12 @@ def classify_cmd(space_file, term, relation, env_path, fmt, out):
 @main.command(name="check-laws")
 @click.argument("space_file")
 @click.argument("term_list", nargs=-1)
-@click.option("--env", "env_path", type=click.Path(exists=False), default=None)
+@_env_option
 @click.option("--alpha", "alphas", multiple=True, help="Weights to test (repeatable).")
 @click.option("--random-terms", type=int, default=0, show_default=True,
               help="Generate this many extra random wqRIF terms.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@format_option
-@out_option
-@_exits
+@_reported
 def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, fmt, out):
     """Verify the eleven algebra laws over the given functions."""
     if random_terms < 0:
@@ -311,11 +300,8 @@ def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, 
 @click.option("--function", "term", default=None, help="Term to check; omit for random trials.")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--relation", type=click.Choice(["parthood", "order"]), default="parthood",
-              show_default=True)
-@format_option
-@out_option
-@_exits
+@_relation_option
+@_reported
 def prif_verify(space_file, term, trials, seed, relation, fmt, out):
     """Check the implication battery, on one function or random ones."""
     if trials < 1:
@@ -355,9 +341,7 @@ def prif_verify(space_file, term, trials, seed, relation, fmt, out):
               help="Reported as the convex-sum trials; no trial runs, closure is proved.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Has no effect: the search draws nothing at random.")
-@format_option
-@out_option
-@_exits
+@_reported
 def rif_failure_search_cmd(space_file, budget, seed, fmt, out):
     """Hunt for operations that push RIFs out of the RIF class."""
     s = _load(space_file)
@@ -390,9 +374,7 @@ def rif_failure_search_cmd(space_file, budget, seed, fmt, out):
 @click.option("--beta", required=True)
 @click.option("--fixed", is_flag=True, default=False,
               help="Threshold against the lower approximation of the target.")
-@format_option
-@out_option
-@_exits
+@_reported
 def vprs(space_file, target, term, alpha, beta, fixed, fmt, out):
     """Variable-precision lower/upper regions of one element."""
     s = _load(space_file)
@@ -424,9 +406,7 @@ def vprs(space_file, target, term, alpha, beta, fixed, fmt, out):
 @click.argument("f_term")
 @click.argument("h_term")
 @click.argument("samples_file", type=click.Path(exists=False))
-@format_option
-@out_option
-@_exits
+@_reported
 def fit_alpha_cmd(space_file, f_term, h_term, samples_file, fmt, out):
     """Least-squares blend weight from a JSON sample file.
 
@@ -455,8 +435,7 @@ def fit_alpha_cmd(space_file, f_term, h_term, samples_file, fmt, out):
 @click.option("--attrs", default=None,
               help="Comma-separated attribute names; all by default.")
 @click.option("--value-delimiter", default="|", show_default=True)
-@out_option
-@_exits
+@_out_option
 def derive(csv_file, attrs, value_delimiter, out):
     """Build a set-based space from an information table CSV.
 

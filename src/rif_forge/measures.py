@@ -98,13 +98,10 @@ def vprs(
 def fixed_vprs(
     s: GranularSpace, f: InclusionFunction, p: VprsParams, x: str
 ) -> tuple[frozenset[str], frozenset[str]]:
-    """Like vprs but degrees are measured against the lower approximation
-    of x rather than against x itself."""
+    """vprs measured against the lower approximation of x rather than
+    against x itself."""
     _require_set_extensional(s)
-    anchor = s.lower_of(x)
-    lower = _granule_union(s, f, anchor, p.beta)
-    upper = _granule_union(s, f, anchor, p.alpha)
-    return lower, upper
+    return vprs(s, f, p, s.lower_of(x))
 
 
 def _require_set_extensional(s: GranularSpace):

@@ -170,14 +170,22 @@ class GranularSpace:
         r = -1 if (ij := self._at(a, b)) is None else self.tables.meet[ij[0]][ij[1]]
         return self.elements[r] if r >= 0 else None
 
+    def _index_of(self, x: str) -> int:
+        """The index of x; InputError when x is not an element."""
+        try:
+            return self._index[x]
+        except KeyError:
+            raise InputError(f"unknown element {x!r}") from None
+
     def lower_of(self, x: str) -> str:
-        return self.elements[self.tables.lower[self._index[x]]]
+        return self.elements[self.tables.lower[self._index_of(x)]]
 
     def upper_of(self, x: str) -> str:
-        return self.elements[self.tables.upper[self._index[x]]]
+        return self.elements[self.tables.upper[self._index_of(x)]]
 
     def carrier_of(self, x: str) -> frozenset[str]:
         if x not in self.carriers:
+            self._index_of(x)  # InputError for an unknown id
             raise CarrierError(f"element {x!r} has no carrier")
         return self.carriers[x]
 
@@ -452,11 +460,10 @@ def granular_upper(s: GranularSpace, x: str) -> str:
 def _granular(key: str, s: GranularSpace, x: str) -> str:
     for eid in s.elements:
         s.carrier_of(eid)  # CarrierError for the first element without one
-    if x not in s._index:
-        raise InputError(f"unknown element {x!r}")
+    i = s._index_of(x)
     t = s.tables
     grans = [t.index[g] for g in s.granulation]
-    return s.elements[_granule_unions(key, [t.index[x]], t.carriers, grans, t.parthood, t.objects)[0]]
+    return s.elements[_granule_unions(key, [i], t.carriers, grans, t.parthood, t.objects)[0]]
 
 
 def _granule_unions(key: str, cols, masks: list[int], grans: list[int], parthood: list[int],

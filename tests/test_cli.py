@@ -562,6 +562,16 @@ class TestVprs:
         )
         assert result.exit_code == 2
 
+    def test_semantic_error_exits_one_with_one_error_line(self, runner, tmp_path):
+        # the power set of no objects has an empty top carrier, so k2 is undefined
+        empty = tmp_path / "empty.json"
+        save_space(powerset_space([], []), empty)
+        result = runner.invoke(main, ["vprs", str(empty), "{}", "--function", "k2",
+                                      "--alpha", "1/4", "--beta", "1/2"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: k2 needs a nonempty top carrier\n"
+
 
 class TestFitAlpha:
     def test_recovers_blend_weight(self, runner, tmp_path):

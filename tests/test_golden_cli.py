@@ -5,8 +5,9 @@ printed with tests/golden/<group>.json.  Table output and stderr are
 stored verbatim; JSON output is stored as the SHA-256 digest of stdout,
 which keeps the files small.  The groups are the packaged fixture, the
 two-block power set, a copy of it whose lower map breaks UL1 and UL2
-(so the reports list witnesses and the commands exit 1) and `derive` on
-a small CSV table.
+(so the reports list witnesses and the commands exit 1), `derive` on
+a small CSV table, and every command's `--help`.  Cases run at a fixed
+terminal width, so click wraps help text the same on every terminal.
 
 To rewrite the golden files after an intended change of output, run
 
@@ -103,6 +104,7 @@ CASES = {
         "derive-attrs": ["derive", "{table}", "--attrs", "color"],
         "derive-delimiter": ["derive", "{table}", "--attrs", "color,size", "--value-delimiter", ";"],
     },
+    "help": {command: [command, "--help"] for command in main.commands},
 }
 
 
@@ -126,7 +128,7 @@ def write_inputs(directory: pathlib.Path) -> dict[str, str]:
 
 
 def run_case(argv: list[str], paths: dict[str, str]) -> dict:
-    result = CliRunner().invoke(main, [paths.get(arg, arg) for arg in argv])
+    result = CliRunner().invoke(main, [paths.get(arg, arg) for arg in argv], terminal_width=80)
     record = {"exit": result.exit_code, "stderr": result.stderr}
     if argv[-2:] == ["--format", "json"]:
         record["stdout_sha256"] = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rif_forge import (
+    InputError,
     ParameterError,
     UndefinedMeasureError,
     VprsParams,
     accuracy_degree,
+    fit_alpha,
     fixed_vprs,
+    granular_lower,
     k0,
+    k2,
     misclassification,
     powerset_space,
     random_set_hgos,
@@ -174,6 +178,25 @@ class TestVprs:
         f = k0(s)
         lo, up = vprs(s, f, VprsParams(F(1, 4), F(1, 2)), "{u}")
         assert lo == frozenset({"u"}) and up == frozenset({"u"})
+
+
+GHOST = VprsParams(F(1, 4), F(1, 2))
+GHOST_CALLS = {
+    "accuracy_degree": lambda s: accuracy_degree(s, "ghost"),
+    "misclassification": lambda s: misclassification(s, "ghost", "a"),
+    "rough_leq": lambda s: rough_leq(s, "ghost", "a"),
+    "regions": lambda s: regions(s, "ghost"),
+    "vprs": lambda s: vprs(s, k0(s), GHOST, "ghost"),
+    "fixed_vprs": lambda s: fixed_vprs(s, k0(s), GHOST, "ghost"),
+    "fit_alpha": lambda s: fit_alpha(k0(s), k2(s), [(("ghost", "a"), F(1, 2))]),
+    "granular_lower": lambda s: granular_lower(s, "ghost"),
+}
+
+
+@pytest.mark.parametrize("measure", list(GHOST_CALLS))
+def test_an_unknown_element_is_an_input_error(fixture_space, measure):
+    with pytest.raises(InputError, match="'ghost'"):
+        GHOST_CALLS[measure](fixture_space)
 
 
 @settings(max_examples=60, deadline=None)
