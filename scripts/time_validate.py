@@ -27,7 +27,7 @@ import sys
 import tempfile
 from random import Random
 
-from timing import MACHINE, once_ms, parse_args, power_set, summary, timed
+from timing import MACHINE, alternated, once_ms, parse_args, power_set, summary, timed
 
 from rif_forge.space import (
     _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, _json_text, check_admissibility, classify_flavor, load_space,
@@ -81,12 +81,7 @@ def main() -> None:
     doc = space_to_dict(s)
     if _json_text(doc) != json.dumps(doc, indent=2):
         sys.exit("_json_text differs from json.dumps(indent=2)")
-    write_ms, dumps_ms = [], []
-    for i in range(10 * args.repeat):
-        # alternated, and each side goes first in half of the pairs
-        pair = [(write_ms, lambda: _json_text(doc)), (dumps_ms, lambda: json.dumps(doc, indent=2))]
-        for times, call in pair[::1 if i % 2 else -1]:
-            times.append(once_ms(call)[0])
+    write_ms, dumps_ms = alternated(lambda: _json_text(doc), lambda: json.dumps(doc, indent=2), 10 * args.repeat)
     t = s.tables
     proved = _SET_LATTICE_AXIOMS if classify_flavor(s) == "setHGOS" else ()
     rows = []

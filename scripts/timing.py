@@ -66,3 +66,13 @@ def timed(call, repeat: int, make=None):
         ms, result = once_ms(call, *(() if make is None else (make(),)))
         times.append(ms)
     return summary(times), result
+
+
+def alternated(first, second, repeat: int) -> tuple[list, list]:
+    """repeat wall times each of first() and second(), called in pairs so
+    that both see the same machine, each going first in half of the pairs."""
+    times = ([], [])
+    for i in range(repeat):
+        for side in (0, 1) if i % 2 else (1, 0):
+            times[side].append(once_ms((first, second)[side])[0])
+    return times

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -54,48 +56,72 @@ def _check_alpha(alpha) -> Fraction:
     return alpha
 
 
+# Every operator builds its result through _of_rows, which reduces the
+# rows but does not range-check them: each operator's docstring proves
+# its values lie in [0,1] when its operands' do.
 _rows = InclusionFunction._of_rows
 
 
 def top_function(s: GranularSpace) -> InclusionFunction:
+    """The constant 1, the unit of otimes."""
     return _rows(s, [1] * len(s.elements) ** 2, 1, "top")
 
 
 def otimes(f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
+    """Pointwise product.  In [0,1]: 0 <= x <= Df and 0 <= y <= Dg give
+    0 <= x*y <= Df*Dg."""
     s = _same_space(f, g)
     return _rows(s, list(map(mul, f.nums, g.nums)), f.den * g.den, f"otimes({f.label},{g.label})")
 
 
 def oplus(alpha, f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
+    """Convex sum alpha*f + (1-alpha)*g.  In [0,1]: with 0 <= p <= q,
+    both weights below are non-negative and the sum is at most
+    p*L + (q-p)*L = q*L."""
     alpha = _check_alpha(alpha)
     s = _same_space(f, g)
-    # p/q * x/Df + (q-p)/q * y/Dg = (p*Dg*x + (q-p)*Df*y) / (q*Df*Dg)
+    # with L = lcm(Df, Dg): p/q * x/Df + (q-p)/q * y/Dg = (p*(L/Df)*x + (q-p)*(L/Dg)*y) / (q*L)
     p, q = alpha.as_integer_ratio()
-    a, b = p * g.den, (q - p) * f.den
+    den = lcm(f.den, g.den)
+    a, b = p * (den // f.den), (q - p) * (den // g.den)
     nums = [a * x + b * y for x, y in zip(f.nums, g.nums)]
-    return _rows(s, nums, q * f.den * g.den, f"oplus({alpha},{f.label},{g.label})")
+    return _rows(s, nums, q * den, f"oplus({alpha},{f.label},{g.label})")
+
+
+def _of_distinct_rows(s: GranularSpace, keys: list, rows: dict, den: int, label: str) -> InclusionFunction:
+    """The function whose row i is rows[keys[i]], where keys names every
+    row of rows: those rows hold every value, so the gcd is taken, and the
+    division done, over them alone, and the result is already reduced."""
+    g = gcd(den, *chain.from_iterable(rows.values()))
+    if g != 1:
+        den //= g
+        rows = {k: [x // g for x in row] for k, row in rows.items()}
+    return _rows(s, list(chain.from_iterable(map(rows.__getitem__, keys))), den, label, reduced=True)
 
 
 def _gather(f: InclusionFunction, to: list[int], name: str) -> InclusionFunction:
-    """(a_i, a_j) -> f(a_to[i], a_to[j])."""
-    n = len(to)
-    rows = [f.nums[i * n:(i + 1) * n] for i in to]
-    return _rows(f.space, [row[j] for row in rows for j in to], f.den, f"{name}({f.label})")
+    """(a_i, a_j) -> f(a_to[i], a_to[j]), gathering each distinct row once."""
+    n, nums = len(to), f.nums
+    rows = {i: list(map(nums[i * n:(i + 1) * n].__getitem__, to)) for i in set(to)}
+    return _of_distinct_rows(f.space, to, rows, f.den, f"{name}({f.label})")
 
 
 def sharp(f: InclusionFunction) -> InclusionFunction:
+    """f(lower(a), lower(b)): values of f, so in [0,1]."""
     return _gather(f, f.space.tables.lower, "sharp")
 
 
 def flat(f: InclusionFunction) -> InclusionFunction:
+    """f(upper(a), upper(b)): values of f, so in [0,1]."""
     return _gather(f, f.space.tables.upper, "flat")
 
 
-def sigma_degrees(f: InclusionFunction) -> list[list[int]]:
-    """sigma(f) by row: list i holds at the index of lower(a_j) the numerator
-    of sigma(f)(a_i, a_j) over f.den, the elementwise max of the rows of a_i's
-    granule parts (the first one twice, so max gets two), once per distinct
-    part set; the space keeps the part rows' offsets w * n in nums."""
+def sigma_degrees(f: InclusionFunction) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], list[int]]]:
+    """sigma(f) by row, as (parts, rows): rows[parts[i]] holds at the index
+    of lower(a_j) the numerator of sigma(f)(a_i, a_j) over f.den, the
+    elementwise max of the rows of a_i's granule parts (the first one
+    twice, so max gets two), built once per distinct part set; parts[i] is
+    a_i's, kept by the space as the part rows' offsets w * n in nums."""
     s, nums, n = f.space, f.nums, f.space.tables.n
     if "granule parts" not in s._derived:
         t, grans = s.tables, [s._index[w] for w in s.granulation]
@@ -103,21 +129,26 @@ def sigma_degrees(f: InclusionFunction) -> list[list[int]]:
     parts = s._derived["granule parts"]
     rows = {p: list(map(max, nums[p[0]:p[0] + n], *(nums[w:w + n] for w in p))) if p else [f.den] * n
             for p in set(parts)}
-    return [rows[p] for p in parts]
+    return parts, rows
 
 
 def sigma(f: InclusionFunction) -> InclusionFunction:
     """Granule-mediated sum: best degree of a granule part of a inside the
-    lower approximation of b, and 1 when a has no granule part."""
+    lower approximation of b, and 1 when a has no granule part.  In
+    [0,1]: every value is a value of f or 1."""
     lows = f.space.tables.lower
-    nums = [d for row in sigma_degrees(f) for d in map(row.__getitem__, lows)]
-    return _rows(f.space, nums, f.den, f"sigma({f.label})")
+    parts, rows = sigma_degrees(f)
+    rows = {p: list(map(row.__getitem__, lows)) for p, row in rows.items()}
+    return _of_distinct_rows(f.space, parts, rows, f.den, f"sigma({f.label})")
 
 
 def power(f: InclusionFunction, n: int) -> InclusionFunction:
+    """Pointwise n-th power.  In [0,1]: 0 <= x <= D gives 0 <= x**n <= D**n.
+    Already reduced: a prime dividing D**n and every x**n divides D and
+    every x, and f is reduced."""
     if n < 1:
         raise ParameterError(f"exponent must be a positive integer, got {n}")
-    return _rows(f.space, [x**n for x in f.nums], f.den**n, f"pow({f.label},{n})")
+    return _rows(f.space, [x**n for x in f.nums], f.den**n, f"pow({f.label},{n})", reduced=True)
 
 
 def leq(f: InclusionFunction, g: InclusionFunction) -> bool:
@@ -151,8 +182,8 @@ def _r0_plus(s: GranularSpace, fns: Sequence[InclusionFunction]) -> list[tuple[s
     related = [(i, j) for i, m in enumerate(s.tables.parthood) for j in _bits(m)]
     wit = []
     for f in fns:
-        rows = sigma_degrees(f)
-        wit += [(f.label, els[i], els[j]) for i, j in related if rows[i][lows[j]] != f.den]
+        parts, rows = sigma_degrees(f)
+        wit += [(f.label, els[i], els[j]) for i, j in related if rows[parts[i]][lows[j]] != f.den]
     return wit
 
 
@@ -291,7 +322,9 @@ def convex_polynomial(
     powers: Sequence[int],
     fns: Sequence[InclusionFunction],
 ) -> InclusionFunction:
-    """Pointwise sum of coeff * fn**power with coefficients summing to 1."""
+    """Pointwise sum of coeff * fn**power with coefficients summing to 1.
+    In [0,1]: each power lies in [0,1] (see power), and a sum of them with
+    weights in [0,1] that sum to 1 lies between their least and greatest."""
     if not (len(coeffs) == len(powers) == len(fns)):
         raise InputError(
             f"coeffs, powers and fns must align, got lengths "

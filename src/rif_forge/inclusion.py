@@ -35,13 +35,14 @@ requires R0 and R3.  classify returns the most specific one.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter, eq, mul
 from random import Random
-from typing import Mapping, Optional
+from typing import Optional
 
 from .errors import (
     CarrierError,
@@ -58,6 +59,10 @@ RIF_AXIOM_ORDER = ("U1", "R0", "R1", "R2", "R3", "R4", "R5", "R6", "IR0", "IR4",
 
 CLASS_ORDER = ("none", "wqRIF", "qRIF", "RIF")
 
+# The parts of a Fraction, read from its slots in C rather than through
+# the numerator and denominator properties, a Python call each.
+_numerator, _denominator = attrgetter("_numerator"), attrgetter("_denominator")
+
 
 class InclusionFunction:
     """Total rational-valued map on ordered element pairs, range [0,1].
@@ -66,42 +71,65 @@ class InclusionFunction:
     form is canonical, gcd(den, *nums) == 1, so functions on one space are
     pointwise equal exactly when their den and nums are.  values is the
     same map as a dict of Fractions keyed by pair, built on first use.
+
+    A function is made from a table of values (the constructor) or from
+    integer rows an operator built (_of_rows).  Each path does only the
+    work its source leaves open.  The constructor reads, converts and
+    scales the table, then refuses a value outside [0,1].  It takes no gcd:
+    for reduced values p_i/q_i over L = lcm(q_i), gcd(L, *p_i*(L//q_i)) is
+    1, as every prime r dividing L divides some q_i as often as it divides
+    L, so r divides neither L//q_i nor p_i, which is prime to q_i.
     """
 
     def __init__(self, space: GranularSpace, values: Mapping[tuple[str, str], Fraction], label: str):
-        # C-level passes: read, convert unless all are Fractions, scale to one den
-        try:
-            vals = list(map(values.__getitem__, space.pairs()))
-        except KeyError:
-            a, b = next(p for p in space.pairs() if p not in values)
-            raise InputError(f"value missing for pair ({a!r},{b!r})") from None
+        # C-level passes: read, convert unless all are Fractions, scale to
+        # one den.  A mapping whose keys run in pair order is read by its
+        # values, checked in one streaming pass; anything else by key.
+        n = len(space.elements)
+        if isinstance(values, Mapping) and len(values) == n * n and all(map(eq, values, space.pairs())):
+            vals = list(values.values())
+        else:
+            try:
+                vals = list(map(values.__getitem__, space.pairs()))
+            except KeyError:
+                # found by lookup, as a table may have no `in` of its own
+                for a, b in space.pairs():
+                    try:
+                        values[a, b]
+                    except KeyError:
+                        raise InputError(f"value missing for pair ({a!r},{b!r})") from None
+                raise
         if set(map(type, vals)) != {Fraction}:
             vals = list(map(Fraction, vals))
-        qs = list(map(attrgetter("denominator"), vals))
+        qs = list(map(_denominator, vals))
         dens = set(qs)
         den = lcm(*dens)
         scale = {q: den // q for q in dens}.__getitem__
-        self._store(space, list(map(mul, map(attrgetter("numerator"), vals), map(scale, qs))), den, label)
+        nums = list(map(mul, map(_numerator, vals), map(scale, qs)))
+        _refuse_out_of_range(space, nums, den)
+        self.space, self.label, self.nums, self.den = space, label, nums, den
 
     @classmethod
-    def _of_rows(cls, space: GranularSpace, nums: list[int], den: int, label: str) -> "InclusionFunction":
-        """The function with value nums[k] / den at the k-th pair of space.pairs()."""
-        f = cls.__new__(cls)
-        f._store(space, nums, den, label)
-        return f
-
-    def _store(self, space: GranularSpace, nums: list[int], den: int, label: str) -> None:
-        # Every function is made here: reduced to canonical form, and
-        # rejected naming the first pair whose value leaves [0,1].
-        g = gcd(den, *nums)
+    def _of_rows(cls, space: GranularSpace, nums: list[int], den: int, label: str,
+                 reduced: bool = False) -> "InclusionFunction":
+        """The function with value nums[k] / den at the k-th pair of
+        space.pairs(), for rows whose builder proves each value lies in
+        [0,1]: they are not range-checked.  They are reduced to canonical
+        form unless reduced says the builder already did.  The gcd runs
+        over the wrapped diagonals nums[k::n+1], each of which meets every
+        row and column, and stops once it is 1: the first rows of a power
+        set are its smallest carriers, whose values share factors."""
+        g, step = 1 if reduced else den, len(space.elements) + 1
+        for k in range(step):
+            if g == 1:
+                break
+            g = gcd(g, *nums[k::step])
         if g != 1:
             den //= g
             nums = [x // g for x in nums]
-        if min(nums) < 0 or max(nums) > den:
-            k = next(k for k, x in enumerate(nums) if not 0 <= x <= den)
-            a, b = list(space.pairs())[k]
-            raise InputError(f"value {Fraction(nums[k], den)} at ({a!r},{b!r}) is outside [0,1]")
-        self.space, self.label, self.nums, self.den = space, label, nums, den
+        f = cls.__new__(cls)
+        f.space, f.label, f.nums, f.den = space, label, nums, den
+        return f
 
     @cached_property
     def values(self) -> dict[tuple[str, str], Fraction]:
@@ -109,10 +137,8 @@ class InclusionFunction:
         return {p: Fraction(x, den) for p, x in zip(self.space.pairs(), self.nums)}
 
     def __call__(self, a: str, b: str) -> Fraction:
-        idx = self.space._index
-        if a not in idx or b not in idx:
-            raise InputError(f"unknown pair ({a!r},{b!r})")
-        return Fraction(self.nums[idx[a] * len(idx) + idx[b]], self.den)
+        s = self.space
+        return Fraction(self.nums[s._index_of(a) * len(s.elements) + s._index_of(b)], self.den)
 
     def image(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in sorted(set(self.nums)))
@@ -136,11 +162,22 @@ class InclusionFunction:
         return f"InclusionFunction({self.label!r}, {len(self.nums)} pairs)"
 
 
+def _refuse_out_of_range(space: GranularSpace, nums: list[int], den: int) -> None:
+    """InputError naming the first pair whose value nums[k] / den leaves [0,1]."""
+    if min(nums) < 0 or max(nums) > den:
+        k = next(k for k, x in enumerate(nums) if not 0 <= x <= den)
+        a, b = list(space.pairs())[k]
+        raise InputError(f"value {Fraction(nums[k], den)} at ({a!r},{b!r}) is outside [0,1]")
+
+
 # -- concrete constructions ------------------------------------------------
+#
+# Each builder proves its values lie in [0,1] and builds through _of_rows.
 
 
 def k0(s: GranularSpace) -> InclusionFunction:
-    """Classical overlap degree #(A and B)/#A, and 1 when A is empty."""
+    """Classical overlap degree #(A and B)/#A, and 1 when A is empty.
+    In [0,1]: A and B is a subset of A."""
     masks, den = _carrier_masks(s)
     nums = []
     for ma in masks:
@@ -153,7 +190,8 @@ def k0(s: GranularSpace) -> InclusionFunction:
 
 
 def k1(s: GranularSpace) -> InclusionFunction:
-    """#B/#(A or B), and 1 when both are empty."""
+    """#B/#(A or B), and 1 when both are empty.  In [0,1]: B is a subset
+    of A or B."""
     masks, den = _carrier_masks(s)
     nums = [mb.bit_count() * (den // (ma | mb).bit_count()) if ma | mb else den
             for ma in masks for mb in masks]
@@ -161,17 +199,25 @@ def k1(s: GranularSpace) -> InclusionFunction:
 
 
 def k2(s: GranularSpace) -> InclusionFunction:
-    """#(complement(A) or B)/#top, complements taken inside the top carrier."""
+    """#(complement(A) or B)/#top, complements taken inside the top carrier.
+    In [0,1] when every carrier lies inside top's: complement(A) or B is
+    then a subset of top.  A space where some carrier does not is refused
+    with InputError at the first pair whose value exceeds 1."""
     masks, _ = _carrier_masks(s)
     universe = masks[s._index[s.top]]
     if not universe:
         raise DegenerateSpaceError("k2 needs a nonempty top carrier")
     nums = [((universe & ~ma) | mb).bit_count() for ma in masks for mb in masks]
+    if any(m & ~universe for m in masks):
+        _refuse_out_of_range(s, nums, universe.bit_count())
     return InclusionFunction._of_rows(s, nums, universe.bit_count(), "k2")
 
 
 def kst(f: InclusionFunction, s: Fraction, t: Fraction) -> InclusionFunction:
-    """Threshold transform: 0 up to s, affine ramp on (s,t), 1 from t on."""
+    """Threshold transform: 0 up to s, affine ramp on (s,t), 1 from t on.
+    In [0,1]: on the ramp s < v < t, so 0 < (v - s)/(t - s) < 1.  Each
+    distinct numerator of f is mapped once, and the result reduced over
+    the mapped values, which are exactly its values."""
     s = Fraction(s)
     t = Fraction(t)
     if s < 0 or t > 1:
@@ -182,8 +228,11 @@ def kst(f: InclusionFunction, s: Fraction, t: Fraction) -> InclusionFunction:
     # iff x*tq >= tp*D, and (v - s)/(t - s) = (x*sq - sp*D)*tq / (D*(tp*sq - sp*tq)).
     (sp, sq), (tp, tq) = s.as_integer_ratio(), t.as_integer_ratio()
     low, high, den = sp * f.den, tp * f.den, f.den * (tp * sq - sp * tq)
-    nums = [0 if x * sq <= low else den if x * tq >= high else (x * sq - low) * tq for x in f.nums]
-    return InclusionFunction._of_rows(f.space, nums, den, f"kst({f.label},{s},{t})")
+    ramp = {x: 0 if x * sq <= low else den if x * tq >= high else (x * sq - low) * tq for x in set(f.nums)}
+    g = gcd(den, *ramp.values())
+    ramp = {x: y // g for x, y in ramp.items()}
+    return InclusionFunction._of_rows(f.space, list(map(ramp.__getitem__, f.nums)), den // g,
+                                      f"kst({f.label},{s},{t})", reduced=True)
 
 
 def _carrier_masks(s: GranularSpace) -> tuple[list[int], int]:
@@ -487,7 +536,8 @@ def random_kappa(s: GranularSpace, rng: Random, max_denominator: int = 12) -> In
 
     Each pair draws a denominator q in 1..max_denominator, then a numerator
     p in 0..q; its value p/q is written as p * (L // q) over L, the lcm of
-    the drawn denominators.
+    the drawn denominators.  In [0,1]: 0 <= p <= q, and the diagonal's L/L
+    is 1.
     """
     n, randint, draws = len(s.elements), rng.randint, []
     for _ in range(n * n):

@@ -29,7 +29,7 @@ import re
 from collections.abc import MutableMapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from . import algebra, inclusion
 from .errors import InputError, ParameterError, ResolutionError, TermParseError
@@ -150,8 +150,7 @@ RESERVED = ("top",) + tuple(OPERATORS)
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+)|(?P<sym>[(),/]))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # name, num, sym, end
     text: str
     position: int
@@ -170,10 +169,8 @@ def _tokenize(text: str) -> list[_Token]:
             raise TermParseError(
                 f"unexpected character {stripped[0]!r}", at, ("name", "number", "'('")
             )
-        for kind in ("name", "num", "sym"):
-            if m.group(kind) is not None:
-                tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-                break
+        kind = m.lastgroup  # the one group that matched
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens

@@ -1,3 +1,5 @@
+from collections import defaultdict
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction, Fraction as F
 from itertools import product
 from math import gcd, lcm
@@ -926,9 +928,25 @@ def test_missing_pair_and_bad_kst_thresholds_keep_their_errors(fixture_space):
         assert str(got.value) == str(want.value)
 
 
+def former_store(f: InclusionFunction, space: GranularSpace, nums: list[int], den: int, label: str) -> None:
+    """The former InclusionFunction._store, verbatim but for self, which is
+    f: every function was made through it, the full gcd, then the range
+    check."""
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [x // g for x in nums]
+    if min(nums) < 0 or max(nums) > den:
+        k = next(k for k, x in enumerate(nums) if not 0 <= x <= den)
+        a, b = list(space.pairs())[k]
+        raise InputError(f"value {Fraction(nums[k], den)} at ({a!r},{b!r}) is outside [0,1]")
+    f.space, f.label, f.nums, f.den = space, label, nums, den
+
+
 class FormerInclusionFunction(InclusionFunction):
     """InclusionFunction with its former constructor, verbatim: it read,
-    converted and scaled the values one pair at a time."""
+    converted and scaled the values one pair at a time, then stored them
+    through former_store."""
 
     def __init__(self, space: GranularSpace, values, label: str):
         vals = []
@@ -939,7 +957,7 @@ class FormerInclusionFunction(InclusionFunction):
                 raise InputError(f"value missing for pair ({a!r},{b!r})") from None
             vals.append(v if isinstance(v, Fraction) else Fraction(v))
         den = lcm(*{v.denominator for v in vals})
-        self._store(space, [v.numerator * (den // v.denominator) for v in vals], den, label)
+        former_store(self, space, [v.numerator * (den // v.denominator) for v in vals], den, label)
 
 
 class SubFraction(Fraction):
@@ -961,9 +979,9 @@ OUT_OF_RANGE = [F(-1), F(-1, 2), F(-1, 3), F(4, 3), F(3, 2), F(2)]
 
 @st.composite
 def value_mappings(draw, s: GranularSpace):
-    """A value mapping for s in a mix of forms, with up to three pairs
-    missing and up to three values outside [0,1], maybe read-only.  The
-    forms and counts are drawn; each pair's value comes from a drawn seed."""
+    """A value mapping for s, in pair order, in a mix of forms, with up to
+    three pairs missing and up to three values outside [0,1].  The forms
+    and counts are drawn; each pair's value comes from a drawn seed."""
     forms = sorted(draw(st.sets(st.sampled_from(sorted(VALUE_FORMS)), min_size=1), label="forms"))
     rng, pairs = Random(draw(st.integers(0, 10_000), label="seed")), list(s.pairs())
 
@@ -977,23 +995,156 @@ def value_mappings(draw, s: GranularSpace):
         values[p] = written(rng.choice(OUT_OF_RANGE))
     for p in rng.sample(pairs, min(draw(counts, label="missing"), len(pairs))):
         del values[p]
-    return MappingProxyType(values) if draw(st.booleans(), label="read-only") else values
+    return values
+
+
+class OnlyGetitem:
+    """A table with __getitem__ and nothing else: no keys, no len."""
+
+    def __init__(self, values: dict):
+        self._values = values
+
+    def __getitem__(self, pair):
+        return self._values[pair]
+
+
+def _shuffled(values: dict, rng: Random) -> dict:
+    items = list(values.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def _with_extra_keys(values: dict, rng: Random) -> dict:
+    # extra keys before, among and after the pairs, of every kind
+    out = {("ghost", "ab"): F(1, 2)} if rng.random() < 0.5 else {}
+    out.update(values)
+    out[rng.choice(["x", ("ab",), ("a", "b", "c"), ("ghost", "ghost")])] = F(3)
+    return out
+
+
+def _defaultdict(values: dict, rng: Random) -> defaultdict:
+    # a missing pair would read the default, so the table reads as complete
+    return defaultdict(lambda: F(1, 3), values)
+
+
+TABLE_FORMS = {
+    "pair order": lambda values, rng: values,
+    "shuffled": _shuffled,
+    "extra keys": _with_extra_keys,
+    "defaultdict": _defaultdict,
+    "defaultdict, shuffled": lambda values, rng: _defaultdict(_shuffled(values, rng), rng),
+    "read-only": lambda values, rng: MappingProxyType(values),
+    "read-only, shuffled": lambda values, rng: MappingProxyType(_shuffled(values, rng)),
+    "getitem only": lambda values, rng: OnlyGetitem(values),
+}
+
+
+def _outcome(make, s: GranularSpace, table, label: str):
+    """(nums, den, label) of make(s, table, label), or its error text."""
+    try:
+        f = make(s, table, label)
+    except InputError as exc:
+        return str(exc)
+    return f.nums, f.den, f.label
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10_000), form=st.sampled_from(sorted(TABLE_FORMS)))
+def test_constructor_matches_the_former_one_on_any_mapping(data, seed, form, fixture_space):
+    # a mapping whose keys run in pair order is read by its values, any other table by key
+    s = data.draw(st.sampled_from([fixture_space, random_set_hgos(Random(seed))]), label="space")
+    table = TABLE_FORMS[form](data.draw(value_mappings(s), label="values"), Random(seed))
+    assert _outcome(InclusionFunction, s, table, "drawn") == _outcome(FormerInclusionFunction, s, table, "drawn")
+
+
+def test_fraction_slots_hold_the_public_parts():
+    # the constructor reads these slots; a Python that renames them fails here
+    for v in (F(6, -4), F(-6, 4), F(0), F(7), F(10**30 + 1, 3 * 10**29)):
+        assert (v._numerator, v._denominator) == (v.numerator, v.denominator)
+    assert (F(6, -4)._numerator, F(6, -4)._denominator) == (-3, 2)
+
+
+# -- the operator path: results reduced without the former range check ---------
+
+
+def former_of_rows(space: GranularSpace, nums: list[int], den: int, label: str, reduced=False) -> InclusionFunction:
+    # rows a builder reduced are reduced and checked again all the same
+    f = InclusionFunction.__new__(InclusionFunction)
+    former_store(f, space, nums, den, label)
+    return f
+
+
+@contextmanager
+def former_rows():
+    """Every operator and construction builds through former_store."""
+    saved = algebra._rows, InclusionFunction.__dict__["_of_rows"]
+    algebra._rows = former_of_rows
+    InclusionFunction._of_rows = staticmethod(former_of_rows)
+    try:
+        yield
+    finally:
+        algebra._rows, InclusionFunction._of_rows = saved
+
+
+def _both_paths(build):
+    """(nums, den, label) of build() on the operator path and through
+    former_store, or the error text each raised."""
+    out = []
+    for path in (nullcontext, former_rows):
+        with path():
+            try:
+                f = build()
+            except (InputError, ParameterError) as exc:
+                out.append((type(exc), str(exc)))
+            else:
+                out.append((f.nums, f.den, f.label))
+    return out
+
+
+def _large_kappa(s: GranularSpace, rng: Random) -> InclusionFunction:
+    # denominators up to 10**12: their lcm runs to hundreds of digits
+    return random_kappa(s, rng, max_denominator=10**12)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 10_000))
-def test_constructor_matches_the_former_one_on_any_mapping(data, seed, fixture_space):
-    s = data.draw(st.sampled_from([fixture_space, random_set_hgos(Random(seed))]), label="space")
-    values = data.draw(value_mappings(s), label="values")
-    try:
-        want = FormerInclusionFunction(s, values, "drawn")
-    except InputError as exc:
-        with pytest.raises(InputError) as got:
-            InclusionFunction(s, values, "drawn")
-        assert str(got.value) == str(exc)
-    else:
-        f = InclusionFunction(s, values, "drawn")
-        assert (f.nums, f.den, f.label) == (want.nums, want.den, want.label)
+@given(kind=st.sampled_from(["powerset", "fixture"]), seed=st.integers(0, 10_000))
+def test_operator_path_matches_the_former_store(fixture_space, kind, seed):
+    rng = Random(seed)
+    s = fixture_space if kind == "fixture" else random_set_hgos(rng)
+    fns = [random_kappa(s, rng), random_kappa(s, rng, 2), _large_kappa(s, rng), k0(s), k2(s)]
+    fns.append(oplus(random_unit_rational(rng), fns[0], fns[2]))
+    f, g = rng.choice(fns), rng.choice(fns)
+    alpha = rng.choice([F(0), F(1), random_unit_rational(rng), F(10**9 - 1, 10**9)])
+    low, high = random_thresholds(rng)
+    if rng.random() < 0.3:
+        high = ONE
+    n = rng.randint(1, 4)
+    kappa_seed = rng.randrange(10**6)
+    builds = [
+        lambda: k0(s), lambda: k1(s), lambda: k2(s), lambda: top_function(s),
+        lambda: random_kappa(s, Random(kappa_seed)),
+        lambda: _large_kappa(s, Random(kappa_seed)),
+        lambda: otimes(f, g), lambda: otimes(f, f),
+        lambda: oplus(alpha, f, g), lambda: oplus(alpha, f, f),
+        lambda: sharp(f), lambda: flat(f), lambda: sigma(f), lambda: power(f, n),
+        lambda: kst(f, low, high),
+        lambda: convex_polynomial([alpha, 1 - alpha], [n, 1], [f, g]),
+        lambda: convex_polynomial([F(0), alpha, 1 - alpha], [1, n, 2], [f, f, g]),
+    ]
+    for build in builds:
+        new, old = _both_paths(build)
+        assert new == old
+        assert not isinstance(new[0], type) and gcd(new[1], *new[0]) == 1
+
+
+def test_k2_refuses_a_carrier_outside_top_with_the_former_message(fixture_space):
+    doc = space_to_dict(fixture_space)
+    for e in doc["elements"]:
+        if e["id"] == doc["top"]:
+            e["carrier"] = ["a", "b", "c"]
+    s = space_from_dict(doc)
+    new, old = _both_paths(lambda: k2(s))
+    assert new == old == (InputError, "value 4/3 at ('bot','e') is outside [0,1]")
 
 
 def test_pointwise_equal_compares_denominators(two_block_space):

@@ -89,8 +89,12 @@ class TestValidation:
             InclusionFunction(singleton_space, values, "big")
 
     def test_unknown_pair_lookup(self, fixture_space):
-        with pytest.raises(InputError):
-            k0(fixture_space)("ab", "ghost")
+        # named as lower_of and find_element name it, the first unknown one
+        f = k0(fixture_space)
+        for a, b in (("ghost", "ab"), ("ab", "ghost"), ("ghost", "spook")):
+            with pytest.raises(InputError) as got:
+                f(a, b)
+            assert str(got.value) == "unknown element 'ghost'"
 
 
 class TestAxiomChecks:

@@ -10,6 +10,7 @@ errors, and the sampler must return the same terms from the same seeds.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -36,7 +37,7 @@ from rif_forge import (
 )
 from rif_forge.cli import main
 from rif_forge.sampling import BASE_LABELS
-from rif_forge.terms import MAX_TERM_DEPTH, OPERATORS, RESERVED, AlgebraTerm, _Parser
+from rif_forge.terms import _TOKEN, MAX_TERM_DEPTH, OPERATORS, RESERVED, AlgebraTerm, _Parser, _tokenize
 
 
 class ParserOracle(_Parser):
@@ -186,6 +187,52 @@ def _mutated(draw):
 @given(st.one_of(_well_formed, _mutated(), _soup))
 def test_table_parser_matches_branch_parser(text):
     assert outcome(_Parser, text) == outcome(ParserOracle, text)
+
+
+@dataclass(frozen=True)
+class FormerToken:
+    kind: str  # name, num, sym, end
+    text: str
+    position: int
+
+
+def former_tokenize(text: str) -> list[FormerToken]:
+    """The tokenizer that tried each group in turn, verbatim."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise TermParseError(
+                f"unexpected character {stripped[0]!r}", at, ("name", "number", "'('")
+            )
+        for kind in ("name", "num", "sym"):
+            if m.group(kind) is not None:
+                tokens.append(FormerToken(kind, m.group(kind), m.start(kind)))
+                break
+        pos = m.end()
+    tokens.append(FormerToken("end", "", len(text)))
+    return tokens
+
+
+def tokens_of(tokenize, text: str):
+    """(kind, text, position) of each token, or the raised error as
+    (type, message, position, expected)."""
+    try:
+        return [(t.kind, t.text, t.position) for t in tokenize(text)]
+    except TermParseError as exc:
+        return (type(exc), str(exc), exc.position, exc.expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_well_formed, _mutated(), _soup, st.text(max_size=30),
+                 st.text(alphabet=" \t\n\x0b\u00a0\u2003(),/_aZ09é-", max_size=30)))
+def test_tokenizer_matches_the_former_one(text):
+    assert tokens_of(_tokenize, text) == tokens_of(former_tokenize, text)
 
 
 def test_reserved_words_come_from_the_table():
