@@ -14,18 +14,42 @@ line per operator times it on the same space: building k0, k1 and k2, and
 otimes, oplus, sharp, flat, sigma, pow, kst and leq applied to them
 (otimes, oplus and leq on each ordered pair of the three, oplus at every
 weight).  Every time is in ms, printed as scripts/timing.py prints it:
-best, then q1/median/q3.  Stdlib only.
+best, then q1/median/q3.
+
+The trial block then times the stages of one small acceptance-style trial
+on the power sets of 2, 3 and 4 objects (4, 8 and 16 elements), each with
+a partition drawn from the seed: powerset_space, parse_term and eval_term
+over TRIAL_TEXTS (terms shaped like the laws-wqrif workload's, evaluated
+on a fresh default_env), and check_laws on their values with two interior
+weights.  As in a workload trial, eval_term and check_laws get a space
+built fresh for each call, so no table a space keeps from an earlier call
+is warm.  On spaces this small a call takes microseconds, so each sample
+is the mean of a batch of TRIAL_BATCH calls, printed in us a call; the
+inputs of a batch are made before it, untimed.  Stdlib only.
 """
 
 from fractions import Fraction
 from random import Random
 
-from timing import MACHINE, parse_args, power_set, timed
+from timing import MACHINE, once_ms, parse_args, power_set, summary, timed
 
 from rif_forge.algebra import _LAW_CHECKS, check_laws, flat, leq, oplus, otimes, power, sharp, sigma
 from rif_forge.inclusion import k0, k1, k2, kst
+from rif_forge.sampling import random_partition
+from rif_forge.space import powerset_space
+from rif_forge.terms import default_env, eval_term, parse_term
 
 WEIGHTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+
+TRIAL_TEXTS = [
+    "oplus(1/12,pow(k1,3),kst(k0,3/8,1))",
+    "sharp(otimes(k2,top))",
+    "kst(sigma(oplus(2/5,k0,k2)),1/4,2/3)",
+    "flat(pow(otimes(k0,k1),2))",
+    "oplus(7/9,sigma(k1),flat(kst(k2,1/6,5/6)))",
+]
+TRIAL_WEIGHTS = [Fraction(1, 3), Fraction(3, 4)]
+TRIAL_BATCH = 50
 
 
 def operator_calls(s) -> dict:
@@ -45,6 +69,42 @@ def operator_calls(s) -> dict:
     }
 
 
+def trial_stages(objects: int, rng: Random) -> dict:
+    """What each trial line times on the power set of that many objects, as
+    (make, call): call(make()) is one call, make untimed."""
+    names = [f"o{i}" for i in range(1, objects + 1)]
+    blocks = random_partition(names, rng)
+    trees = [parse_term(text) for text in TRIAL_TEXTS]
+
+    def space(_=None):
+        return powerset_space(names, blocks)
+
+    def evaluate(s):
+        env = default_env(s)
+        return [eval_term(tree, env, s) for tree in trees]
+
+    def evaluated():
+        s = space()
+        return s, evaluate(s)
+
+    return {
+        "powerset_space": (lambda: None, space),
+        "parse_term": (lambda: None, lambda _: [parse_term(text) for text in TRIAL_TEXTS]),
+        "eval_term": (space, evaluate),
+        "check_laws": (evaluated, lambda s_fns: check_laws(*s_fns, TRIAL_WEIGHTS)),
+    }
+
+
+def per_call_us(make, call, repeat: int) -> str:
+    """The summary of repeat samples, each the mean wall time in us of a
+    batch of TRIAL_BATCH calls of call(make()), make untimed."""
+    def batch(inputs):
+        return [call(x) for x in inputs]
+
+    return summary([once_ms(batch, [make() for _ in range(TRIAL_BATCH)])[0] * 1000 / TRIAL_BATCH
+                    for _ in range(repeat)])
+
+
 def main() -> None:
     args = parse_args(__doc__, repeat=3)
     s = power_set(args.objects, Random(args.seed))
@@ -62,6 +122,12 @@ def main() -> None:
     print(f"{'operator':<16}{'ms':>26}")
     for name, call in operator_calls(s).items():
         print(f"{name:<16}{timed(call, args.repeat)[0]:>26}")
+    print(f"{'trial stage':<16}{'objects':>8}{'us a call':>34}  ({len(TRIAL_TEXTS)} terms, "
+          f"weights {' '.join(map(str, TRIAL_WEIGHTS))}, batches of {TRIAL_BATCH})")
+    rng = Random(args.seed)
+    for objects in (2, 3, 4):
+        for name, (make, call) in trial_stages(objects, rng).items():
+            print(f"{name:<16}{objects:>8}{per_call_us(make, call, args.repeat):>34}")
 
 
 if __name__ == "__main__":

@@ -50,8 +50,10 @@ def _same_space(f: InclusionFunction, g: InclusionFunction) -> GranularSpace:
 
 
 def _check_alpha(alpha) -> Fraction:
-    alpha = Fraction(alpha)
-    if alpha < 0 or alpha > 1:
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
+    p, q = alpha.as_integer_ratio()  # q > 0
+    if not 0 <= p <= q:
         raise ParameterError(f"weight must lie in [0,1], got {alpha}")
     return alpha
 
@@ -77,15 +79,20 @@ def otimes(f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
 def oplus(alpha, f: InclusionFunction, g: InclusionFunction) -> InclusionFunction:
     """Convex sum alpha*f + (1-alpha)*g.  In [0,1]: with 0 <= p <= q,
     both weights below are non-negative and the sum is at most
-    p*L + (q-p)*L = q*L."""
+    p*L + (q-p)*L = q*L.  At weight 1 or 0 the sum is f or g, whose rows
+    are canonical already."""
     alpha = _check_alpha(alpha)
     s = _same_space(f, g)
+    label = f"oplus({alpha},{f.label},{g.label})"
     # with L = lcm(Df, Dg): p/q * x/Df + (q-p)/q * y/Dg = (p*(L/Df)*x + (q-p)*(L/Dg)*y) / (q*L)
     p, q = alpha.as_integer_ratio()
+    if p in (0, q):
+        h = f if p else g
+        return _rows(s, h.nums, h.den, label, reduced=True)
     den = lcm(f.den, g.den)
     a, b = p * (den // f.den), (q - p) * (den // g.den)
     nums = [a * x + b * y for x, y in zip(f.nums, g.nums)]
-    return _rows(s, nums, q * den, f"oplus({alpha},{f.label},{g.label})")
+    return _rows(s, nums, q * den, label)
 
 
 def _of_distinct_rows(s: GranularSpace, keys: list, rows: dict, den: int, label: str) -> InclusionFunction:
@@ -232,13 +239,16 @@ def check_laws(s: GranularSpace, fns: Sequence[InclusionFunction], alphas: Seque
             raise InputError(f"function {f.label!r} is not over the given space")
     for alpha in alphas:
         _check_alpha(alpha)
-    return ([_law(law, ()) for law in _PROVED_LAWS]
-            + [_law(law, check(s, fns, *args)) for law, (check, *args) in _LAW_CHECKS.items()])
+    return [*_PROVED_REPORTS, *(_law(law, check(s, fns, *args)) for law, (check, *args) in _LAW_CHECKS.items())]
 
 
 def _law(law: str, witnesses: Iterable[tuple[str, ...]]) -> LawReport:
     wit = tuple(witnesses)
     return LawReport(law=law, holds=not wit, witnesses=wit)
+
+
+# frozen and without witnesses, so every call returns these same reports
+_PROVED_REPORTS = tuple(_law(law, ()) for law in _PROVED_LAWS)
 
 
 # -- RIF closure and failure search ------------------------------------------

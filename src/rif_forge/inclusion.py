@@ -202,14 +202,16 @@ def k2(s: GranularSpace) -> InclusionFunction:
     """#(complement(A) or B)/#top, complements taken inside the top carrier.
     In [0,1] when every carrier lies inside top's: complement(A) or B is
     then a subset of top.  A space where some carrier does not is refused
-    with InputError at the first pair whose value exceeds 1."""
+    with InputError naming the first such element."""
     masks, _ = _carrier_masks(s)
     universe = masks[s._index[s.top]]
     if not universe:
         raise DegenerateSpaceError("k2 needs a nonempty top carrier")
+    for e, m in zip(s.elements, masks):
+        if m & ~universe:
+            raise InputError(f"k2 needs every carrier inside the top carrier {s.render(s.top)}; "
+                             f"{e!r} has {s.render(e)}")
     nums = [((universe & ~ma) | mb).bit_count() for ma in masks for mb in masks]
-    if any(m & ~universe for m in masks):
-        _refuse_out_of_range(s, nums, universe.bit_count())
     return InclusionFunction._of_rows(s, nums, universe.bit_count(), "k2")
 
 
@@ -218,15 +220,15 @@ def kst(f: InclusionFunction, s: Fraction, t: Fraction) -> InclusionFunction:
     In [0,1]: on the ramp s < v < t, so 0 < (v - s)/(t - s) < 1.  Each
     distinct numerator of f is mapped once, and the result reduced over
     the mapped values, which are exactly its values."""
-    s = Fraction(s)
-    t = Fraction(t)
-    if s < 0 or t > 1:
-        raise ParameterError(f"thresholds must satisfy 0 <= s < t <= 1, got s={s}, t={t}")
-    if s >= t:
-        raise ParameterError(f"thresholds must satisfy s < t, got s={s}, t={t}")
-    # With v = x/D, s = sp/sq and t = tp/tq: v <= s iff x*sq <= sp*D, v >= t
-    # iff x*tq >= tp*D, and (v - s)/(t - s) = (x*sq - sp*D)*tq / (D*(tp*sq - sp*tq)).
+    s = s if type(s) is Fraction else Fraction(s)
+    t = t if type(t) is Fraction else Fraction(t)
+    # With v = x/D, s = sp/sq and t = tp/tq, sq and tq > 0: v <= s iff x*sq <= sp*D,
+    # v >= t iff x*tq >= tp*D, and (v - s)/(t - s) = (x*sq - sp*D)*tq / (D*(tp*sq - sp*tq)).
     (sp, sq), (tp, tq) = s.as_integer_ratio(), t.as_integer_ratio()
+    if sp < 0 or tp > tq:
+        raise ParameterError(f"thresholds must satisfy 0 <= s < t <= 1, got s={s}, t={t}")
+    if sp * tq >= tp * sq:
+        raise ParameterError(f"thresholds must satisfy s < t, got s={s}, t={t}")
     low, high, den = sp * f.den, tp * f.den, f.den * (tp * sq - sp * tq)
     ramp = {x: 0 if x * sq <= low else den if x * tq >= high else (x * sq - low) * tq for x in set(f.nums)}
     g = gcd(den, *ramp.values())

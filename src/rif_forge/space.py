@@ -106,11 +106,12 @@ class GranularSpace:
         }
         carrier_sets = {e: frozenset(c) for e, c in (carriers or {}).items()}
         self._store(*_read(list(elements), carrier_sets, sections))
+        self._enforce_flavor()
 
     @classmethod
     def _of_tables(cls, *parts) -> "GranularSpace":
         """The space with these tables, carriers by id, granulation, bottom,
-        top and flavor; everything but the flavor taken as checked."""
+        top and flavor, all taken as checked: callers prove the flavor."""
         s = cls.__new__(cls)
         s._store(*parts)
         return s
@@ -124,7 +125,6 @@ class GranularSpace:
         # axiom scans' rows, sigma's granule parts).  Nothing changes a
         # space after construction, so what is kept stays valid.
         self._derived: dict = {}
-        self._enforce_flavor()
 
     def _enforce_flavor(self):
         if self.flavor == "GGS":
@@ -379,8 +379,9 @@ def validate_space(s: GranularSpace) -> list[AxiomReport]:
     vacuously true and counted in the report's skipped field.
 
     On a setHGOS space PT1, PT2 and G1-G5 are theorems, reported holding
-    with no witness and 0 skipped and not scanned.  Its flavor was proved
-    pair by pair when it was built: parthood and order are inclusion of
+    with no witness and 0 skipped and not scanned.  Its flavor holds by
+    construction (powerset_space) or was proved pair by pair when the
+    space was loaded or constructed: parthood and order are inclusion of
     carriers, join is union and meet is intersection, both total, and no
     two elements share a carrier, so an element is its carrier.  Inclusion
     is reflexive (PT1) and antisymmetric (PT2); union and intersection
@@ -487,7 +488,7 @@ def _granule_unions(key: str, cols, masks: list[int], grans: list[int], parthood
 
 def classify_flavor(s: GranularSpace) -> str:
     """Most specific flavor whose defining conditions hold."""
-    if s.flavor == "setHGOS":  # the constructor proved it
+    if s.flavor == "setHGOS":  # proved when built, or held by construction
         return "setHGOS"
     if s.tables.parthood != s.tables.order:
         return "GGS"
@@ -553,9 +554,12 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
 
     Parthood and order are inclusion, join/meet are union/intersection
     (total), lower/upper are the classical approximations induced by the
-    blocks.  Rejects a universe over the work budget (check_work).  The
-    tables are written from carrier bitmasks: join is |, meet is &,
-    parthood the subset test.
+    blocks.  Rejects a universe over the work budget (check_work).  It is
+    setHGOS by construction, so the flavor is not proved again (documents
+    and the constructor prove it pair by pair): every subset is one
+    element, its carrier, parthood and order are the subset test of the
+    carrier bitmasks, join is | and meet is &, which are inclusion, union
+    and intersection, total on a power set.
     """
     objs = tuple(objects)
     if len(set(objs)) != len(objs):
@@ -650,7 +654,9 @@ def space_from_dict(raw: dict) -> GranularSpace:
             if not (isinstance(carrier, list) and all(isinstance(x, str) for x in carrier)):
                 raise SpaceFormatError(f"elements[{i}].carrier must be an array of strings")
             carriers[eid] = frozenset(carrier)
-    return GranularSpace._of_tables(*_read(elements, carriers, raw))
+    s = GranularSpace._of_tables(*_read(elements, carriers, raw))
+    s._enforce_flavor()
+    return s
 
 
 def _read(ids: list, carriers: dict, raw) -> tuple:

@@ -29,7 +29,7 @@ import re
 from collections.abc import MutableMapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from . import algebra, inclusion
 from .errors import InputError, ParameterError, ResolutionError, TermParseError
@@ -141,38 +141,32 @@ OPERATORS: dict[str, Operator] = {
 }
 
 _BY_NODE = {op.node: op for op in OPERATORS.values()}
+# Per node type, (kind, field name) of each argument, in field order.
+_ARGUMENTS = {op.node: tuple(zip(op.kinds, [f.name for f in fields(op.node)])) for op in OPERATORS.values()}
 
 RESERVED = ("top",) + tuple(OPERATORS)
 
 
 # -- lexing -------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+)|(?P<sym>[(),/]))")
+# Each match is a token after its leading whitespace, or the first
+# character that starts no token (bad); the groups tell the kind.
+_TOKEN = re.compile(r"(\s*)(?:([A-Za-z_][A-Za-z_0-9]*)|(\d+)|([(),/])|(\S))")
 
 
-class _Token(NamedTuple):
-    kind: str  # name, num, sym, end
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise TermParseError(
-                f"unexpected character {stripped[0]!r}", at, ("name", "number", "'('")
-            )
-        kind = m.lastgroup  # the one group that matched
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, kind name, num, sym or end,
+    read in one findall: the whitespace and tokens matched cover the text
+    but for trailing whitespace, so each position is a running sum."""
+    tokens, pos = [], 0
+    for space, name, num, sym, bad in _TOKEN.findall(text):
+        pos += len(space)
+        if bad:
+            raise TermParseError(f"unexpected character {bad!r}", pos, ("name", "number", "'('"))
+        tok = name or num or sym
+        tokens.append(("name" if name else "num" if num else "sym", tok, pos))
+        pos += len(tok)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -186,41 +180,41 @@ class _Parser:
         self.index = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
     def fail(self, expected: tuple[str, ...]):
-        tok = self.peek()
-        what = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise TermParseError(f"unexpected {what}", tok.position, expected)
+        kind, text, position = self.peek()
+        what = "end of input" if kind == "end" else repr(text)
+        raise TermParseError(f"unexpected {what}", position, expected)
 
     def expect_symbol(self, symbol: str) -> None:
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text != symbol:
+        kind, text, _ = self.peek()
+        if kind != "sym" or text != symbol:
             self.fail((f"'{symbol}'",))
         self.advance()
 
     def parse(self) -> AlgebraTerm:
         term = self.term()
-        if self.peek().kind != "end":
+        if self.peek()[0] != "end":
             self.fail(("end of input",))
         return term
 
     def term(self) -> AlgebraTerm:
-        tok = self.peek()
-        if tok.kind != "name":
+        kind, word, position = self.peek()
+        if kind != "name":
             self.fail(("name",) + RESERVED[1:] + ("'top'",))
         self.advance()
-        op = OPERATORS.get(tok.text)
+        op = OPERATORS.get(word)
         if op is None:
-            return TopTerm() if tok.text == "top" else BaseTerm(tok.text)
+            return TopTerm() if word == "top" else BaseTerm(word)
         if self.depth == MAX_TERM_DEPTH:
-            raise TermParseError(f"operators nest more than {MAX_TERM_DEPTH} deep", tok.position)
+            raise TermParseError(f"operators nest more than {MAX_TERM_DEPTH} deep", position)
         self.depth += 1
         self.expect_symbol("(")
         args = []
@@ -233,18 +227,18 @@ class _Parser:
         return op.node(*args)
 
     def number(self, expected: str) -> int:
-        tok = self.peek()
-        if tok.kind != "num":
+        kind, text, position = self.peek()
+        if kind != "num":
             self.fail((expected,))
         self.advance()
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # more digits than int() converts
-            raise TermParseError(f"integer literal of {len(tok.text)} digits is too long", tok.position) from None
+            raise TermParseError(f"integer literal of {len(text)} digits is too long", position) from None
 
     def integer(self) -> int:
         # the only integer argument is a pow exponent
-        position = self.peek().position
+        position = self.peek()[2]
         n = self.number("integer")
         if n > MAX_POW_EXPONENT:
             raise TermParseError(f"pow exponent exceeds the limit of {MAX_POW_EXPONENT}", position)
@@ -252,10 +246,9 @@ class _Parser:
 
     def rational(self) -> Fraction:
         numerator = self.number("rational")
-        nxt = self.peek()
-        if nxt.kind == "sym" and nxt.text == "/":
+        if self.peek()[1] == "/":
             self.advance()
-            position = self.peek().position
+            position = self.peek()[2]
             denominator = self.number("integer denominator")
             if denominator == 0:
                 raise TermParseError("zero denominator", position, ("nonzero integer",))
@@ -270,11 +263,8 @@ def parse_term(text: str) -> AlgebraTerm:
 def term_nodes(term: AlgebraTerm) -> int:
     """The number of nodes of term.  Evaluating it builds at most one
     function per node."""
-    op = _BY_NODE.get(type(term))
-    if op is None:
-        return 1
-    return 1 + sum(term_nodes(getattr(term, field.name))
-                   for kind, field in zip(op.kinds, fields(term)) if kind == "term")
+    return 1 + sum(term_nodes(getattr(term, name))
+                   for kind, name in _ARGUMENTS.get(type(term), ()) if kind == "term")
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -341,8 +331,8 @@ def _eval(term: AlgebraTerm, env: Mapping[str, InclusionFunction], s: GranularSp
             if exponent > MAX_POW_EXPONENT:
                 raise ParameterError(f"nested pow exponents multiply to {exponent}, past the limit {MAX_POW_EXPONENT}")
         args = []
-        for kind, field in zip(op.kinds, fields(term)):
-            value = getattr(term, field.name)
+        for kind, name in _ARGUMENTS[type(term)]:
+            value = getattr(term, name)
             args.append(_eval(value, env, s, exponent) if kind == "term" else value)
         return op.build(*args)
     if isinstance(term, TopTerm):

@@ -54,6 +54,7 @@ from rif_forge import (
 )
 from rif_forge.algebra import SearchResult, _check_alpha, _law, _same_space
 from rif_forge.inclusion import ONE, ZERO, class_from_axioms
+from rif_forge.terms import AlphaSumTerm, BaseTerm, KstTerm
 
 SINGLE_ELEMENT = {
     "flavor": "HGOS",
@@ -1137,14 +1138,103 @@ def test_operator_path_matches_the_former_store(fixture_space, kind, seed):
         assert not isinstance(new[0], type) and gcd(new[1], *new[0]) == 1
 
 
-def test_k2_refuses_a_carrier_outside_top_with_the_former_message(fixture_space):
+def test_k2_refuses_a_carrier_outside_top_naming_it(fixture_space):
     doc = space_to_dict(fixture_space)
     for e in doc["elements"]:
         if e["id"] == doc["top"]:
             e["carrier"] = ["a", "b", "c"]
     s = space_from_dict(doc)
-    new, old = _both_paths(lambda: k2(s))
-    assert new == old == (InputError, "value 4/3 at ('bot','e') is outside [0,1]")
+    # the first element in element order whose carrier leaves top's, before any value is built
+    with pytest.raises(InputError) as got:
+        k2(s)
+    assert str(got.value) == "k2 needs every carrier inside the top carrier {a,b,c}; 'e' has {e}"
+
+
+@pytest.mark.parametrize("weight", [F(0), F(1)])
+def test_oplus_at_an_end_weight_is_an_operand_as_the_former_store_built_it(weight):
+    rng = Random(7)
+    for s in (random_set_hgos(rng), powerset_space(["a", "b", "c", "d"], [["a", "b"], ["c", "d"]])):
+        fns = [k0(s), k2(s), random_kappa(s, rng), _large_kappa(s, rng)]
+        for f, g in product(fns, repeat=2):  # the pairs of equal operands included
+            new, old = _both_paths(lambda: oplus(weight, f, g))
+            assert new == old == _result(naive_oplus, weight, f, g)
+            assert (new[0], new[1]) == ((f if weight else g).nums, (f if weight else g).den)
+
+
+def test_check_laws_returns_the_proved_reports_per_call(two_block_space):
+    s = two_block_space
+    reports = check_laws(s, [k0(s), k1(s)], [F(1, 3), F(1, 2)])
+    proved = [_law(law, ()) for law in LAW_ORDER[:8]]
+    assert reports[:8] == proved
+    assert [r.law for r in reports] == list(LAW_ORDER)
+    assert check_laws(s, [k2(s)], [])[:8] == proved
+
+
+# -- weights and thresholds against the former Fraction path --------------------
+
+
+def former_check_alpha(alpha) -> Fraction:
+    """The former _check_alpha, verbatim: every weight went through Fraction."""
+    alpha = Fraction(alpha)
+    if alpha < 0 or alpha > 1:
+        raise ParameterError(f"weight must lie in [0,1], got {alpha}")
+    return alpha
+
+
+def former_alpha_node(alpha):
+    """The former AlphaSumTerm.__post_init__ check, verbatim; alpha when it passes."""
+    if not (0 <= alpha <= 1):
+        raise ParameterError(f"weight must lie in [0,1], got {alpha}")
+    return alpha
+
+
+def former_kst_node(low, high):
+    """The former KstTerm.__post_init__ check, verbatim; (low, high) when it passes."""
+    if not (0 <= low < high <= 1):
+        raise ParameterError(f"thresholds must satisfy 0 <= s < t <= 1, got s={low}, t={high}")
+    return low, high
+
+
+def _result(call, *args):
+    """call(*args) with its type and text, or the type and text of its error.
+    A function is read as its nums, den and label."""
+    try:
+        value = call(*args)
+    except Exception as exc:  # compared by type and text
+        return "raised", type(exc), str(exc)
+    if isinstance(value, InclusionFunction):
+        return value.nums, value.den, value.label
+    return type(value), value, str(value)
+
+
+# ints, strings, floats, bools, Fractions inside and outside [0,1] and a Fraction subclass
+WEIGHT_FORMS = [0, 1, 2, -1, True, "1/3", "-1/2", "3/2", "0", "1", "x", 0.5, -0.25, 1.5, float("nan"),
+                F(0), F(1), F(2, 3), F(-1, 3), F(4, 3), SubFraction(1, 3), SubFraction(-1, 3),
+                SubFraction(4, 3), SubFraction(1)]
+
+
+@pytest.mark.parametrize("alpha", WEIGHT_FORMS, ids=repr)
+def test_weight_checks_match_the_former_fraction_path(alpha, two_block_space):
+    s = two_block_space
+    assert _result(_check_alpha, alpha) == _result(former_check_alpha, alpha)
+    f, g = k0(s), k1(s)
+    assert _result(oplus, alpha, f, g) == _result(naive_oplus, alpha, f, g)
+    assert _result(lambda: AlphaSumTerm(alpha, BaseTerm("k0"), BaseTerm("k1")).alpha) == \
+        _result(former_alpha_node, alpha)
+
+
+@pytest.mark.parametrize("low, high", [(a, b) for a in WEIGHT_FORMS[::3] for b in WEIGHT_FORMS[1::3]]
+                         + [(F(1, 4), F(1, 4)), (F(1, 2), F(1, 3)), (F(0), F(1)), (SubFraction(1, 4), F(3, 4))],
+                         ids=repr)
+def test_threshold_checks_match_the_former_fraction_path(low, high, two_block_space):
+    f = k1(two_block_space)
+    assert _result(kst, f, low, high) == _result(naive_kst, f, low, high)
+
+    def node():
+        term = KstTerm(BaseTerm("k0"), low, high)
+        return term.low, term.high
+
+    assert _result(node) == _result(former_kst_node, low, high)
 
 
 def test_pointwise_equal_compares_denominators(two_block_space):

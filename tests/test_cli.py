@@ -232,6 +232,20 @@ class TestClassify:
         assert result.exit_code == 0
         assert "class: qRIF" in result.output
 
+    def test_k2_with_a_carrier_outside_top_names_it(self, runner, tmp_path):
+        # validate passes such a space; k2 on it is an input error naming the carrier
+        d = fixture_dict()
+        for e in d["elements"]:
+            if e["id"] == d["top"]:
+                e["carrier"] = ["a", "b", "c"]
+        cut = tmp_path / "cut.json"
+        cut.write_text(json.dumps(d), encoding="utf-8")
+        assert runner.invoke(main, ["validate", str(cut)]).exit_code == 0
+        result = runner.invoke(main, ["classify", str(cut), "k2"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: k2 needs every carrier inside the top carrier {a,b,c}; 'e' has {e}\n"
+
 
 class TestCheckLaws:
     def test_defaults_pass(self, runner):

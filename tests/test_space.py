@@ -31,7 +31,8 @@ from rif_forge import (
     validate_space,
 )
 from rif_forge.space import (
-    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, WORK_BUDGET, AxiomReport, _json_text, representable_elements,
+    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, WORK_BUDGET, AxiomReport, _extensionality_failure, _json_text,
+    representable_elements,
 )
 
 from fixture_data import APPROXIMATION_ROWS
@@ -819,6 +820,15 @@ class TestSetLatticeTheorem:
             check, *args = _AXIOM_CHECKS[axiom]
             assert check(s, t, *args) == ([], 0), axiom
         assert validate_space(s) == naive_validate_space(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 5))
+    def test_powerset_space_is_set_hgos_by_construction(self, data, n):
+        # powerset_space does not prove its flavor; reading its document proves it pair by pair
+        objects = [f"o{i}" for i in range(n)]
+        s = powerset_space(objects, _drawn_partition(data.draw, objects) if objects else [])
+        assert _extensionality_failure(s) is None
+        assert s == space_from_dict(space_to_dict(s))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -37,18 +37,19 @@ from rif_forge import (
 )
 from rif_forge.cli import main
 from rif_forge.sampling import BASE_LABELS
-from rif_forge.terms import _TOKEN, MAX_TERM_DEPTH, OPERATORS, RESERVED, AlgebraTerm, _Parser, _tokenize
+from rif_forge.terms import MAX_TERM_DEPTH, OPERATORS, RESERVED, AlgebraTerm, _Parser, _tokenize
 
 
 class ParserOracle(_Parser):
-    """The parser with one branch per constructor word, verbatim."""
+    """The parser with one branch per constructor word, verbatim but for
+    reading a token's kind and text by index."""
 
     def term(self) -> AlgebraTerm:
         tok = self.peek()
-        if tok.kind != "name":
+        if tok[0] != "name":
             self.fail(("name",) + RESERVED[1:] + ("'top'",))
         self.advance()
-        word = tok.text
+        word = tok[1]
         if word == "top":
             return TopTerm()
         if word == "otimes":
@@ -196,12 +197,16 @@ class FormerToken:
     position: int
 
 
+FORMER_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+)|(?P<sym>[(),/]))")
+
+
 def former_tokenize(text: str) -> list[FormerToken]:
-    """The tokenizer that tried each group in turn, verbatim."""
+    """The tokenizer that tried each group in turn, verbatim, with its
+    pattern, which matched one token at a time."""
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = FORMER_TOKEN.match(text, pos)
         if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
@@ -220,10 +225,10 @@ def former_tokenize(text: str) -> list[FormerToken]:
 
 
 def tokens_of(tokenize, text: str):
-    """(kind, text, position) of each token, or the raised error as
-    (type, message, position, expected)."""
+    """(kind, text, position) of each token, a plain tuple or read from a
+    FormerToken, or the raised error as (type, message, position, expected)."""
     try:
-        return [(t.kind, t.text, t.position) for t in tokenize(text)]
+        return [t if type(t) is tuple else (t.kind, t.text, t.position) for t in tokenize(text)]
     except TermParseError as exc:
         return (type(exc), str(exc), exc.position, exc.expected)
 
