@@ -34,13 +34,14 @@ from .space import GranularSpace, _bits, check_work, classify_flavor
 
 @dataclass(frozen=True)
 class LawReport:
+    """Verdict for one law: holds iff the witness list is empty."""
+
     law: str
-    holds: bool
     witnesses: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
-        if self.holds != (len(self.witnesses) == 0):
-            raise ValueError("holds must mirror witness emptiness")
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
 
 def _same_space(f: InclusionFunction, g: InclusionFunction) -> GranularSpace:
@@ -243,8 +244,7 @@ def check_laws(s: GranularSpace, fns: Sequence[InclusionFunction], alphas: Seque
 
 
 def _law(law: str, witnesses: Iterable[tuple[str, ...]]) -> LawReport:
-    wit = tuple(witnesses)
-    return LawReport(law=law, holds=not wit, witnesses=wit)
+    return LawReport(law, tuple(witnesses))
 
 
 # frozen and without witnesses, so every call returns these same reports
@@ -275,7 +275,7 @@ class SearchResult:
 _SEARCH_FUNCTIONS = 3 + 6 + 9
 
 
-def rif_failure_search(s: GranularSpace, budget: int, seed: int = 0) -> SearchResult:
+def rif_failure_search(s: GranularSpace, budget: int) -> SearchResult:
     """Search for sharp images of RIFs breaking R1; report closure of the
     RIF class under products and convex sums from its proof.
 
@@ -292,7 +292,7 @@ def rif_failure_search(s: GranularSpace, budget: int, seed: int = 0) -> SearchRe
       every blend of pool members keeps R1: trials is budget and
       oplus_witness None.
     sharp_witness is the first pool member's sharp image that fails R1,
-    with every pair it fails at.  Nothing is drawn, so seed has no effect.
+    with every pair it fails at.  Nothing is drawn at random.
     A budget below 1 raises ParameterError, then check_work's count of
     the functions built may raise SizeError, then a space that is not
     setHGOS or has no RIF among k0, k1, k2 raises InputError.

@@ -345,7 +345,7 @@ def prif_verify(space_file, term, trials, seed, relation, fmt, out):
 def rif_failure_search_cmd(space_file, budget, seed, fmt, out):
     """Hunt for operations that push RIFs out of the RIF class."""
     s = _load(space_file)
-    res = algebra.rif_failure_search(s, budget, seed)
+    res = algebra.rif_failure_search(s, budget)
     payload = {"rif_pool": list(res.rif_pool), "trials": res.trials}
     lines = [f"pool: {', '.join(res.rif_pool)}", f"convex-sum trials: {res.trials}"]
     for key, name, witness in (("oplus_witness", "convex-sum", res.oplus_witness),

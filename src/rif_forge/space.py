@@ -54,19 +54,17 @@ class AxiomReport:
     """
 
     axiom: str
-    holds: bool
     witnesses: tuple[tuple[str, ...], ...]
     skipped: int = 0
 
-    def __post_init__(self):
-        if self.holds != (len(self.witnesses) == 0):
-            raise ValueError("holds must mirror witness emptiness")
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
     @classmethod
     def of(cls, axiom: str, witnesses: Iterable[tuple[str, ...]], skipped: int = 0) -> "AxiomReport":
-        """The report listing these witness tuples; it holds iff there are none."""
-        wit = tuple(witnesses)
-        return cls(axiom=axiom, holds=not wit, witnesses=wit, skipped=skipped)
+        """The report listing these witness tuples."""
+        return cls(axiom, tuple(witnesses), skipped)
 
 
 class GranularSpace:
@@ -127,29 +125,16 @@ class GranularSpace:
         self._derived: dict = {}
 
     def _enforce_flavor(self):
-        if self.flavor == "GGS":
-            return
-        if self.tables.parthood != self.tables.order:
-            raise StructuralError(f"flavor {self.flavor} requires parthood == order")
-        if self.flavor == "GS":
-            return
-        if not self.operations_total():
-            raise StructuralError(f"flavor {self.flavor} requires total join and meet")
-        if self.flavor == "HGOS":
-            return
-        if not self.is_set_extensional:
-            raise StructuralError("flavor setHGOS requires a carrier on every element")
-        if failure := _extensionality_failure(self):
-            raise StructuralError(f"flavor setHGOS requires {failure}")
+        """StructuralError naming the first step up to the declared flavor that fails."""
+        for step in _FLAVOR_STEPS[:FLAVORS.index(self.flavor)]:
+            if failure := step(self):
+                raise StructuralError(f"flavor {self.flavor} requires {failure}")
 
     # -- queries ---------------------------------------------------------
 
     @property
     def is_set_extensional(self) -> bool:
         return self.tables.carriers is not None
-
-    def operations_total(self) -> bool:
-        return not any(-1 in row for rows in (self.tables.join, self.tables.meet) for row in rows)
 
     def _at(self, a: str, b: str):
         """The index pair of (a, b), None when either is not an element."""
@@ -486,17 +471,22 @@ def _granule_unions(key: str, cols, masks: list[int], grans: list[int], parthood
     return out
 
 
+# The flavor ladder: step k gives the text of the condition FLAVORS[k + 1]
+# adds to FLAVORS[k] when it fails on a space, else None.  Each step assumes
+# the ones before it hold (_extensionality_failure reads total operations).
+_FLAVOR_STEPS = (
+    lambda s: None if s.tables.parthood == s.tables.order else "parthood == order",
+    lambda s: None if all(-1 not in row for row in chain(s.tables.join, s.tables.meet)) else "total join and meet",
+    lambda s: _extensionality_failure(s) if s.is_set_extensional else "a carrier on every element",
+)
+
+
 def classify_flavor(s: GranularSpace) -> str:
-    """Most specific flavor whose defining conditions hold."""
-    if s.flavor == "setHGOS":  # proved when built, or held by construction
-        return "setHGOS"
-    if s.tables.parthood != s.tables.order:
-        return "GGS"
-    if not s.operations_total():
-        return "GS"
-    if s.is_set_extensional and _extensionality_failure(s) is None:
-        return "setHGOS"
-    return "HGOS"
+    """Most specific flavor whose defining conditions hold, the one below the
+    first step of the ladder that fails.  The declared flavor's steps were
+    proved when s was built, or hold by construction, so the walk starts there."""
+    steps = range(FLAVORS.index(s.flavor), len(_FLAVOR_STEPS))
+    return next((FLAVORS[k] for k in steps if _FLAVOR_STEPS[k](s)), FLAVORS[-1])
 
 
 def _extensionality_failure(s: GranularSpace) -> Optional[str]:
@@ -605,7 +595,7 @@ def check_partition(blocks: Iterable[frozenset[str]], carrier: frozenset[str], c
 
 
 def load_space(source) -> GranularSpace:
-    """Build a space from a JSON file path, JSON text object, or plain dict.
+    """Build a space from a JSON file path or a plain dict.
 
     The cyclic garbage collector is paused while the document is decoded
     and read into tables, and left as it was found.  A decoded document is

@@ -145,7 +145,7 @@ def test_criterion_6(two_block_space):
         assert satisfies_class(wq, "wqRIF")
         assert classify(otimes(f, wq)) == "RIF", i
 
-    result = rif_failure_search(two_block_space, budget=300, seed=42)
+    result = rif_failure_search(two_block_space, budget=300)
     assert result.otimes_counterexample is None
 
     assert result.sharp_witness is not None

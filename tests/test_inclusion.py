@@ -374,8 +374,7 @@ def naive_check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "par
     else:
         raise InputError(f"unknown axiom {axiom!r}")
 
-    wit = tuple(witnesses)
-    return AxiomReport(axiom=axiom, holds=not wit, witnesses=wit, skipped=skipped)
+    return AxiomReport.of(axiom, witnesses, skipped)
 
 
 def naive_classify(holds) -> str:

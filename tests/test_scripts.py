@@ -1,16 +1,19 @@
-"""The timing scripts run to the end on a small power set.
+"""The scripts run to the end: the timing scripts on a small power set,
+and make_fixture.py, which must write the packaged fixture byte for byte.
 
 They import private names of the package, so a change to those breaks them
 without any other test noticing.
 """
 
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize("script", ["time_validate.py", "time_axioms.py", "time_check_laws.py"])
@@ -21,3 +24,19 @@ def test_timing_script_exits_0(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("# 8 elements"), result.stdout
+
+
+def test_make_fixture_rewrites_the_packaged_fixture(tmp_path):
+    # the script writes into the src/ beside its scripts/, so it runs on a
+    # copy, from which the packaged fixture is removed first
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(SCRIPTS / "make_fixture.py", tmp_path / "scripts")
+    fixture = pathlib.Path("src", "rif_forge", "fixtures", "abstract_example.json")
+    (tmp_path / fixture).unlink()
+    result = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "make_fixture.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / fixture).read_bytes() == (ROOT / fixture).read_bytes()

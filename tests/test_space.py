@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 
@@ -11,6 +12,7 @@ from rif_forge import (
     GranularSpace,
     InformationTable,
     InputError,
+    LawReport,
     SizeError,
     SpaceFormatError,
     StructuralError,
@@ -31,11 +33,11 @@ from rif_forge import (
     validate_space,
 )
 from rif_forge.space import (
-    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, WORK_BUDGET, AxiomReport, _extensionality_failure, _json_text,
+    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, FLAVORS, WORK_BUDGET, AxiomReport, _extensionality_failure, _json_text,
     representable_elements,
 )
 
-from fixture_data import APPROXIMATION_ROWS
+from fixture_data import APPROXIMATION_ROWS, FIXTURE_PATH
 
 
 def chain_space(total_ops=True, carriers=None, flavor="GS"):
@@ -514,9 +516,18 @@ class TestFindElement:
 
 
 class TestAxiomReport:
-    def test_holds_must_mirror_witnesses(self):
-        with pytest.raises(ValueError):
-            AxiomReport(axiom="PT1", holds=True, witnesses=(("a",),))
+    def test_holds_follows_witnesses(self):
+        for witnesses in ((), (("a",),), (("a",), ("b",))):
+            axiom, law = AxiomReport.of("PT1", iter(witnesses)), LawReport("Comm", witnesses)
+            assert axiom.witnesses == law.witnesses == witnesses
+            assert axiom.holds is law.holds is (not witnesses)
+        for cls, name in ((AxiomReport, "axiom"), (LawReport, "law")):
+            # a report cannot be built, or changed, to contradict its witnesses
+            assert "holds" not in [f.name for f in dataclasses.fields(cls)]
+            with pytest.raises(TypeError):
+                cls(**{name: "X"}, holds=True, witnesses=(("a",),))
+            with pytest.raises(AttributeError):
+                cls(**{name: "X"}, witnesses=(("a",),)).holds = True
 
     def test_proper_part(self, fixture_space):
         assert proper_part(fixture_space, "a", "ab")
@@ -865,6 +876,75 @@ class TestSetLatticeTheorem:
         with pytest.raises(StructuralError, match="setHGOS requires"):
             GranularSpace(els, leq, leq, join, meet, ["a"], {x: x for x in els}, {x: x for x in els},
                           "0", "1", "setHGOS", carriers)
+
+
+# -- the flavor ladder: what a document may declare and what it classifies as --
+
+
+# The condition each flavor below setHGOS lacks for the one above it, by the
+# flavor a space classifies as: a declaration above it names one of these.
+_MISSING = {
+    "GGS": {"parthood == order"},
+    "GS": {"total join and meet"},
+    "HGOS": {"a carrier on every element", "parthood == inclusion", "join == union", "meet == intersection"},
+}
+
+
+@st.composite
+def documents_of_every_flavor(draw):
+    """A space document of any flavor, declared GGS: the fixture, chains
+    with partial or total operations, with or without carriers, random GGS
+    documents (parthood sometimes copied to order), set lattices, and power
+    sets, whole, with one join or meet entry or parthood pair changed, or
+    without carriers."""
+    kind = draw(st.sampled_from(["fixture", "chain", "ggs", "lattice", "power set"]))
+    if kind == "fixture":
+        doc = json.loads(FIXTURE_PATH.read_text())
+    elif kind == "chain":
+        carriers = draw(st.sampled_from([None, {"bot": frozenset(), "m": frozenset("x"), "top": frozenset("y")},
+                                         {"bot": frozenset(), "m": frozenset("x"), "top": frozenset("xy")}]))
+        doc = space_to_dict(chain_space(total_ops=draw(st.booleans()), carriers=carriers))
+    elif kind == "ggs":
+        doc = draw(ggs_documents())
+        if draw(st.booleans()):
+            doc["order"] = doc["parthood"]
+    elif kind == "lattice":
+        doc = _lattice_document(draw)
+    else:
+        objects = [f"o{i}" for i in range(draw(st.integers(1, 4)))]
+        doc = space_to_dict(powerset_space(objects, _drawn_partition(draw, objects)))
+        els = [e["id"] for e in doc["elements"]]
+        change = draw(st.sampled_from(["none", "join", "meet", "parthood", "carriers"]))
+        if change in ("join", "meet"):
+            k = draw(st.integers(0, len(doc[change]) - 1))
+            doc[change][k][2] = draw(st.sampled_from(els))
+        elif change == "parthood":
+            k = draw(st.integers(0, len(doc["parthood"]) - 1))
+            doc["parthood"] = doc["order"] = doc["parthood"][:k] + doc["parthood"][k + 1:]
+        elif change == "carriers":
+            doc["elements"] = [{"id": e} for e in els]
+    return doc | {"flavor": "GGS"}
+
+
+class TestFlavorLadder:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=documents_of_every_flavor())
+    def test_a_flavor_loads_exactly_when_the_document_classifies_at_or_above_it(self, doc):
+        flavor = classify_flavor(space_from_dict(doc))
+        failures = set()
+        for declared in FLAVORS:
+            if FLAVORS.index(declared) <= FLAVORS.index(flavor):
+                s = space_from_dict(doc | {"flavor": declared})
+                assert classify_flavor(s) == flavor, declared
+                continue
+            with pytest.raises(StructuralError) as exc:
+                space_from_dict(doc | {"flavor": declared})
+            prefix = f"flavor {declared} requires "
+            assert str(exc.value).startswith(prefix)
+            failures.add(str(exc.value).removeprefix(prefix))
+        # every declaration above the flavor names the one condition it lacks
+        assert len(failures) == (flavor != "setHGOS")
+        assert failures <= _MISSING.get(flavor, set())
 
 
 class TestWorkBudget:

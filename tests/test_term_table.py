@@ -3,6 +3,9 @@
 ParserOracle and oracle_random_wqrif_term keep the former hand-written
 parser branches and sampler verbatim (the sampler's weight draw now calls
 random_unit_rational, which makes the same draws as the alias it called).
+ParserOracle reads the tokens of former_tokenize, the former tokenizer with
+its own pattern, through its own copies of the former token methods, so a
+fault in the parser's tokenizer or token methods shows as a difference.
 The table-driven parser must return the same trees and raise the same
 errors, and the sampler must return the same terms from the same seeds.
 """
@@ -37,19 +40,83 @@ from rif_forge import (
 )
 from rif_forge.cli import main
 from rif_forge.sampling import BASE_LABELS
-from rif_forge.terms import MAX_TERM_DEPTH, OPERATORS, RESERVED, AlgebraTerm, _Parser, _tokenize
+from rif_forge.terms import MAX_POW_EXPONENT, MAX_TERM_DEPTH, OPERATORS, RESERVED, AlgebraTerm, _Parser, _tokenize
 
 
-class ParserOracle(_Parser):
-    """The parser with one branch per constructor word, verbatim but for
-    reading a token's kind and text by index."""
+@dataclass(frozen=True)
+class FormerToken:
+    kind: str  # name, num, sym, end
+    text: str
+    position: int
+
+
+FORMER_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+)|(?P<sym>[(),/]))")
+
+
+def former_tokenize(text: str) -> list[FormerToken]:
+    """The tokenizer that tried each group in turn, verbatim, with its
+    pattern, which matched one token at a time."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = FORMER_TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise TermParseError(
+                f"unexpected character {stripped[0]!r}", at, ("name", "number", "'('")
+            )
+        for kind in ("name", "num", "sym"):
+            if m.group(kind) is not None:
+                tokens.append(FormerToken(kind, m.group(kind), m.start(kind)))
+                break
+        pos = m.end()
+    tokens.append(FormerToken("end", "", len(text)))
+    return tokens
+
+
+class ParserOracle:
+    """The parser with one branch per constructor word, verbatim, reading
+    the tokens of former_tokenize: it shares no method with the parser."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = former_tokenize(text)
+        self.index = 0
+
+    def peek(self) -> FormerToken:
+        return self.tokens[self.index]
+
+    def advance(self) -> FormerToken:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def fail(self, expected: tuple[str, ...]):
+        tok = self.peek()
+        what = "end of input" if tok.kind == "end" else repr(tok.text)
+        raise TermParseError(f"unexpected {what}", tok.position, expected)
+
+    def expect_symbol(self, symbol: str) -> None:
+        tok = self.peek()
+        if tok.kind != "sym" or tok.text != symbol:
+            self.fail((f"'{symbol}'",))
+        self.advance()
+
+    def parse(self) -> AlgebraTerm:
+        term = self.term()
+        if self.peek().kind != "end":
+            self.fail(("end of input",))
+        return term
 
     def term(self) -> AlgebraTerm:
         tok = self.peek()
-        if tok[0] != "name":
+        if tok.kind != "name":
             self.fail(("name",) + RESERVED[1:] + ("'top'",))
         self.advance()
-        word = tok[1]
+        word = tok.text
         if word == "top":
             return TopTerm()
         if word == "otimes":
@@ -97,6 +164,36 @@ class ParserOracle(_Parser):
         inner = self.term()
         self.expect_symbol(")")
         return inner
+
+    def number(self, expected: str) -> int:
+        tok = self.peek()
+        if tok.kind != "num":
+            self.fail((expected,))
+        self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise TermParseError(f"integer literal of {len(tok.text)} digits is too long", tok.position) from None
+
+    def integer(self) -> int:
+        # the only integer argument is a pow exponent
+        position = self.peek().position
+        n = self.number("integer")
+        if n > MAX_POW_EXPONENT:
+            raise TermParseError(f"pow exponent exceeds the limit of {MAX_POW_EXPONENT}", position)
+        return n
+
+    def rational(self) -> Fraction:
+        numerator = self.number("rational")
+        nxt = self.peek()
+        if nxt.kind == "sym" and nxt.text == "/":
+            self.advance()
+            position = self.peek().position
+            denominator = self.number("integer denominator")
+            if denominator == 0:
+                raise TermParseError("zero denominator", position, ("nonzero integer",))
+            return Fraction(numerator, denominator)
+        return Fraction(numerator)
 
 
 def oracle_random_wqrif_term(rng: Random, depth: int = 2) -> AlgebraTerm:
@@ -188,40 +285,6 @@ def _mutated(draw):
 @given(st.one_of(_well_formed, _mutated(), _soup))
 def test_table_parser_matches_branch_parser(text):
     assert outcome(_Parser, text) == outcome(ParserOracle, text)
-
-
-@dataclass(frozen=True)
-class FormerToken:
-    kind: str  # name, num, sym, end
-    text: str
-    position: int
-
-
-FORMER_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+)|(?P<sym>[(),/]))")
-
-
-def former_tokenize(text: str) -> list[FormerToken]:
-    """The tokenizer that tried each group in turn, verbatim, with its
-    pattern, which matched one token at a time."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = FORMER_TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise TermParseError(
-                f"unexpected character {stripped[0]!r}", at, ("name", "number", "'('")
-            )
-        for kind in ("name", "num", "sym"):
-            if m.group(kind) is not None:
-                tokens.append(FormerToken(kind, m.group(kind), m.start(kind)))
-                break
-        pos = m.end()
-    tokens.append(FormerToken("end", "", len(text)))
-    return tokens
 
 
 def tokens_of(tokenize, text: str):
