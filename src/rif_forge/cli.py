@@ -8,7 +8,8 @@ bad parameters) or 1 for semantic ones (undefined measures, missing
 carriers).  Every command takes --format and --out, derive --out only.
 Reports are deterministic: identical inputs and seed produce identical
 bytes.  Space-file arguments are tried as given, then relative to
-RIF_FORGE_FIXTURES, then against the packaged fixtures.
+RIF_FORGE_FIXTURES, then against the packaged fixtures.  A command imports
+the package modules it runs in its own body, so start-up loads only those.
 """
 
 from __future__ import annotations
@@ -17,23 +18,11 @@ import json
 import os
 import pathlib
 from fractions import Fraction
-from importlib import resources
-from random import Random
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import click
 
-from . import algebra, measures, sampling, table, terms
 from .errors import InputError, ParameterError, SemanticError
-from .inclusion import (
-    RIF_AXIOM_ORDER,
-    InclusionFunction,
-    _verdict,
-    check_rif_axiom,
-    class_from_axioms,
-    random_kappa,
-    verify_prif,
-)
 from .space import (
     AxiomReport,
     GranularSpace,
@@ -47,6 +36,10 @@ from .space import (
     space_to_dict,
     validate_space,
 )
+
+if TYPE_CHECKING:
+    from .inclusion import InclusionFunction
+    from .terms import AlgebraTerm
 
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
@@ -63,6 +56,7 @@ def _resolve_space_path(path: str) -> pathlib.Path:
         alt = pathlib.Path(override) / candidate.name
         if alt.exists():
             return alt
+    from importlib import resources
     packaged = resources.files("rif_forge") / "fixtures" / candidate.name
     if packaged.is_file():
         return pathlib.Path(str(packaged))
@@ -73,7 +67,7 @@ def _load(path: str) -> GranularSpace:
     resolved = _resolve_space_path(path)
     try:
         return load_space(resolved)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {resolved}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read space file {resolved}: {exc}") from exc
@@ -120,12 +114,12 @@ def _read_json(path: str, what: str):
     """The JSON value in the file at path, which the error messages call what."""
     try:
         return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _evaluate(s: GranularSpace, texts: Iterable[str], env_path: Optional[str] = None,
-              functions: int = 0, more: Iterable[terms.AlgebraTerm] = ()) -> list[InclusionFunction]:
+              functions: int = 0, more: Iterable[AlgebraTerm] = ()) -> list[InclusionFunction]:
     """The functions of the terms texts, then of the parsed terms more, on s.
 
     k0, k1 and k2 are bound on a set-extensional space, each built the
@@ -133,6 +127,7 @@ def _evaluate(s: GranularSpace, texts: Iterable[str], env_path: Optional[str] = 
     file order, to its term's value.  Every term is parsed, and check_work
     asked over all their nodes and functions, before any is evaluated.
     """
+    from . import terms
     named = []
     if env_path:
         raw = _read_json(env_path, "environment file")
@@ -236,6 +231,7 @@ def approximate(space_file, fmt, out):
 @_reported
 def classify_cmd(space_file, term, relation, env_path, fmt, out):
     """Name the most specific class of a function and report every axiom."""
+    from .inclusion import RIF_AXIOM_ORDER, _verdict, check_rif_axiom, class_from_axioms
     s = _load(space_file)
     [f] = _evaluate(s, [term], env_path)
     # the table prints no witnesses, so it reads verdicts and skip counts only
@@ -263,6 +259,9 @@ def classify_cmd(space_file, term, relation, env_path, fmt, out):
 @_reported
 def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, fmt, out):
     """Verify the eleven algebra laws over the given functions."""
+    from random import Random
+
+    from . import algebra, sampling
     if random_terms < 0:
         raise ParameterError(f"--random-terms must not be negative, got {random_terms}")
     s = _load(space_file)
@@ -304,6 +303,9 @@ def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, 
 @_reported
 def prif_verify(space_file, term, trials, seed, relation, fmt, out):
     """Check the implication battery, on one function or random ones."""
+    from random import Random
+
+    from .inclusion import random_kappa, verify_prif
     if trials < 1:
         raise ParameterError(f"--trials must be positive, got {trials}")
     s = _load(space_file)
@@ -344,6 +346,7 @@ def prif_verify(space_file, term, trials, seed, relation, fmt, out):
 @_reported
 def rif_failure_search_cmd(space_file, budget, seed, fmt, out):
     """Hunt for operations that push RIFs out of the RIF class."""
+    from . import algebra
     s = _load(space_file)
     res = algebra.rif_failure_search(s, budget)
     payload = {"rif_pool": list(res.rif_pool), "trials": res.trials}
@@ -377,6 +380,7 @@ def rif_failure_search_cmd(space_file, budget, seed, fmt, out):
 @_reported
 def vprs(space_file, target, term, alpha, beta, fixed, fmt, out):
     """Variable-precision lower/upper regions of one element."""
+    from . import measures
     s = _load(space_file)
     [f] = _evaluate(s, [term])
     params = measures.VprsParams(_rat(alpha), _rat(beta))
@@ -413,6 +417,7 @@ def fit_alpha_cmd(space_file, f_term, h_term, samples_file, fmt, out):
     The sample file holds a list of [x, y, value] triples; x and y may be
     element ids or brace-rendered carriers.
     """
+    from . import algebra
     s = _load(space_file)
     f, h = _evaluate(s, [f_term, h_term])
     raw = _read_json(samples_file, "samples file")
@@ -443,6 +448,7 @@ def derive(csv_file, attrs, value_delimiter, out):
     indiscernibility partition over the chosen attributes becomes the
     granulation.  Emits the space as JSON.
     """
+    from . import table
     try:
         with open(csv_file, newline="", encoding="utf-8") as handle:
             info = table.read_table_csv(handle, value_delimiter=value_delimiter)

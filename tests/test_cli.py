@@ -45,10 +45,13 @@ class TestValidate:
 
     def test_malformed_json(self, runner, tmp_path):
         bad = tmp_path / "mangled.json"
-        bad.write_text("{not json", encoding="utf-8")
-        result = runner.invoke(main, ["validate", str(bad)])
-        assert result.exit_code == 2
-        assert "malformed JSON" in result.stderr
+        # the second is nested deeper than any interpreter stack: the decoder
+        # gives up with a RecursionError, which must read as malformed input too
+        for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+            bad.write_text(text, encoding="utf-8")
+            result = runner.invoke(main, ["validate", str(bad)])
+            assert result.exit_code == 2, text[:20]
+            assert result.stderr.startswith("error: malformed JSON") and result.stderr.count("\n") == 1
 
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["validate", "no_such_space.json"])

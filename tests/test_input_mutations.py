@@ -19,7 +19,7 @@ import tempfile
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fixture_data import FIXTURE_PATH
 from rif_forge import (
@@ -111,6 +111,9 @@ def test_every_command_exits_0_1_or_2(doc):
 
 SAMPLES = [["ab", "bc", "3/16"], ["{a,b}", "a", "1/2"]]
 ENV = {"blend": "oplus(1/2, k0, k2)", "hat": "sharp(blend)"}
+# nested deeper than any interpreter stack, so the decoder's RecursionError
+# does not depend on the stack depth left to it
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def assert_clean_exit(argv, result):
@@ -149,13 +152,14 @@ def mutated_envs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(samples=mutated_samples(), env=mutated_envs())
+@given(samples=mutated_samples().map(json.dumps) | st.just(DEEP), env=mutated_envs().map(json.dumps) | st.just(DEEP))
+@example(samples=DEEP, env=DEEP)
 def test_sample_and_env_files_exit_0_1_or_2(samples, env):
     runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:
         samples_path, env_path = pathlib.Path(tmp) / "samples.json", pathlib.Path(tmp) / "env.json"
-        samples_path.write_text(json.dumps(samples), encoding="utf-8")
-        env_path.write_text(json.dumps(env), encoding="utf-8")
+        samples_path.write_text(samples, encoding="utf-8")
+        env_path.write_text(env, encoding="utf-8")
         for argv in (["fit-alpha", str(FIXTURE_PATH), "k0", "sharp(k0)", str(samples_path)],
                      ["classify", str(FIXTURE_PATH), "hat", "--env", str(env_path)]):
             assert_clean_exit(argv, runner.invoke(main, argv))

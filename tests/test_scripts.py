@@ -1,5 +1,6 @@
 """The scripts run to the end: the timing scripts on a small power set,
-and make_fixture.py, which must write the packaged fixture byte for byte.
+time_startup.py with two runs of each process, and make_fixture.py, which
+must write the packaged fixture byte for byte.
 
 They import private names of the package, so a change to those breaks them
 without any other test noticing.
@@ -24,6 +25,15 @@ def test_timing_script_exits_0(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("# 8 elements"), result.stdout
+
+
+def test_startup_script_exits_0():
+    result = subprocess.run([sys.executable, str(SCRIPTS / "time_startup.py"), "--repeat", "2"],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    # the modules a command imports in its body are listed too
+    assert "validate loads: rif_forge rif_forge.errors rif_forge.space\n" in result.stdout, result.stdout
+    assert "rif_forge.terms" in result.stdout.split("classify loads:")[1], result.stdout
 
 
 def test_make_fixture_rewrites_the_packaged_fixture(tmp_path):

@@ -1,10 +1,10 @@
-"""Leftovers in the package source: imports a module never reads, and
-private module-level names that no module of the package reads.
+"""Leftovers in the package source: imports a module never reads, imports
+in a function body that the function never reads, and private
+module-level names that no module of the package reads.
 
-Both are read from the syntax tree alone (stdlib ast), so a name counts
+All three are read from the syntax tree alone (stdlib ast), so a name counts
 as read wherever it appears as a loaded name, an attribute, an imported
-name or inside a quoted annotation.  The package's __init__ re-exports
-what it imports, so its imports are not checked.
+name or inside a quoted annotation.
 """
 
 import ast
@@ -49,15 +49,28 @@ def read_names(tree) -> set[str]:
     return out
 
 
-def unused_imports(tree) -> list[str]:
+def imported(nodes) -> list[str]:
+    """The names that the import statements among nodes bind."""
     bound = []
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
+    return bound
+
+
+def unused_imports(tree) -> list[str]:
+    """The module-level imports the module never reads, then, as
+    "function: name", each import in a function body that the function
+    (its nested functions included) never reads."""
     used = names(tree)
-    return [name for name in bound if name not in used]
+    unused = [name for name in imported(tree.body) if name not in used]
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used = names(fn)
+            unused += [f"{fn.name}: {name}" for name in imported(ast.walk(fn)) if name not in used]
+    return unused
 
 
 def private_definitions(tree) -> list[str]:
@@ -72,7 +85,7 @@ def private_definitions(tree) -> list[str]:
     return [name for name in bound if name.startswith("_") and not name.startswith("__")]
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
     assert unused_imports(MODULES[module]) == []
 
@@ -85,7 +98,8 @@ def test_every_private_name_is_read(module):
 
 def test_the_checks_catch_leftovers():
     tree = ast.parse("from functools import cached_property\nimport os\n_UNREAD = 1\n"
-                     "def _dead():\n    return os.sep\n")
-    assert unused_imports(tree) == ["cached_property"]
+                     "def _dead():\n    return os.sep\n"
+                     "def late():\n    import json\n    from . import a, b\n    return b\n")
+    assert unused_imports(tree) == ["cached_property", "late: json", "late: a"]
     assert private_definitions(tree) == ["_UNREAD", "_dead"]
     assert not {"_UNREAD", "_dead"} & read_names(tree)
