@@ -82,11 +82,10 @@ def main() -> None:
     if _json_text(doc) != json.dumps(doc, indent=2):
         sys.exit("_json_text differs from json.dumps(indent=2)")
     write_ms, dumps_ms = alternated(lambda: _json_text(doc), lambda: json.dumps(doc, indent=2), 10 * args.repeat)
-    t = s.tables
     proved = _SET_LATTICE_AXIOMS if classify_flavor(s) == "setHGOS" else ()
     rows = []
     for axiom, (check, *rest) in _AXIOM_CHECKS.items():
-        rows.append((f"scan {axiom}", *timed(lambda: check(s, t, *rest), args.repeat)))
+        rows.append((f"scan {axiom}", *timed(lambda: check(s, *rest), args.repeat)))
     rows.append(("validate_space", *timed(lambda: validate_space(s), args.repeat)))
     rows.append(("admissibility", *timed(lambda: check_admissibility(s), args.repeat)))
     rows.append(("classify_flavor", *timed(lambda: classify_flavor(s), args.repeat)))

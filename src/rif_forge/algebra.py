@@ -116,12 +116,12 @@ def _gather(f: InclusionFunction, to: list[int], name: str) -> InclusionFunction
 
 def sharp(f: InclusionFunction) -> InclusionFunction:
     """f(lower(a), lower(b)): values of f, so in [0,1]."""
-    return _gather(f, f.space.tables.lower, "sharp")
+    return _gather(f, f.space.lower, "sharp")
 
 
 def flat(f: InclusionFunction) -> InclusionFunction:
     """f(upper(a), upper(b)): values of f, so in [0,1]."""
-    return _gather(f, f.space.tables.upper, "flat")
+    return _gather(f, f.space.upper, "flat")
 
 
 def sigma_degrees(f: InclusionFunction) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], list[int]]]:
@@ -130,10 +130,10 @@ def sigma_degrees(f: InclusionFunction) -> tuple[list[tuple[int, ...]], dict[tup
     elementwise max of the rows of a_i's granule parts (the first one
     twice, so max gets two), built once per distinct part set; parts[i] is
     a_i's, kept by the space as the part rows' offsets w * n in nums."""
-    s, nums, n = f.space, f.nums, f.space.tables.n
+    s, nums, n = f.space, f.nums, len(f.space.elements)
     if "granule parts" not in s._derived:
-        t, grans = s.tables, [s._index[w] for w in s.granulation]
-        s._derived["granule parts"] = [tuple(w * n for w in grans if t.parthood[w] >> a & 1) for a in range(n)]
+        grans = [s._index[w] for w in s.granulation]
+        s._derived["granule parts"] = [tuple(w * n for w in grans if s.parthood[w] >> a & 1) for a in range(n)]
     parts = s._derived["granule parts"]
     rows = {p: list(map(max, nums[p[0]:p[0] + n], *(nums[w:w + n] for w in p))) if p else [f.den] * n
             for p in set(parts)}
@@ -144,7 +144,7 @@ def sigma(f: InclusionFunction) -> InclusionFunction:
     """Granule-mediated sum: best degree of a granule part of a inside the
     lower approximation of b, and 1 when a has no granule part.  In
     [0,1]: every value is a value of f or 1."""
-    lows = f.space.tables.lower
+    lows = f.space.lower
     parts, rows = sigma_degrees(f)
     rows = {p: list(map(row.__getitem__, lows)) for p, row in rows.items()}
     return _of_distinct_rows(f.space, parts, rows, f.den, f"sigma({f.label})")
@@ -171,14 +171,14 @@ def leq(f: InclusionFunction, g: InclusionFunction) -> bool:
 def _weak_comp(s: GranularSpace, fns: Sequence[InclusionFunction], inward: bool) -> list[tuple[str, ...]]:
     """WeakSharpComp (inward): a part of lower(a), f(lower(a), lower(b)) > f(a, b).
     WeakFlatComp: upper(a) part of a, f(a, b) > f(upper(a), upper(b))."""
-    t, els, n = s.tables, s.elements, s.tables.n
-    own, mapped = range(n), t.lower if inward else t.upper
+    els, n = s.elements, len(s.elements)
+    own, mapped = range(n), s.lower if inward else s.upper
     first, second = (own, mapped) if inward else (mapped, own)
     wit = []
     for f in fns:
         nums = f.nums
         for i in own:
-            if t.parthood[first[i]] >> second[i] & 1:
+            if s.parthood[first[i]] >> second[i] & 1:
                 hi, lo = second[i] * n, first[i] * n
                 wit += [(f.label, els[i], els[j]) for j in own if nums[hi + second[j]] > nums[lo + first[j]]]
     return wit
@@ -186,8 +186,8 @@ def _weak_comp(s: GranularSpace, fns: Sequence[InclusionFunction], inward: bool)
 
 def _r0_plus(s: GranularSpace, fns: Sequence[InclusionFunction]) -> list[tuple[str, ...]]:
     """(f, a, b) with a part of b and sigma(f)(a, b) != 1, read only at the parthood pairs."""
-    els, lows = s.elements, s.tables.lower
-    related = [(i, j) for i, m in enumerate(s.tables.parthood) for j in _bits(m)]
+    els, lows = s.elements, s.lower
+    related = [(i, j) for i, m in enumerate(s.parthood) for j in _bits(m)]
     wit = []
     for f in fns:
         parts, rows = sigma_degrees(f)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional
 
 import click
@@ -38,13 +37,13 @@ from .space import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .inclusion import InclusionFunction
     from .terms import AlgebraTerm
 
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
-
-DEFAULT_WEIGHTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
 
 
 def _resolve_space_path(path: str) -> pathlib.Path:
@@ -104,6 +103,7 @@ def _tuple_lines(label: str, tuples: Iterable[tuple[str, ...]]) -> list[str]:
 
 
 def _rat(text: str) -> Fraction:
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -273,7 +273,7 @@ def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, 
     rng = Random(seed)
     drawn = [sampling.random_wqrif_term(rng) for _ in range(random_terms)]
     fns = _evaluate(s, texts, env_path, functions, drawn)
-    weights = [_rat(a) for a in alphas] or DEFAULT_WEIGHTS
+    weights = [_rat(a) for a in alphas or ("0", "1/3", "1/2", "1")]
     reports = algebra.check_laws(s, fns, weights)
     passed = all(r.holds for r in reports)
     payload = {

@@ -241,10 +241,9 @@ def _carrier_masks(s: GranularSpace) -> tuple[list[int], int]:
     """Each element's carrier as a bitmask over the objects, in element
     order, and lcm(1, ..., number of objects), a common denominator of
     every ratio of carrier sizes."""
-    t = s.tables
-    if t.carriers is None:
+    if s.carrier_masks is None:
         raise CarrierError(f"elements without carriers: {[e for e in s.elements if e not in s.carriers]}")
-    return t.carriers, lcm(*range(1, len(t.objects) + 1))
+    return s.carrier_masks, lcm(*range(1, len(s.objects) + 1))
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -297,16 +296,15 @@ class _SpaceRows:
     of undefined joins."""
 
     def __init__(self, s: GranularSpace, relation: str):
-        t = s.tables
         self.last = [(e,) for e in s.elements]
-        self.rel_masks = rel = t.parthood if relation == "parthood" else t.order
+        self.rel_masks = rel = s.parthood if relation == "parthood" else s.order
         self.rel_groups = _groups(rel)
-        self.bottom = bot = t.index[s.bottom]
-        self.proper_bottom = [i for i in range(t.n) if rel[bot] >> i & 1 and not rel[i] >> bot & 1]
-        self.meet_bottom = [_row_mask(row, bot) for row in t.meet]
-        self.meet_undefined = [_row_mask(row, -1) for row in t.meet]
-        self.top_groups = _groups([_row_mask(row, t.index[s.top]) for row in t.join])
-        self.undefined_joins = sum(row.count(-1) for row in t.join)
+        self.bottom = bot = s._index[s.bottom]
+        self.proper_bottom = [i for i in range(len(s.elements)) if rel[bot] >> i & 1 and not rel[i] >> bot & 1]
+        self.meet_bottom = [_row_mask(row, bot) for row in s.meet]
+        self.meet_undefined = [_row_mask(row, -1) for row in s.meet]
+        self.top_groups = _groups([_row_mask(row, s._index[s.top]) for row in s.join])
+        self.undefined_joins = sum(row.count(-1) for row in s.join)
 
 
 def _row_mask(row: list[int], value: int) -> int:

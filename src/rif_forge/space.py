@@ -3,11 +3,11 @@
 A space bundles a finite universe with a parthood relation P, a companion
 order, partial join/meet tables, a distinguished granulation, total lower
 and upper approximation maps, and bottom/top elements.  Everything is
-explicit and finite, and stored by element index (SpaceTables): a relation
-is one bitmask row per element, an operation one row of result indices per
-element, -1 where it is undefined, and an approximation map one index per
-element.  Documents, the constructor and powerset_space all write these
-tables, the only copy of the relations, operations and maps; by id, a
+explicit and finite, and held by element index in the space's fields: a
+relation is one bitmask row per element, an operation one row of result
+indices per element, -1 where it is undefined, and an approximation map one
+index per element.  Documents, the constructor and powerset_space all write
+these tables, the only copy of the relations, operations and maps; by id, a
 space answers part, leq, join_of, meet_of, lower_of and upper_of from them.
 
 An equality between possibly-undefined operation values is read weakly:
@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -73,6 +73,11 @@ class GranularSpace:
     The constructor takes ids: relations as ordered pairs, operations and
     approximation maps as mappings.  They are checked and read into the
     index tables by the pass that reads a space document (space_from_dict).
+
+    In the tables, bit j of parthood[i] is set when P a_i a_j holds, and
+    carrier_masks[i] is a_i's carrier as a bitmask over the sorted objects
+    (None when an element has no carrier).  An operation result is an index
+    only after a >= 0 test: rows[-1] would read the last row.
     """
 
     def __init__(
@@ -107,15 +112,24 @@ class GranularSpace:
         self._enforce_flavor()
 
     @classmethod
-    def _of_tables(cls, *parts) -> "GranularSpace":
-        """The space with these tables, carriers by id, granulation, bottom,
-        top and flavor, all taken as checked: callers prove the flavor."""
+    def _of_tables(cls, *fields) -> "GranularSpace":
+        """The space with the fields _store takes, as checked: callers prove the flavor."""
         s = cls.__new__(cls)
-        s._store(*parts)
+        s._store(*fields)
         return s
 
-    def _store(self, tables: "SpaceTables", carriers, granulation, bottom, top, flavor) -> None:
-        self.tables, self.elements, self._index = tables, tables.elements, tables.index
+    def _store(self, elements, index, parthood, order, join, meet, lower, upper, objects, carrier_masks,
+               carriers, granulation, bottom, top, flavor) -> None:
+        self.elements: tuple[str, ...] = elements
+        self._index: dict[str, int] = index
+        self.parthood: list[int] = parthood
+        self.order: list[int] = order
+        self.join: list[list[int]] = join
+        self.meet: list[list[int]] = meet
+        self.lower: list[int] = lower
+        self.upper: list[int] = upper
+        self.objects: list[str] = objects
+        self.carrier_masks: Optional[list[int]] = carrier_masks
         self.carriers: dict[str, frozenset[str]] = carriers
         self._by_carrier = {c: e for e, c in carriers.items()}
         self.granulation, self.bottom, self.top, self.flavor = tuple(granulation), bottom, top, flavor
@@ -134,7 +148,7 @@ class GranularSpace:
 
     @property
     def is_set_extensional(self) -> bool:
-        return self.tables.carriers is not None
+        return self.carrier_masks is not None
 
     def _at(self, a: str, b: str):
         """The index pair of (a, b), None when either is not an element."""
@@ -142,17 +156,17 @@ class GranularSpace:
         return None if i is None or j is None else (i, j)
 
     def part(self, a: str, b: str) -> bool:
-        return (ij := self._at(a, b)) is not None and self.tables.parthood[ij[0]] >> ij[1] & 1 == 1
+        return (ij := self._at(a, b)) is not None and self.parthood[ij[0]] >> ij[1] & 1 == 1
 
     def leq(self, a: str, b: str) -> bool:
-        return (ij := self._at(a, b)) is not None and self.tables.order[ij[0]] >> ij[1] & 1 == 1
+        return (ij := self._at(a, b)) is not None and self.order[ij[0]] >> ij[1] & 1 == 1
 
     def join_of(self, a: str, b: str) -> Optional[str]:
-        r = -1 if (ij := self._at(a, b)) is None else self.tables.join[ij[0]][ij[1]]
+        r = -1 if (ij := self._at(a, b)) is None else self.join[ij[0]][ij[1]]
         return self.elements[r] if r >= 0 else None
 
     def meet_of(self, a: str, b: str) -> Optional[str]:
-        r = -1 if (ij := self._at(a, b)) is None else self.tables.meet[ij[0]][ij[1]]
+        r = -1 if (ij := self._at(a, b)) is None else self.meet[ij[0]][ij[1]]
         return self.elements[r] if r >= 0 else None
 
     def _index_of(self, x: str) -> int:
@@ -163,10 +177,10 @@ class GranularSpace:
             raise InputError(f"unknown element {x!r}") from None
 
     def lower_of(self, x: str) -> str:
-        return self.elements[self.tables.lower[self._index_of(x)]]
+        return self.elements[self.lower[self._index_of(x)]]
 
     def upper_of(self, x: str) -> str:
-        return self.elements[self.tables.upper[self._index_of(x)]]
+        return self.elements[self.upper[self._index_of(x)]]
 
     def carrier_of(self, x: str) -> frozenset[str]:
         if x not in self.carriers:
@@ -186,15 +200,16 @@ class GranularSpace:
     def pairs(self) -> Iterable[tuple[str, str]]:
         return product(self.elements, repeat=2)
 
+    # What equal spaces agree on; the index, objects and carrier_masks follow from it.
+    _FIELDS = ("elements", "carriers", "granulation", "bottom", "top", "flavor",
+               "parthood", "order", "join", "meet", "lower", "upper")
+
     def __eq__(self, other):
         if other is self:
             return True
         if not isinstance(other, GranularSpace):
             return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in (
-            "elements", "carriers", "granulation", "bottom", "top", "flavor")) and all(
-            getattr(self.tables, k) == getattr(other.tables, k) for k in (
-                "parthood", "order", "join", "meet", "lower", "upper"))
+        return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
 
     __hash__ = None
 
@@ -220,34 +235,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(eq=False)
-class SpaceTables:
-    """A space by element index: its primary state.
-
-    join[i][j] and meet[i][j] are the index of the result, -1 where the
-    operation is undefined; lower[i] and upper[i] are indices; parthood[i]
-    and order[i] have bit j set when (a_i, a_j) is related; carriers[i] is
-    a bitmask over the sorted objects, or carriers is None when an element
-    has no carrier.  An operation result is an index only after a >= 0
-    test: rows[-1] would read the last row.
-    """
-
-    elements: tuple[str, ...]
-    index: dict[str, int]
-    parthood: list[int]
-    order: list[int]
-    join: list[list[int]]
-    meet: list[list[int]]
-    lower: list[int]
-    upper: list[int]
-    objects: list[str]
-    carriers: Optional[list[int]]
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
-
-
 # -- axiom checking ------------------------------------------------------
 #
 # Each check reads the space's tables and returns its witnesses, in element
@@ -255,22 +242,21 @@ class SpaceTables:
 # undefined there.
 
 
-def _commutative(s, t):
-    els, jn, mt = s.elements, t.join, t.meet
+def _commutative(s):
+    els, jn, mt = s.elements, s.join, s.meet
     wit, skipped = [], 0
-    for i in range(t.n):
-        for j in range(i, t.n):
-            lj, rj, lm, rm = jn[i][j], jn[j][i], mt[i][j], mt[j][i]
-            skipped += min(lj, rj, lm, rm) < 0
-            if lj != rj and min(lj, rj) >= 0 or lm != rm and min(lm, rm) >= 0:
-                wit.append((els[i], els[j]))
+    for i, j in combinations_with_replacement(range(len(els)), 2):
+        lj, rj, lm, rm = jn[i][j], jn[j][i], mt[i][j], mt[j][i]
+        skipped += min(lj, rj, lm, rm) < 0
+        if lj != rj and min(lj, rj) >= 0 or lm != rm and min(lm, rm) >= 0:
+            wit.append((els[i], els[j]))
     return wit, skipped
 
 
-def _absorptive(s, t):
-    els, jn, mt = s.elements, t.join, t.meet
+def _absorptive(s):
+    els, jn, mt = s.elements, s.join, s.meet
     wit, skipped = [], 0
-    for a in range(t.n):
+    for a in range(len(els)):
         for b, (j, m) in enumerate(zip(jn[a], mt[a])):
             x, y = mt[j][a] if j >= 0 else -1, jn[m][a] if m >= 0 else -1
             skipped += x < 0 or y < 0
@@ -279,12 +265,12 @@ def _absorptive(s, t):
     return wit, skipped
 
 
-def _distributive(s, t, outer, inner):
+def _distributive(s, outer, inner):
     """(a, b, c) with inner(outer(a, b), c) != outer(inner(a, c), inner(b, c)),
     both sides defined.  Per (a, b) the left side is one row of inner; rows
     that agree and are defined everywhere hold no witness and no skip."""
-    els, n = s.elements, t.n
-    out, inn = getattr(t, outer), getattr(t, inner)
+    els, n = s.elements, len(s.elements)
+    out, inn = getattr(s, outer), getattr(s, inner)
     full = [-1 not in row for row in inn]
     wit, skipped = [], 0
     for a, ra in enumerate(inn):
@@ -308,10 +294,10 @@ def _distributive(s, t, outer, inner):
     return wit, skipped
 
 
-def _order_consistent(s, t):
-    els, jn, mt = s.elements, t.join, t.meet
+def _order_consistent(s):
+    els, jn, mt = s.elements, s.join, s.meet
     wit, skipped = [], 0
-    for a, above in enumerate(t.order):
+    for a, above in enumerate(s.order):
         for b, (j, m) in enumerate(zip(jn[a], mt[a])):
             le = above >> b & 1 == 1
             skipped += j < 0 or m < 0
@@ -320,37 +306,35 @@ def _order_consistent(s, t):
     return wit, skipped
 
 
-def _approximation_ends(s, t):
-    part, lo, up = t.parthood, t.lower, t.upper
-    bot, top = t.index[s.bottom], t.index[s.top]
+def _approximation_ends(s):
+    part, lo, up = s.parthood, s.lower, s.upper
+    bot, top = s._index[s.bottom], s._index[s.top]
     wit = [] if lo[bot] == bot and up[bot] == bot else [(s.bottom,)]
     if not (part[lo[top]] >> top & 1 and part[up[top]] >> top & 1):
         wit.append((s.top,))
     return wit, 0
 
 
-# Each axiom's check and the check's arguments after the space and its tables.
+# Each axiom's check and the check's arguments after the space.
 _AXIOM_CHECKS = {
-    "PT1": (lambda s, t: ([(x,) for i, x in enumerate(s.elements) if not t.parthood[i] >> i & 1], 0),),
-    "PT2": (lambda s, t: ([(s.elements[i], s.elements[j]) for i in range(t.n) for j in range(i + 1, t.n)
-                           if t.parthood[i] >> j & 1 and t.parthood[j] >> i & 1], 0),),
+    "PT1": (lambda s: ([(x,) for i, x in enumerate(s.elements) if not s.parthood[i] >> i & 1], 0),),
+    "PT2": (lambda s: ([(s.elements[i], s.elements[j]) for i, j in combinations(range(len(s.elements)), 2)
+                        if s.parthood[i] >> j & 1 and s.parthood[j] >> i & 1], 0),),
     "G1": (_commutative,),
     "G2": (_absorptive,),
     "G3": (_distributive, "meet", "join"),
     "G4": (_distributive, "join", "meet"),
     "G5": (_order_consistent,),
-    "UL1": (lambda s, t: ([(x,) for a, x, la, ua in zip(range(t.n), s.elements, t.lower, t.upper)
-                           if not (t.parthood[la] >> a & 1 and t.lower[la] == la
-                                   and t.parthood[ua] >> t.upper[ua] & 1)], 0),),
-    "UL2": (lambda s, t: ([(s.elements[a], s.elements[b]) for a, la, ua in zip(range(t.n), t.lower, t.upper)
-                           for b in _bits(t.parthood[a])
-                           if not (t.parthood[la] >> t.lower[b] & 1 and t.parthood[ua] >> t.upper[b] & 1)], 0),),
+    "UL1": (lambda s: ([(x,) for a, (x, la, ua) in enumerate(zip(s.elements, s.lower, s.upper))
+                        if not (s.parthood[la] >> a & 1 and s.lower[la] == la
+                                and s.parthood[ua] >> s.upper[ua] & 1)], 0),),
+    "UL2": (lambda s: ([(s.elements[a], s.elements[b]) for a, (la, ua) in enumerate(zip(s.lower, s.upper))
+                        for b in _bits(s.parthood[a])
+                        if not (s.parthood[la] >> s.lower[b] & 1 and s.parthood[ua] >> s.upper[b] & 1)], 0),),
     "UL3": (_approximation_ends,),
-    "TB": (lambda s, t: ([(x,) for a, x in enumerate(s.elements) if not (
-        t.parthood[t.index[s.bottom]] >> a & 1 and t.parthood[a] >> t.index[s.top] & 1)], 0),),
+    "TB": (lambda s: ([(x,) for a, x in enumerate(s.elements) if not (
+        s.parthood[s._index[s.bottom]] >> a & 1 and s.parthood[a] >> s._index[s.top] & 1)], 0),),
 }
-
-AXIOM_ORDER = tuple(_AXIOM_CHECKS)
 
 
 # The axioms every setHGOS space satisfies (see validate_space).
@@ -375,9 +359,8 @@ def validate_space(s: GranularSpace) -> list[AxiomReport]:
     instance is skipped, as both operations are total.  UL1-UL3 and TB are
     scanned on every space, and every axiom on every other flavor.
     """
-    t = s.tables
     proved = _SET_LATTICE_AXIOMS if classify_flavor(s) == "setHGOS" else ()
-    return [AxiomReport.of(axiom, *(((), 0) if axiom in proved else check(s, t, *args)))
+    return [AxiomReport.of(axiom, *(((), 0) if axiom in proved else check(s, *args)))
             for axiom, (check, *args) in _AXIOM_CHECKS.items()]
 
 
@@ -390,21 +373,18 @@ def representable_elements(s: GranularSpace, term_depth: int = 1) -> frozenset[s
     """
     if term_depth < 1:
         raise InputError("term_depth must be at least 1")
-    t = s.tables
-    grans = [t.index[g] for g in s.granulation]
-    rep = {t.index[s.bottom], *grans}
-    changed = True
-    while changed:
-        changed = False
-        for r in list(rep):
-            for g in grans:
-                for v in (t.join[r][g], t.join[g][r]):
-                    if v >= 0 and v not in rep:
-                        rep.add(v)
-                        changed = True
+    grans = [s._index[g] for g in s.granulation]
+    rep = {s._index[s.bottom], *grans}
+    todo = list(rep)
+    while todo:
+        r = todo.pop()
+        for g in grans:
+            for v in (s.join[r][g], s.join[g][r]):
+                if v >= 0 and v not in rep:
+                    rep.add(v)
+                    todo.append(v)
     for _ in range(term_depth - 1):
-        cur = list(rep)
-        fresh = {v for x in cur for y in cur for v in (t.join[x][y], t.meet[x][y]) if v >= 0} - rep
+        fresh = {v for x in rep for y in rep for v in (s.join[x][y], s.meet[x][y]) if v >= 0} - rep
         if not fresh:
             break
         rep |= fresh
@@ -413,17 +393,17 @@ def representable_elements(s: GranularSpace, term_depth: int = 1) -> frozenset[s
 
 def check_admissibility(s: GranularSpace, term_depth: int = 1) -> list[AxiomReport]:
     """Check the admissibility conditions WRA, LS and FU of the granulation."""
-    t, els = s.tables, s.elements
-    rep = {t.index[x] for x in representable_elements(s, term_depth)}
-    part, lo, up = t.parthood, t.lower, t.upper
-    grans = [t.index[g] for g in s.granulation]
+    els = s.elements
+    rep = {s._index[x] for x in representable_elements(s, term_depth)}
+    part, lo, up = s.parthood, s.lower, s.upper
+    grans = [s._index[g] for g in s.granulation]
 
     wra = [(x,) for x, l, u in zip(els, lo, up) if l not in rep or u not in rep]
 
     ls = [(els[a], els[x]) for a in grans for x in _bits(part[a]) if not part[a] >> lo[x] & 1]
 
     # the definite elements, and per granule the elements it is a proper part of
-    definite = sum(1 << z for z in range(t.n) if lo[z] == z and up[z] == z)
+    definite = sum(1 << z for z in range(len(els)) if lo[z] == z and up[z] == z)
     above = {a: sum(1 << z for z in _bits(part[a]) if not part[z] >> a & 1) for a in grans}
     fu = [(els[x], els[a]) for x in grans for a in grans if not above[x] & above[a] & definite]
 
@@ -447,9 +427,8 @@ def _granular(key: str, s: GranularSpace, x: str) -> str:
     for eid in s.elements:
         s.carrier_of(eid)  # CarrierError for the first element without one
     i = s._index_of(x)
-    t = s.tables
-    grans = [t.index[g] for g in s.granulation]
-    return s.elements[_granule_unions(key, [i], t.carriers, grans, t.parthood, t.objects)[0]]
+    grans = [s._index[g] for g in s.granulation]
+    return s.elements[_granule_unions(key, [i], s.carrier_masks, grans, s.parthood, s.objects)[0]]
 
 
 def _granule_unions(key: str, cols, masks: list[int], grans: list[int], parthood: list[int],
@@ -475,8 +454,8 @@ def _granule_unions(key: str, cols, masks: list[int], grans: list[int], parthood
 # adds to FLAVORS[k] when it fails on a space, else None.  Each step assumes
 # the ones before it hold (_extensionality_failure reads total operations).
 _FLAVOR_STEPS = (
-    lambda s: None if s.tables.parthood == s.tables.order else "parthood == order",
-    lambda s: None if all(-1 not in row for row in chain(s.tables.join, s.tables.meet)) else "total join and meet",
+    lambda s: None if s.parthood == s.order else "parthood == order",
+    lambda s: None if all(-1 not in row for row in chain(s.join, s.meet)) else "total join and meet",
     lambda s: _extensionality_failure(s) if s.is_set_extensional else "a carrier on every element",
 )
 
@@ -493,9 +472,8 @@ def _extensionality_failure(s: GranularSpace) -> Optional[str]:
     """The first setHGOS condition to fail on a carried space with total
     operations, in element order of the pair, or None when parthood is
     inclusion, join is union and meet is intersection."""
-    t = s.tables
-    cm = t.carriers
-    for ca, part, jn, mt in zip(cm, t.parthood, t.join, t.meet):
+    cm = s.carrier_masks
+    for ca, part, jn, mt in zip(cm, s.parthood, s.join, s.meet):
         for j, cb in enumerate(cm):
             if (part >> j & 1 == 1) != (ca & cb == ca):
                 return "parthood == inclusion"
@@ -568,13 +546,12 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
     part = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
     lower, upper = (_granule_unions(key, range(len(masks)), masks, grans, part, ordered)
                     for key in ("lower", "upper"))
-    tables = SpaceTables(
+    granulation = [render_carrier(b) for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
+    return GranularSpace._of_tables(
         ids, {eid: i for i, eid in enumerate(ids)}, part, part,
         [[at[a | b] for b in masks] for a in masks], [[at[a & b] for b in masks] for a in masks],
-        lower, upper, ordered, masks,
+        lower, upper, ordered, masks, dict(zip(ids, universe)), granulation, ids[0], ids[-1], "setHGOS",
     )
-    granulation = [render_carrier(b) for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
-    return GranularSpace._of_tables(tables, dict(zip(ids, universe)), granulation, ids[0], ids[-1], "setHGOS")
 
 
 def check_partition(blocks: Iterable[frozenset[str]], carrier: frozenset[str], cover: str) -> None:
@@ -651,8 +628,8 @@ def space_from_dict(raw: dict) -> GranularSpace:
 
 def _read(ids: list, carriers: dict, raw) -> tuple:
     """Check the space with these element ids, carriers by id and the other
-    sections of raw, and read it into index tables; returns the arguments
-    of GranularSpace._of_tables.
+    sections of raw, and read it into index tables; returns the fields
+    GranularSpace._store takes.
 
     Each section is read in one pass that checks its shape and types,
     raising at once, and writes index rows.  An id outside the universe is
@@ -704,8 +681,8 @@ def _read(ids: list, carriers: dict, raw) -> tuple:
     if problems:
         raise problems[0]
 
-    tables = SpaceTables(tuple(ids), index, parthood, order, join, meet, lower, upper, objects, masks)
-    return tables, carriers, granulation, raw["bottom"], raw["top"], raw["flavor"]
+    return (tuple(ids), index, parthood, order, join, meet, lower, upper, objects, masks,
+            carriers, granulation, raw["bottom"], raw["top"], raw["flavor"])
 
 
 def _shape_error(rows: list, row, key: str, width: int) -> Optional[SpaceFormatError]:
@@ -830,7 +807,7 @@ def _approximation(raw, key: str, ids: list, index: dict, masks: Optional[list[i
 def space_to_dict(s: GranularSpace) -> dict:
     """Deterministic JSON-ready representation; inverse of space_from_dict.
     Rows come in element index order."""
-    t, els = s.tables, s.elements
+    els = s.elements
     elements = []
     for eid in els:
         entry: dict = {"id": eid}
@@ -839,13 +816,13 @@ def space_to_dict(s: GranularSpace) -> dict:
         elements.append(entry)
     doc = {"elements": elements}
     for key in ("parthood", "order"):
-        doc[key] = [[els[i], els[j]] for i, m in enumerate(getattr(t, key)) for j in _bits(m)]
+        doc[key] = [[els[i], els[j]] for i, m in enumerate(getattr(s, key)) for j in _bits(m)]
     for key in ("join", "meet"):
-        doc[key] = [[els[i], els[j], els[r]] for i, row in enumerate(getattr(t, key))
+        doc[key] = [[els[i], els[j], els[r]] for i, row in enumerate(getattr(s, key))
                     for j, r in enumerate(row) if r >= 0]
     doc["granulation"] = list(s.granulation)
     for key in ("lower", "upper"):
-        doc[key] = [[x, els[v]] for x, v in zip(els, getattr(t, key))]
+        doc[key] = [[x, els[v]] for x, v in zip(els, getattr(s, key))]
     return doc | {"bottom": s.bottom, "top": s.top, "flavor": s.flavor}
 
 

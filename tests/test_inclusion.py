@@ -528,7 +528,7 @@ def test_masks_wider_than_a_word_match_naive_scan():
     s = powerset_space([f"x{i}" for i in range(6)], [["x0", "x1"], ["x2"], ["x3", "x4", "x5"]])
     assert len(s.elements) == 64
     # order and parthood are both inclusion here, so one naive scan serves both
-    assert s.tables.order == s.tables.parthood
+    assert s.order == s.parthood
     for f in wide_functions(s):
         expected = {ax: naive_check_rif_axiom(_ValueTable(f), ax) for ax in RIF_AXIOM_ORDER}
         holds = {ax: r.holds for ax, r in expected.items()}

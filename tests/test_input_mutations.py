@@ -270,7 +270,7 @@ class NaiveSpace:
         if not all(eid in self.carriers for eid in self.elements):
             raise StructuralError("flavor setHGOS requires a carrier on every element")
         t = naive_tables(self)
-        cm = t["carriers"]
+        cm = t["carrier_masks"]
         for ca, part, jn, mt in zip(cm, t["parthood"], t["join"], t["meet"]):
             for j, cb in enumerate(cm):
                 if (part >> j & 1 == 1) != (ca & cb == ca):
@@ -282,7 +282,8 @@ class NaiveSpace:
 
 
 def naive_tables(s) -> dict:
-    """The former SpaceTables of a space held as ids, every table built."""
+    """The index tables of a space held as ids, every table built, by the
+    name of the GranularSpace field that holds it."""
     idx = {eid: i for i, eid in enumerate(s.elements)}
     n = len(s.elements)
 
@@ -302,10 +303,10 @@ def naive_tables(s) -> dict:
     bit = {o: 1 << i for i, o in enumerate(objects)}
     carried = all(a in s.carriers for a in s.elements)
     return {
-        "elements": s.elements, "index": idx, "parthood": rel(s.parthood), "order": rel(s.order),
+        "elements": s.elements, "_index": idx, "parthood": rel(s.parthood), "order": rel(s.order),
         "join": op(s.join), "meet": op(s.meet), "lower": [idx[s.lower[a]] for a in s.elements],
         "upper": [idx[s.upper[a]] for a in s.elements], "objects": objects,
-        "carriers": [sum(bit[o] for o in s.carriers[a]) for a in s.elements] if carried else None,
+        "carrier_masks": [sum(bit[o] for o in s.carriers[a]) for a in s.elements] if carried else None,
     }
 
 
@@ -463,7 +464,7 @@ def assert_same_space(s, naive):
         assert getattr(s, name) == getattr(naive, name), name
     assert space_to_dict(s) == naive_to_dict(naive)
     for name, table in naive_tables(naive).items():
-        assert getattr(s.tables, name) == table, name
+        assert getattr(s, name) == table, name
 
 
 def outcome(load, doc):

@@ -54,12 +54,17 @@ PUBLIC = {
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 
-def loaded_after(statement: str) -> list[str]:
-    """The rif_forge modules a fresh interpreter holds after statement."""
-    code = f"{statement}\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rif_forge')))"
+def modules_after(statement: str) -> list[str]:
+    """The modules a fresh interpreter holds after statement."""
+    code = f"{statement}\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The rif_forge modules a fresh interpreter holds after statement."""
+    return [m for m in modules_after(statement) if m.split(".")[0] == "rif_forge"]
 
 
 def test_importing_the_package_imports_no_module():
@@ -68,6 +73,11 @@ def test_importing_the_package_imports_no_module():
 
 def test_importing_the_command_line_imports_only_what_every_command_needs():
     assert loaded_after("import rif_forge.cli") == ["rif_forge", "rif_forge.cli", "rif_forge.errors", "rif_forge.space"]
+
+
+def test_the_command_line_starts_without_rational_arithmetic():
+    # Fraction is imported by the commands that read rationals; fractions imports decimal
+    assert not {"fractions", "decimal"} & set(modules_after("import rif_forge.cli"))
 
 
 def test_a_name_imports_only_its_module_and_what_that_imports():

@@ -1,8 +1,9 @@
 """Leftovers in the package source: imports a module never reads, imports
-in a function body that the function never reads, and private
-module-level names that no module of the package reads.
+in a function body that the function never reads, private module-level
+names that no module of the package reads, and public module-level names
+that the package neither exports nor reads.
 
-All three are read from the syntax tree alone (stdlib ast), so a name counts
+All four are read from the syntax tree alone (stdlib ast), so a name counts
 as read wherever it appears as a loaded name, an attribute, an imported
 name or inside a quoted annotation.
 """
@@ -11,6 +12,8 @@ import ast
 import pathlib
 
 import pytest
+
+from rif_forge import _EXPORTS
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rif_forge"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
@@ -73,16 +76,30 @@ def unused_imports(tree) -> list[str]:
     return unused
 
 
-def private_definitions(tree) -> list[str]:
-    """The module-level names starting with one underscore that the module binds."""
+def definitions(tree) -> list[str]:
+    """The module-level names the module binds by def, class or assignment,
+    but for click command callbacks: functions decorated by a call of a
+    command or group method, which click reads."""
     bound = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.append(node.name)
+            if not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                       and d.func.attr in ("command", "group") for d in node.decorator_list):
+                bound.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 bound += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
-    return [name for name in bound if name.startswith("_") and not name.startswith("__")]
+    return bound
+
+
+def private_definitions(tree) -> list[str]:
+    """The module-level names starting with one underscore that the module binds."""
+    return [name for name in definitions(tree) if name.startswith("_") and not name.startswith("__")]
+
+
+def public_definitions(tree) -> list[str]:
+    """The module-level names not starting with an underscore that the module binds."""
+    return [name for name in definitions(tree) if not name.startswith("_")]
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
@@ -96,10 +113,19 @@ def test_every_private_name_is_read(module):
     assert [name for name in private_definitions(MODULES[module]) if name not in read] == []
 
 
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_public_name_is_exported_or_read(module):
+    exported = set(_EXPORTS.get(module, "").split())
+    read = set().union(*map(read_names, MODULES.values()))
+    assert [name for name in public_definitions(MODULES[module]) if name not in exported | read] == []
+
+
 def test_the_checks_catch_leftovers():
-    tree = ast.parse("from functools import cached_property\nimport os\n_UNREAD = 1\n"
+    tree = ast.parse("from functools import cached_property\nimport os\n_UNREAD = 1\nUNREAD = 2\n"
                      "def _dead():\n    return os.sep\n"
-                     "def late():\n    import json\n    from . import a, b\n    return b\n")
+                     "def late():\n    import json\n    from . import a, b\n    return b\n"
+                     "@main.command()\ndef cmd():\n    pass\n")
     assert unused_imports(tree) == ["cached_property", "late: json", "late: a"]
     assert private_definitions(tree) == ["_UNREAD", "_dead"]
-    assert not {"_UNREAD", "_dead"} & read_names(tree)
+    assert public_definitions(tree) == ["UNREAD", "late"]
+    assert not {"_UNREAD", "UNREAD", "_dead", "late"} & read_names(tree)
