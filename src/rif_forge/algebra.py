@@ -381,8 +381,9 @@ def fit_alpha(
         target = Fraction(target)
         if target < 0 or target > 1:
             raise InputError(f"target {target} at ({a!r},{b!r}) is outside [0,1]")
-        df = f(a, b) - h(a, b)
-        num += (target - h(a, b)) * df
+        hab = h(a, b)
+        df = f(a, b) - hab
+        num += (target - hab) * df
         den += df * df
     if den == 0:
         return Fraction(1, 2)

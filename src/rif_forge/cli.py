@@ -102,8 +102,20 @@ def _tuple_lines(label: str, tuples: Iterable[tuple[str, ...]]) -> list[str]:
     return [f"  {label}: (" + ", ".join(w) + ")" for w in tuples]
 
 
+# The most decimal digits a rational option may spell, and the largest
+# magnitude of its exponent: a value read then has at most 2,000 digits
+# above and below the line, well inside the 4,300 that Python prints.
+_RATIONAL_DIGITS = 1000
+
+
 def _rat(text: str) -> Fraction:
+    """The rational text spells, as Fraction reads it; ParameterError when
+    it spells none, or passes _RATIONAL_DIGITS before it is converted."""
     from fractions import Fraction
+    exponent = "".join(filter(str.isdecimal, text.lower().partition("e")[2]))
+    if sum(map(str.isdecimal, text)) > _RATIONAL_DIGITS or int(exponent or 0) > _RATIONAL_DIGITS:
+        raise ParameterError(f"a rational may have at most {_RATIONAL_DIGITS:,} digits and an exponent "
+                             f"of at most {_RATIONAL_DIGITS:,}: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

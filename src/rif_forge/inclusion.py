@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from math import gcd, lcm
 from operator import attrgetter, eq, mul
 from random import Random
@@ -50,7 +50,7 @@ from .errors import (
     InputError,
     ParameterError,
 )
-from .space import AxiomReport, GranularSpace, _bits, classify_flavor
+from .space import AxiomReport, GranularSpace, _bits, _shared_tables, classify_flavor
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -175,7 +175,30 @@ def _refuse_out_of_range(space: GranularSpace, nums: list[int], den: int) -> Non
 # Each builder proves its values lie in [0,1] and builds through _of_rows.
 
 
-def k0(s: GranularSpace) -> InclusionFunction:
+def _from_carriers(build):
+    """The base function that build(s) -> (nums, den) makes from the
+    carrier masks and top's carrier of s alone, labelled with build's name.
+    On a space that shares its power-set tables (space.powerset_space),
+    the reduced rows are built once per set of tables and kept with them;
+    later calls wrap the same rows, which nothing changes."""
+    label = build.__name__
+
+    @wraps(build)
+    def base(s: GranularSpace) -> InclusionFunction:
+        t = _shared_tables(s)
+        rows = t.kept.get(label) if t is not None else None
+        if rows is not None:
+            return InclusionFunction._of_rows(s, *rows, label, reduced=True)
+        f = InclusionFunction._of_rows(s, *build(s), label)
+        if t is not None:
+            t.kept[label] = f.nums, f.den
+        return f
+
+    return base
+
+
+@_from_carriers
+def k0(s: GranularSpace) -> tuple[list[int], int]:
     """Classical overlap degree #(A and B)/#A, and 1 when A is empty.
     In [0,1]: A and B is a subset of A."""
     masks, den = _carrier_masks(s)
@@ -186,19 +209,20 @@ def k0(s: GranularSpace) -> InclusionFunction:
             nums += [(ma & mb).bit_count() * unit for mb in masks]
         else:
             nums += [den] * len(masks)
-    return InclusionFunction._of_rows(s, nums, den, "k0")
+    return nums, den
 
 
-def k1(s: GranularSpace) -> InclusionFunction:
+@_from_carriers
+def k1(s: GranularSpace) -> tuple[list[int], int]:
     """#B/#(A or B), and 1 when both are empty.  In [0,1]: B is a subset
     of A or B."""
     masks, den = _carrier_masks(s)
-    nums = [mb.bit_count() * (den // (ma | mb).bit_count()) if ma | mb else den
-            for ma in masks for mb in masks]
-    return InclusionFunction._of_rows(s, nums, den, "k1")
+    return [mb.bit_count() * (den // (ma | mb).bit_count()) if ma | mb else den
+            for ma in masks for mb in masks], den
 
 
-def k2(s: GranularSpace) -> InclusionFunction:
+@_from_carriers
+def k2(s: GranularSpace) -> tuple[list[int], int]:
     """#(complement(A) or B)/#top, complements taken inside the top carrier.
     In [0,1] when every carrier lies inside top's: complement(A) or B is
     then a subset of top.  A space where some carrier does not is refused
@@ -211,8 +235,7 @@ def k2(s: GranularSpace) -> InclusionFunction:
         if m & ~universe:
             raise InputError(f"k2 needs every carrier inside the top carrier {s.render(s.top)}; "
                              f"{e!r} has {s.render(e)}")
-    nums = [((universe & ~ma) | mb).bit_count() for ma in masks for mb in masks]
-    return InclusionFunction._of_rows(s, nums, universe.bit_count(), "k2")
+    return [((universe & ~ma) | mb).bit_count() for ma in masks for mb in masks], universe.bit_count()
 
 
 def kst(f: InclusionFunction, s: Fraction, t: Fraction) -> InclusionFunction:

@@ -630,6 +630,42 @@ class TestFitAlpha:
         assert len(lines) == 1 and lines[0].startswith("error: bad sample entry"), result.stderr
 
 
+class TestRationalLimit:
+    """A rational option value or sample target is refused, exit 2 with one
+    error line naming the limit, when its digits or exponent pass it:
+    1e-5000 reads as a Fraction whose denominator has more digits than
+    Python prints."""
+
+    LIMIT_LINE = "error: a rational may have at most 1,000 digits and an exponent of at most 1,000: "
+
+    def invoke(self, runner, tmp_path, command, text):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps([["ab", "bc", text]]), encoding="utf-8")
+        return runner.invoke(main, {
+            "check-laws": ["check-laws", str(FIXTURE_PATH), "k0", "k1", "--alpha", text],
+            "vprs": ["vprs", str(FIXTURE_PATH), "ab", "--alpha", text, "--beta", "1/2"],
+            "fit-alpha": ["fit-alpha", str(FIXTURE_PATH), "k0", "sharp(k0)", str(samples)],
+        }[command])
+
+    @pytest.mark.parametrize("command", ["check-laws", "vprs", "fit-alpha"])
+    @pytest.mark.parametrize("text", ["1e-5000", "1E+1001", "0." + "0" * 1000 + "1", "1/" + "3" * 1000],
+                             ids=["1e-5000", "1E+1001", "1001-digit-decimal", "1001-digit-fraction"])
+    def test_past_the_limit_exits_2_naming_it(self, runner, tmp_path, command, text):
+        result = self.invoke(runner, tmp_path, command, text)
+        assert result.exit_code == 2, result.exception
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == f"{self.LIMIT_LINE}{text!r}\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", ["check-laws", "vprs", "fit-alpha"])
+    @pytest.mark.parametrize("text", ["1e-1000", "1E-01000", "0." + "0" * 998 + "1", "1/" + "3" * 998],
+                             ids=["1e-1000", "1E-01000", "1000-digit-decimal", "1000-digit-fraction"])
+    def test_at_the_limit_is_read(self, runner, tmp_path, command, text):
+        result = self.invoke(runner, tmp_path, command, text)
+        assert result.exit_code == 0, result.output
+        assert "rational" not in result.stderr
+
+
 class TestDerive:
     CSV = "object,color,shape\no1,red,round\no2,red,round\no3,blue,square\n"
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,20 +24,24 @@ from rif_forge import (
     granular_lower,
     granular_upper,
     k0,
+    k1,
+    k2,
     load_space,
     otimes,
     powerset_space,
     proper_part,
     render_carrier,
     save_space,
+    sigma,
     space_from_dict,
     space_to_dict,
     table_to_set_hgos,
     validate_space,
+    verify_prif,
 )
 from rif_forge.space import (
-    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, FLAVORS, WORK_BUDGET, AxiomReport, _extensionality_failure, _json_text,
-    representable_elements,
+    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, _SHARED_OBJECTS, FLAVORS, WORK_BUDGET, AxiomReport, _extensionality_failure,
+    _granule_unions, _json_text, check_partition, representable_elements,
 )
 
 from fixture_data import APPROXIMATION_ROWS, FIXTURE_PATH
@@ -233,6 +238,13 @@ class TestFixtureApproximations:
         with pytest.raises(CarrierError):
             granular_lower(s, "m")
 
+    @pytest.mark.parametrize("granular", [granular_lower, granular_upper])
+    def test_missing_carrier_names_the_first_element_without_one(self, granular):
+        s = chain_space(carriers={"bot": frozenset(), "top": frozenset("x")})
+        for x in s.elements:
+            with pytest.raises(CarrierError, match=r"^element 'm' has no carrier$"):
+                granular(s, x)
+
 
 class TestFlavors:
     def test_fixture_is_ggs(self, fixture_space):
@@ -334,6 +346,92 @@ class TestPowerset:
     def test_axioms_hold(self, two_block_space):
         for report in validate_space(two_block_space) + check_admissibility(two_block_space):
             assert report.holds, (report.axiom, report.witnesses)
+
+
+# -- powerset_space against the former per-call construction ----------------
+
+
+def former_powerset_space(objects, blocks) -> GranularSpace:
+    """powerset_space as it was before spaces over the same objects shared
+    their tables: every table built afresh on each call."""
+    objs = tuple(objects)
+    if len(set(objs)) != len(objs):
+        raise InputError("base objects must be unique")
+    check_work(1 << len(objs))
+    blks = [frozenset(b) for b in blocks]
+    check_partition(blks, frozenset(objs), "exactly the base objects")
+
+    ordered = sorted(objs)
+    universe = [frozenset(c) for k in range(len(ordered) + 1) for c in combinations(ordered, k)]
+    ids = tuple(map(render_carrier, universe))
+    bit = {o: 1 << i for i, o in enumerate(ordered)}
+    masks = [sum(map(bit.__getitem__, c)) for c in universe]
+    at = {m: i for i, m in enumerate(masks)}
+    grans = [at[sum(map(bit.__getitem__, b))] for b in blks]
+    part = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
+    lower, upper = (_granule_unions(key, range(len(masks)), masks, grans, part, ordered)
+                    for key in ("lower", "upper"))
+    granulation = [render_carrier(b) for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
+    return GranularSpace._of_tables(
+        ids, {eid: i for i, eid in enumerate(ids)}, part, part,
+        [[at[a | b] for b in masks] for a in masks], [[at[a & b] for b in masks] for a in masks],
+        lower, upper, ordered, masks, dict(zip(ids, universe)), granulation, ids[0], ids[-1], "setHGOS",
+    )
+
+
+# Every field of a space, the ones equality compares and those that follow from them.
+_ALL_FIELDS = (*GranularSpace._FIELDS, "_index", "objects", "carrier_masks")
+
+
+class TestSharedPowersetTables:
+    """Power sets over the same objects share the tables that depend on the
+    objects alone, for up to _SHARED_OBJECTS objects; each space keeps its
+    own granulation, approximations and derived data."""
+
+    @staticmethod
+    def partitions(names):
+        """Two different partitions of names, given in no sorted order."""
+        return [list(reversed(names))], [[x] for x in names]
+
+    def assert_former(self, names, blocks):
+        s, former = powerset_space(names, blocks), former_powerset_space(names, blocks)
+        for field in _ALL_FIELDS:
+            assert getattr(s, field) == getattr(former, field), field
+        return s
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_the_former_construction_field_by_field(self, n):
+        names, renamed = [f"o{i}" for i in range(n, 0, -1)], [f"p{i}" for i in range(1, n + 1)]
+        # a repeated tuple, a changed one, and the first again after the slot was replaced
+        for objects in (names, names, renamed, names):
+            for blocks in self.partitions(objects):
+                self.assert_former(objects, blocks)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_spaces_over_the_same_objects_keep_their_own_partition(self, n):
+        names = [f"o{i}" for i in range(1, n + 1)]
+        coarse, fine = self.partitions(names)
+        s, t = self.assert_former(names, coarse), self.assert_former(names, fine)
+        assert (s.join is t.join) == (n <= _SHARED_OBJECTS)
+        assert s.granulation != t.granulation or n == 1
+        assert s.lower is not t.lower and s.upper is not t.upper and s._derived is not t._derived
+        verify_prif(k0(s))
+        sigma(k1(s))
+        assert s._derived and not t._derived
+        assert space_to_dict(t) == space_to_dict(former_powerset_space(names, fine))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_base_functions_equal_those_of_a_loaded_copy(self, n):
+        names, renamed = [f"o{i}" for i in range(1, n + 1)], [f"q{i}" for i in range(1, n + 1)]
+        spaces = [powerset_space(objects, blocks) for objects in (names, renamed, names)
+                  for blocks in self.partitions(objects)]
+        # each space twice: the first build of a slot's rows, then the kept ones
+        for s in spaces + spaces:
+            copy = space_from_dict(space_to_dict(s))
+            for build in (k0, k1, k2):
+                f = build(s)
+                assert f.space is s and f.label == build.__name__
+                assert f.pointwise_equal(build(copy)), (n, s.objects, build.__name__)
 
 
 class TestSerialization:
