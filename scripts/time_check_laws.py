@@ -18,17 +18,19 @@ best, then q1/median/q3.
 
 The trial block then times the stages of one small acceptance-style trial
 on the power sets of 2, 3 and 4 objects (4, 8 and 16 elements), each with
-a partition drawn from the seed.  powerset_space is timed cold, each call
-the first build over its objects (fresh names each call), and warm, over
-objects an earlier call built, whose tables the new space shares.  Then
-parse_term and eval_term over TRIAL_TEXTS (terms shaped like the
-laws-wqrif workload's, evaluated on a fresh default_env), and check_laws
-on their values with two interior weights.  As in a workload trial,
-eval_term and check_laws get a space built fresh for each call: what a
-space keeps (_derived) is cold, while the shared tables, and with them
-the rows of k0, k1 and k2, are warm.  On spaces this small a call takes
-microseconds, so each sample is the mean of a batch of TRIAL_BATCH calls,
-printed in us a call; the inputs of a batch are made before it, untimed.
+a partition drawn from the seed.  powerset_space is timed three ways:
+cold, each call the first build over its objects (fresh names each call);
+new, over objects an earlier call built, whose tables the new space
+shares, with a partition no kept space has; and kept, a partition an
+earlier call built, whose space is returned.  Then parse_term and
+eval_term over TRIAL_TEXTS (terms shaped like the laws-wqrif workload's,
+evaluated on a fresh default_env over the kept space, as in a workload
+trial), and check_laws on their values with two interior weights, twice:
+on a space built new for each call, which has derived nothing (_derived
+is cold), and on the kept space, which has scanned before.  On spaces
+this small a call takes microseconds, so each sample is the mean of a
+batch of TRIAL_BATCH calls, printed in us a call; the inputs of a batch
+are made before it, untimed.
 Stdlib only.
 """
 
@@ -41,7 +43,7 @@ from timing import MACHINE, once_ms, parse_args, power_set, summary, timed
 from rif_forge.algebra import _LAW_CHECKS, check_laws, flat, leq, oplus, otimes, power, sharp, sigma
 from rif_forge.inclusion import k0, k1, k2, kst
 from rif_forge.sampling import random_partition
-from rif_forge.space import powerset_space
+from rif_forge.space import _shared_powersets, powerset_space
 from rif_forge.terms import default_env, eval_term, parse_term
 
 WEIGHTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
@@ -84,6 +86,18 @@ def trial_stages(objects: int, rng: Random) -> dict:
     def space(_=None):
         return powerset_space(names, blocks)
 
+    partition = frozenset(map(frozenset, blocks))
+
+    def built(_=None):
+        """A space over names and blocks built new over the kept tables
+        (space() keeps them): the kept space is dropped first, and returned
+        too, so that no space is freed while timed."""
+        return _shared_powersets[objects].spaces.pop(partition, None), space()
+
+    def evaluated_new():
+        space()
+        return evaluated(built()[1])
+
     tags = count()
 
     def renamed_blocks():
@@ -91,20 +105,23 @@ def trial_stages(objects: int, rng: Random) -> dict:
         tag = next(tags)
         return [[f"{x}.{tag}" for x in b] for b in blocks]
 
-    def evaluate(s):
+    def evaluated(s):
         env = default_env(s)
-        return [eval_term(tree, env, s) for tree in trees]
+        return s, [eval_term(tree, env, s) for tree in trees]
 
-    def evaluated():
-        s = space()
-        return s, evaluate(s)
+    def scanned():
+        s_fns = evaluated(space())
+        check_laws(*s_fns, TRIAL_WEIGHTS)
+        return s_fns
 
     return {
         "powerset_space cold": (renamed_blocks, lambda bs: powerset_space([x for b in bs for x in b], bs)),
-        "powerset_space warm": (space, space),
+        "powerset_space new": (space, built),
+        "powerset_space kept": (lambda: None, space),
         "parse_term": (lambda: None, lambda _: [parse_term(text) for text in TRIAL_TEXTS]),
-        "eval_term": (space, evaluate),
-        "check_laws": (evaluated, lambda s_fns: check_laws(*s_fns, TRIAL_WEIGHTS)),
+        "eval_term": (space, evaluated),
+        "check_laws new": (evaluated_new, lambda s_fns: check_laws(*s_fns, TRIAL_WEIGHTS)),
+        "check_laws kept": (scanned, lambda s_fns: check_laws(*s_fns, TRIAL_WEIGHTS)),
     }
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
-from operator import mul
+from operator import gt, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ParameterError
@@ -172,22 +172,29 @@ def _weak_comp(s: GranularSpace, fns: Sequence[InclusionFunction], inward: bool)
     """WeakSharpComp (inward): a part of lower(a), f(lower(a), lower(b)) > f(a, b).
     WeakFlatComp: upper(a) part of a, f(a, b) > f(upper(a), upper(b))."""
     els, n = s.elements, len(s.elements)
-    own, mapped = range(n), s.lower if inward else s.upper
-    first, second = (own, mapped) if inward else (mapped, own)
+    key = ("weak comp rows", inward)
+    if key not in s._derived:
+        own, mapped = range(n), s.lower if inward else s.upper
+        first, second = (own, mapped) if inward else (mapped, own)
+        # the pairs (a_i, a_j) where the law compares, as i * n + j, then
+        # the offsets in nums of its greater and its lesser side at each
+        pairs = [i * n + j for i in own if s.parthood[first[i]] >> second[i] & 1 for j in own]
+        s._derived[key] = (pairs, [second[k // n] * n + second[k % n] for k in pairs],
+                           [first[k // n] * n + first[k % n] for k in pairs])
+    pairs, greater, lesser = s._derived[key]
     wit = []
     for f in fns:
-        nums = f.nums
-        for i in own:
-            if s.parthood[first[i]] >> second[i] & 1:
-                hi, lo = second[i] * n, first[i] * n
-                wit += [(f.label, els[i], els[j]) for j in own if nums[hi + second[j]] > nums[lo + first[j]]]
+        get = f.nums.__getitem__
+        flagged = compress(pairs, map(gt, map(get, greater), map(get, lesser)))
+        wit += [(f.label, els[k // n], els[k % n]) for k in flagged]
     return wit
 
 
 def _r0_plus(s: GranularSpace, fns: Sequence[InclusionFunction]) -> list[tuple[str, ...]]:
     """(f, a, b) with a part of b and sigma(f)(a, b) != 1, read only at the parthood pairs."""
-    els, lows = s.elements, s.lower
-    related = [(i, j) for i, m in enumerate(s.parthood) for j in _bits(m)]
+    if "parthood pairs" not in s._derived:
+        s._derived["parthood pairs"] = [(i, j) for i, m in enumerate(s.parthood) for j in _bits(m)]
+    els, lows, related = s.elements, s.lower, s._derived["parthood pairs"]
     wit = []
     for f in fns:
         parts, rows = sigma_degrees(f)

@@ -26,6 +26,7 @@ from .space import (
     AxiomReport,
     GranularSpace,
     _json_text,
+    _json_value,
     check_admissibility,
     check_work,
     classify_flavor,
@@ -122,10 +123,18 @@ def _rat(text: str) -> Fraction:
         raise ParameterError(f"not a rational: {text!r}") from exc
 
 
+def _rat_text(x: Fraction) -> str:
+    """x as str(x) writes it, p or p/q, with no limit on its digits: str of
+    an int refuses past sys.get_int_max_str_digits, str of a Decimal does not."""
+    from decimal import Decimal
+    p, q = x.as_integer_ratio()
+    return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
+
+
 def _read_json(path: str, what: str):
     """The JSON value in the file at path, which the error messages call what."""
     try:
-        return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        return _json_value(pathlib.Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -290,7 +299,7 @@ def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, 
     passed = all(r.holds for r in reports)
     payload = {
         "functions": [f.label for f in fns],
-        "alphas": [str(a) for a in weights],
+        "alphas": [_rat_text(a) for a in weights],
         "pass": passed,
         "laws": [
             {"law": r.law, "holds": r.holds, "witnesses": [list(w) for w in r.witnesses]}
@@ -298,7 +307,7 @@ def check_laws_cmd(space_file, term_list, env_path, alphas, random_terms, seed, 
         ],
     }
     lines = [f"functions: {', '.join(f.label for f in fns)}"]
-    lines += [f"alphas: {', '.join(str(a) for a in weights)}"]
+    lines += [f"alphas: {', '.join(map(_rat_text, weights))}"]
     for r in reports:
         lines.append(f"{r.law}: {'pass' if r.holds else 'FAIL'}")
         lines += _tuple_lines("witness", r.witnesses[:5])
@@ -402,8 +411,8 @@ def vprs(space_file, target, term, alpha, beta, fixed, fmt, out):
     payload = {
         "element": s.render(x),
         "function": term,
-        "alpha": str(params.alpha),
-        "beta": str(params.beta),
+        "alpha": _rat_text(params.alpha),
+        "beta": _rat_text(params.beta),
         "fixed": fixed,
         "lower": render_carrier(lower),
         "upper": render_carrier(upper),
@@ -442,8 +451,8 @@ def fit_alpha_cmd(space_file, f_term, h_term, samples_file, fmt, out):
         x, y, value = entry
         samples.append(((find_element(s, x), find_element(s, y)), _rat(str(value))))
     best = algebra.fit_alpha(f, h, samples)
-    payload = {"f": f_term, "h": h_term, "samples": len(samples), "alpha": str(best)}
-    _emit(fmt, out, payload, [f"alpha: {best}"])
+    payload = {"f": f_term, "h": h_term, "samples": len(samples), "alpha": _rat_text(best)}
+    _emit(fmt, out, payload, [f"alpha: {payload['alpha']}"])
     return 0
 
 

@@ -50,7 +50,7 @@ from .errors import (
     InputError,
     ParameterError,
 )
-from .space import AxiomReport, GranularSpace, _bits, _shared_tables, classify_flavor
+from .space import AxiomReport, GranularSpace, _bits, classify_flavor
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -178,20 +178,17 @@ def _refuse_out_of_range(space: GranularSpace, nums: list[int], den: int) -> Non
 def _from_carriers(build):
     """The base function that build(s) -> (nums, den) makes from the
     carrier masks and top's carrier of s alone, labelled with build's name.
-    On a space that shares its power-set tables (space.powerset_space),
-    the reduced rows are built once per set of tables and kept with them;
+    The reduced rows are built once per space and kept in its _derived;
     later calls wrap the same rows, which nothing changes."""
     label = build.__name__
 
     @wraps(build)
     def base(s: GranularSpace) -> InclusionFunction:
-        t = _shared_tables(s)
-        rows = t.kept.get(label) if t is not None else None
+        rows = s._derived.get(label)
         if rows is not None:
             return InclusionFunction._of_rows(s, *rows, label, reduced=True)
         f = InclusionFunction._of_rows(s, *build(s), label)
-        if t is not None:
-            t.kept[label] = f.nums, f.den
+        s._derived[label] = f.nums, f.den
         return f
 
     return base

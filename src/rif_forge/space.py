@@ -134,8 +134,9 @@ class GranularSpace:
         self._by_carrier = {c: e for e, c in carriers.items()}
         self.granulation, self.bottom, self.top, self.flavor = tuple(granulation), bottom, top, flavor
         # Data derived from the space on first use and kept (the inclusion
-        # axiom scans' rows, sigma's granule parts).  Nothing changes a
-        # space after construction, so what is kept stays valid.
+        # axiom scans' rows, sigma's granule parts, the rows check_laws
+        # scans, the rows of k0, k1 and k2).  Nothing changes a space after
+        # construction, so what is kept stays valid.
         self._derived: dict = {}
 
     def _enforce_flavor(self):
@@ -535,11 +536,18 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
     parthood (which is also the order), join and meet.  Spaces over up to
     _SHARED_OBJECTS objects share these tables (_PowerSetTables), one set
     per object count, replaced when the names change; a larger power set
-    builds its own.  Sharing is safe because nothing changes a space after
-    construction, and each space keeps its own _derived; two threads that
-    build the same tables at once each get correct ones.  The cap keeps
-    the kept tables small: they live as long as the module, and a module
-    imported again keeps its tables until the next cyclic collection.
+    builds its own.  The tables also keep the space of each partition
+    built over them, keyed by its blocks as a set of sets: a call over the
+    same sorted objects and partition, its blocks and objects in any
+    order, runs the same input checks and returns that space.  Over 1, 2,
+    3 and 4 objects there are 1, 2, 5 and 15 partitions, so at most 23
+    spaces are kept, and what a space derives on first use and keeps in
+    _derived (the rows of k0, k1 and k2, sigma's granule parts, the rows
+    the law and axiom scans read) is built once per partition.  Sharing is safe because nothing
+    changes a space after construction; two threads that build the same
+    space at once each get a correct one.  The cap keeps what is kept
+    small: it lives as long as the module, and a module imported again
+    keeps its tables until the next cyclic collection.
     Sharing up to 6 objects (64 elements) raised the peak memory of the
     prif-kappa benchmark by 0.6 MiB; up to 4, the sizes the seeded
     samplers and the laws trials draw, it moved by nothing measured.
@@ -557,22 +565,26 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
         t = _PowerSetTables(ordered)
         if len(ordered) <= _SHARED_OBJECTS:
             _shared_powersets[len(ordered)] = t
+    partition = frozenset(blks)
+    if (s := t.spaces.get(partition)) is not None:
+        return s
     masks, bit = t.masks, t.bit
     grans = [t.at[sum(map(bit.__getitem__, b))] for b in blks]
     lower, upper = (_granule_unions(key, range(len(masks)), masks, grans, t.parthood, t.objects)
                     for key in ("lower", "upper"))
     granulation = [render_carrier(b) for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
-    return GranularSpace._of_tables(
+    t.spaces[partition] = s = GranularSpace._of_tables(
         t.ids, t.index, t.parthood, t.parthood, t.join, t.meet, lower, upper, t.objects, masks,
         t.carriers, granulation, t.ids[0], t.ids[-1], "setHGOS",
     )
+    return s
 
 
 class _PowerSetTables:
     """The tables of the power set of the sorted objects that no
     granulation changes, as powerset_space stores them in a space; at maps
-    a carrier mask to its index, bit an object to its mask.  kept holds
-    what is built from these tables alone (inclusion's k0, k1 and k2)."""
+    a carrier mask to its index, bit an object to its mask.  spaces holds
+    the finished space of each partition built over them."""
 
     def __init__(self, ordered: list[str]):
         universe = [frozenset(c) for k in range(len(ordered) + 1) for c in combinations(ordered, k)]
@@ -585,18 +597,12 @@ class _PowerSetTables:
         self.join = [[at[a | b] for b in masks] for a in masks]
         self.meet = [[at[a & b] for b in masks] for a in masks]
         self.carriers = dict(zip(self.ids, universe))
-        self.kept: dict = {}
+        self.spaces: dict[frozenset[frozenset[str]], GranularSpace] = {}
 
 
 # The shared power-set tables by object count (see powerset_space).
 _SHARED_OBJECTS = 4
 _shared_powersets: dict[int, _PowerSetTables] = {}
-
-
-def _shared_tables(s: GranularSpace) -> Optional[_PowerSetTables]:
-    """The shared power-set tables s reads, None when it reads none."""
-    t = _shared_powersets.get(len(s.objects))
-    return t if t is not None and t.masks is s.carrier_masks else None
 
 
 def check_partition(blocks: Iterable[frozenset[str]], carrier: frozenset[str], cover: str) -> None:
@@ -634,7 +640,7 @@ def load_space(source) -> GranularSpace:
             raw = source
         else:
             with open(source, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = _json_value(fh.read())
         if not isinstance(raw, dict):
             raise SpaceFormatError("space document must be a JSON object")
         return space_from_dict(raw)
@@ -874,6 +880,25 @@ def space_to_dict(s: GranularSpace) -> dict:
 def save_space(s: GranularSpace, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_json_text(space_to_dict(s)) + "\n")
+
+
+def _json_value(text: str):
+    """The JSON value of text, as json.loads decodes it.  json refuses an
+    integer literal of more digits than int() converts
+    (sys.get_int_max_str_digits) with a plain ValueError; that is raised as
+    the JSONDecodeError it is, at the first such literal outside a string."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        import re
+        import sys
+        limit = sys.get_int_max_str_digits()
+        # a string, or an integer literal: digits not part of a fraction or exponent
+        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])-?(\d+)(?![\w.])', text)
+        at = next((m.start() for m in tokens if m[1] and len(m[1]) > limit), 0)
+        raise json.JSONDecodeError(f"integer literal of more than {limit:,} digits", text, at) from exc
 
 
 def _json_text(value, newline: str = "\n") -> str:

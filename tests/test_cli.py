@@ -1,10 +1,15 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from fixture_data import FIXTURE_PATH, APPROXIMATION_ROWS
-from rif_forge import LAW_ORDER, powerset_space, save_space, space_from_dict, space_to_dict, validate_space
+from rif_forge import (
+    LAW_ORDER, fit_alpha, k0, k1, load_space, powerset_space, save_space, space_from_dict, space_to_dict,
+    validate_space,
+)
 from rif_forge import terms
 from rif_forge.cli import main
 
@@ -664,6 +669,56 @@ class TestRationalLimit:
         result = self.invoke(runner, tmp_path, command, text)
         assert result.exit_code == 0, result.output
         assert "rational" not in result.stderr
+
+
+class TestLongNumbers:
+    """Numbers past the 4,300 digits Python converts between int and str:
+    an integer literal in any JSON input exits 2 with one error line, and
+    a fitted weight that long is printed exactly."""
+
+    LONG = "9" * 4301
+
+    def assert_one_error(self, result, start):
+        assert result.exit_code == 2, result.exception
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(start), result.stderr
+        assert "4,300 digits" in lines[0] and result.stdout == ""
+
+    def test_space_file(self, runner, tmp_path):
+        space = tmp_path / "big.json"
+        space.write_text('{"elements": [%s]}' % self.LONG, encoding="utf-8")
+        self.assert_one_error(runner.invoke(main, ["validate", str(space)]), "error: malformed JSON in ")
+
+    def test_samples_file(self, runner, tmp_path):
+        samples = tmp_path / "samples.json"
+        samples.write_text('[["ab", "bc", %s]]' % self.LONG, encoding="utf-8")
+        result = runner.invoke(main, ["fit-alpha", str(FIXTURE_PATH), "k0", "k1", str(samples)])
+        self.assert_one_error(result, "error: cannot read samples file ")
+
+    @pytest.mark.parametrize("command", ["classify", "check-laws"])
+    def test_env_file(self, runner, tmp_path, command):
+        env = tmp_path / "env.json"
+        env.write_text('{"x": "k0", "n": -%s}' % self.LONG, encoding="utf-8")
+        result = runner.invoke(main, [command, str(FIXTURE_PATH), "k0", "--env", str(env)])
+        self.assert_one_error(result, "error: cannot read environment file ")
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_fitted_weight_past_the_int_printing_limit(self, runner, tmp_path, fmt):
+        # six targets within the rational limit, at pairs where k0 and k1
+        # differ, fit to a weight whose denominator has over 4,300 digits
+        pairs = [("a", "e"), ("a", "bc"), ("a", "be"), ("a", "bce"), ("e", "a"), ("e", "ab")]
+        targets = [f"1/{10**997 + k}" for k in (1, 3, 7, 9, 13, 19)]
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps([[x, y, t] for (x, y), t in zip(pairs, targets)]), encoding="utf-8")
+        result = runner.invoke(main, ["fit-alpha", str(FIXTURE_PATH), "k0", "k1", str(samples), "--format", fmt])
+        assert result.exit_code == 0, result.exception
+        text = json.loads(result.output)["alpha"] if fmt == "json" else result.output.removeprefix("alpha: ")
+        p, q = text.strip().split("/")
+        s = load_space(FIXTURE_PATH)
+        expected = fit_alpha(k0(s), k1(s), [(pair, Fraction(t)) for pair, t in zip(pairs, targets)])
+        assert expected.denominator.bit_length() > 4300 * 3.32
+        assert Fraction(int(Decimal(p)), int(Decimal(q))) == expected
 
 
 class TestDerive:

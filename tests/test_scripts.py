@@ -25,6 +25,12 @@ def test_timing_script_exits_0(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("# 8 elements"), result.stdout
+    if script == "time_check_laws.py":
+        # the trial stages that tell the space a partition keeps from one built new
+        rows = [line.split()[:3] for line in result.stdout.splitlines()]
+        for stage in ("powerset_space cold", "powerset_space new", "powerset_space kept",
+                      "check_laws new", "check_laws kept"):
+            assert [row[2] for row in rows if row[:2] == stage.split()] == ["2", "3", "4"], stage
 
 
 def test_startup_script_exits_0():

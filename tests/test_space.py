@@ -1,7 +1,9 @@
 import dataclasses
 import gc
 import json
+from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from rif_forge import (
     ClosureError,
     EquivalenceRelation,
     GranularSpace,
+    InclusionFunction,
     InformationTable,
     InputError,
     LawReport,
@@ -18,6 +21,7 @@ from rif_forge import (
     SpaceFormatError,
     StructuralError,
     check_admissibility,
+    check_laws,
     check_work,
     classify_flavor,
     find_element,
@@ -30,6 +34,7 @@ from rif_forge import (
     otimes,
     powerset_space,
     proper_part,
+    random_kappa,
     render_carrier,
     save_space,
     sigma,
@@ -379,14 +384,24 @@ def former_powerset_space(objects, blocks) -> GranularSpace:
     )
 
 
+def _partitions(names):
+    """Every partition of names, as a list of blocks."""
+    if not names:
+        return [[]]
+    first, rest = names[0], _partitions(names[1:])
+    return [[[first], *p] for p in rest] + [
+        [*p[:k], [first, *b], *p[k + 1:]] for p in rest for k, b in enumerate(p)]
+
+
 # Every field of a space, the ones equality compares and those that follow from them.
 _ALL_FIELDS = (*GranularSpace._FIELDS, "_index", "objects", "carrier_masks")
 
 
 class TestSharedPowersetTables:
     """Power sets over the same objects share the tables that depend on the
-    objects alone, for up to _SHARED_OBJECTS objects; each space keeps its
-    own granulation, approximations and derived data."""
+    objects alone, for up to _SHARED_OBJECTS objects, and a partition seen
+    before gets the space built for it; spaces of different partitions
+    keep their own granulation, approximations and derived data."""
 
     @staticmethod
     def partitions(names):
@@ -413,19 +428,55 @@ class TestSharedPowersetTables:
         coarse, fine = self.partitions(names)
         s, t = self.assert_former(names, coarse), self.assert_former(names, fine)
         assert (s.join is t.join) == (n <= _SHARED_OBJECTS)
-        assert s.granulation != t.granulation or n == 1
-        assert s.lower is not t.lower and s.upper is not t.upper and s._derived is not t._derived
-        verify_prif(k0(s))
-        sigma(k1(s))
-        assert s._derived and not t._derived
+        # the same partition gives the same space; one object has one partition only
+        assert (powerset_space(names, coarse) is s) == (n <= _SHARED_OBJECTS)
+        assert (s is t) == (n == 1)
+        if n > 1:
+            assert s.granulation != t.granulation
+            assert s.lower is not t.lower and s.upper is not t.upper and s._derived is not t._derived
+            kept = set(t._derived)
+            verify_prif(k0(s))
+            sigma(k1(s))
+            check_laws(s, [k2(s)], [])
+            assert s._derived and set(t._derived) == kept
         assert space_to_dict(t) == space_to_dict(former_powerset_space(names, fine))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_a_partition_seen_before_returns_its_space(self, n):
+        names, rng = [f"o{i}" for i in range(1, n + 1)], Random(n)
+        for blocks in _partitions(names):
+            first = self.assert_former(names, blocks)
+            for _ in range(3):
+                objects = rng.sample(names, n)
+                shuffled = [rng.sample(sorted(b), len(b)) for b in rng.sample(blocks, len(blocks))]
+                again = self.assert_former(objects, shuffled)
+                assert (again is first) == (n <= _SHARED_OBJECTS), (objects, shuffled)
+            # the blocks as a set are the kept partition's, but the inputs are still checked
+            with pytest.raises(InputError, match="^partition blocks must be disjoint$"):
+                powerset_space(names, blocks + blocks[:1])
+            with pytest.raises(InputError, match="^base objects must be unique$"):
+                powerset_space(names + names[:1], blocks)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_repeated_law_checks_equal_those_on_a_loaded_copy(self, n):
+        names, rng = [f"o{i}" for i in range(1, n + 1)], Random(n)
+        for blocks in self.partitions(names):
+            s = powerset_space(names, blocks)
+            copy = space_from_dict(space_to_dict(s))
+            fns = [random_kappa(s, rng) for _ in range(3)] + [k0(s), sigma(k1(s))]
+            copied = [InclusionFunction(copy, f.values, f.label) for f in fns]
+            expected = check_laws(copy, copied, [Fraction(1, 3)])
+            # the first call over the partition, then calls that read what it kept
+            for _ in range(3):
+                assert check_laws(powerset_space(names, blocks), fns, [Fraction(1, 3)]) == expected
+            assert n == 1 or any(r.witnesses for r in expected)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_base_functions_equal_those_of_a_loaded_copy(self, n):
         names, renamed = [f"o{i}" for i in range(1, n + 1)], [f"q{i}" for i in range(1, n + 1)]
         spaces = [powerset_space(objects, blocks) for objects in (names, renamed, names)
                   for blocks in self.partitions(objects)]
-        # each space twice: the first build of a slot's rows, then the kept ones
+        # each space twice: the first build of its rows, then the kept ones
         for s in spaces + spaces:
             copy = space_from_dict(space_to_dict(s))
             for build in (k0, k1, k2):
@@ -491,6 +542,16 @@ class TestSerialization:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(json.JSONDecodeError):
             load_space(path)
+
+    def test_an_integer_literal_past_the_int_limit_is_a_decode_error(self, tmp_path):
+        # json raises a plain ValueError for it; digits in a string, a
+        # fraction or an exponent are no integer literal
+        path = tmp_path / "big.json"
+        long = "9" * 4301
+        path.write_text(f'{{"x": ["{long}", 0.{long}, 1e+{long}], "elements": [-{long}]}}', encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError, match="integer literal of more than 4,300 digits") as exc:
+            load_space(path)
+        assert exc.value.pos == path.read_text(encoding="utf-8").index("-9")
 
 
 def _exchange_ids(doc: dict, x: str, y: str) -> None:
