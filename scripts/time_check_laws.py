@@ -8,13 +8,15 @@ command's default weights (0, 1/3, 1/2, 1).  check_laws proves Comm,
 Assoc, Identity, Idempotence, Distributivity, Order1, Order2 and Top and
 scans the other three laws; for each scanned law, in report order, it
 prints the wall time of --repeat runs (no law keeps anything on the
-functions between runs) and the verdict.  The next line times one whole
-check_laws call, which also validates the functions and weights.  Then one
-line per operator times it on the same space: building k0, k1 and k2, and
-otimes, oplus, sharp, flat, sigma, pow, kst and leq applied to them
-(otimes, oplus and leq on each ordered pair of the three, oplus at every
-weight).  Every time is in ms, printed as scripts/timing.py prints it:
-best, then q1/median/q3.
+functions between runs) and the verdict.  The R0Plus kappas line times
+R0Plus on three random kappas that each fail it, so the path that lists
+witnesses is timed beside the one that finds none.  The next line times
+one whole check_laws call, which also validates the functions and
+weights.  Then one line per operator times it on the same space:
+building k0, k1 and k2, and otimes, oplus, sharp, flat, sigma, pow, kst
+and leq applied to them (otimes, oplus and leq on each ordered pair of
+the three, oplus at every weight).  Every time is in ms, printed as
+scripts/timing.py prints it: best, then q1/median/q3.
 
 The trial block then times the stages of one small acceptance-style trial
 on the power sets of 2, 3 and 4 objects (4, 8 and 16 elements), each with
@@ -41,7 +43,7 @@ from random import Random
 from timing import MACHINE, once_ms, parse_args, power_set, summary, timed
 
 from rif_forge.algebra import _LAW_CHECKS, check_laws, flat, leq, oplus, otimes, power, sharp, sigma
-from rif_forge.inclusion import k0, k1, k2, kst
+from rif_forge.inclusion import k0, k1, k2, kst, random_kappa
 from rif_forge.sampling import random_partition
 from rif_forge.space import _shared_powersets, powerset_space
 from rif_forge.terms import default_env, eval_term, parse_term
@@ -74,6 +76,15 @@ def operator_calls(s) -> dict:
         "kst": lambda: [kst(f, Fraction(1, 4), Fraction(3, 4)) for f in fns],
         "leq": lambda: [leq(f, g) for f, g in pairs],
     }
+
+
+def failing_kappas(s, rng: Random, count: int = 3) -> list:
+    """count random kappas on s, drawn in turn, each of which fails R0Plus."""
+    r0_plus, kappas = _LAW_CHECKS["R0Plus"][0], []
+    while len(kappas) < count:
+        if r0_plus(s, [f := random_kappa(s, rng)]):
+            kappas.append(f)
+    return kappas
 
 
 def trial_stages(objects: int, rng: Random) -> dict:
@@ -148,6 +159,9 @@ def main() -> None:
         ms, witnesses = timed(lambda: check(s, fns, *rest), args.repeat)
         verdict = "pass" if not witnesses else f"FAIL ({len(witnesses)} witnesses)"
         print(f"{law:<16}{ms:>26}  {verdict}")
+    kappas = failing_kappas(s, Random(args.seed))
+    ms, witnesses = timed(lambda: _LAW_CHECKS["R0Plus"][0](s, kappas), args.repeat)
+    print(f"{'R0Plus kappas':<16}{ms:>26}  FAIL ({len(witnesses)} witnesses)")
     print(f"{'check_laws':<16}{timed(lambda: check_laws(s, fns, WEIGHTS), args.repeat)[0]:>26}")
     print(f"{'operator':<16}{'ms':>26}")
     for name, call in operator_calls(s).items():

@@ -14,21 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import gt, mul
+from operator import gt, mul, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ParameterError
-from .inclusion import (
-    ONE,
-    InclusionFunction,
-    check_rif_axiom,
-    classify,
-    k0,
-    k1,
-    k2,
-)
+from .inclusion import ONE, InclusionFunction, _row_mask, check_rif_axiom, classify, k0, k1, k2
 from .space import GranularSpace, _bits, check_work, classify_flavor
 
 
@@ -124,29 +117,23 @@ def flat(f: InclusionFunction) -> InclusionFunction:
     return _gather(f, f.space.upper, "flat")
 
 
-def sigma_degrees(f: InclusionFunction) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], list[int]]]:
-    """sigma(f) by row, as (parts, rows): rows[parts[i]] holds at the index
-    of lower(a_j) the numerator of sigma(f)(a_i, a_j) over f.den, the
-    elementwise max of the rows of a_i's granule parts (the first one
-    twice, so max gets two), built once per distinct part set; parts[i] is
-    a_i's, kept by the space as the part rows' offsets w * n in nums."""
-    s, nums, n = f.space, f.nums, len(f.space.elements)
+def _granule_parts(s: GranularSpace) -> list[tuple[int, ...]]:
+    """Each a_i's granule parts, as the offsets w * n of their rows in nums."""
     if "granule parts" not in s._derived:
-        grans = [s._index[w] for w in s.granulation]
+        n, grans = len(s.elements), [s._index[w] for w in s.granulation]
         s._derived["granule parts"] = [tuple(w * n for w in grans if s.parthood[w] >> a & 1) for a in range(n)]
-    parts = s._derived["granule parts"]
-    rows = {p: list(map(max, nums[p[0]:p[0] + n], *(nums[w:w + n] for w in p))) if p else [f.den] * n
-            for p in set(parts)}
-    return parts, rows
+    return s._derived["granule parts"]
 
 
 def sigma(f: InclusionFunction) -> InclusionFunction:
     """Granule-mediated sum: best degree of a granule part of a inside the
     lower approximation of b, and 1 when a has no granule part.  In
-    [0,1]: every value is a value of f or 1."""
-    lows = f.space.lower
-    parts, rows = sigma_degrees(f)
-    rows = {p: list(map(row.__getitem__, lows)) for p, row in rows.items()}
+    [0,1]: every value is a value of f or 1.  Row i, built once per
+    distinct part set, is the elementwise max at lower(b) of the rows of
+    a_i's granule parts (the first one twice, so max gets two)."""
+    nums, n, lows, parts = f.nums, len(f.space.elements), f.space.lower, _granule_parts(f.space)
+    rows = {p: list(map(max, *(map(nums[w:w + n].__getitem__, lows) for w in (p[0], *p)))) if p else [f.den] * n
+            for p in set(parts)}
     return _of_distinct_rows(f.space, parts, rows, f.den, f"sigma({f.label})")
 
 
@@ -191,14 +178,34 @@ def _weak_comp(s: GranularSpace, fns: Sequence[InclusionFunction], inward: bool)
 
 
 def _r0_plus(s: GranularSpace, fns: Sequence[InclusionFunction]) -> list[tuple[str, ...]]:
-    """(f, a, b) with a part of b and sigma(f)(a, b) != 1, read only at the parthood pairs."""
-    if "parthood pairs" not in s._derived:
-        s._derived["parthood pairs"] = [(i, j) for i, m in enumerate(s.parthood) for j in _bits(m)]
-    els, lows, related = s.elements, s.lower, s._derived["parthood pairs"]
+    """R0Plus by the masks of check_laws's docstring, bit j for column j.
+    p is not tested where p less one granule is a part set q with need[p]
+    within need[q], as U[q] lies within U[p].  When each p tested is one
+    granule g, as on power sets, f holds when its least value at the kept
+    offsets g + x, x in need[p], is 1.  Else, and when f fails, its
+    witnesses are read per element a off the mask of the b whose lower(b)
+    lies outside U[p], with the b of each lower(b) kept as a mask."""
+    if "R0Plus" not in s._derived:
+        needs, lowered = {}, {}
+        for b, x in enumerate(s.lower):
+            lowered[x] = lowered.get(x, 0) | 1 << b
+        for a, p in enumerate(_granule_parts(s)):
+            if p:
+                needs[p] = needs.get(p, 0) | sum({1 << s.lower[b] for b in _bits(s.parthood[a])})
+        tested = [(p, need) for p, need in needs.items()
+                  if all(need & ~needs.get(p[:k] + p[k + 1:], 0) for k in range(len(p)))]
+        s._derived["R0Plus"] = (None if any(len(p) > 1 for p, _ in tested)
+                                else [p[0] + x for p, need in tested for x in _bits(need)], lowered)
+    (at, lowered), els, n, parts = s._derived["R0Plus"], s.elements, len(s.elements), _granule_parts(s)
     wit = []
     for f in fns:
-        parts, rows = sigma_degrees(f)
-        wit += [(f.label, els[i], els[j]) for i, j in related if rows[parts[i]][lows[j]] != f.den]
+        nums, den = f.nums, f.den
+        if at is not None and min(map(nums.__getitem__, at), default=den) == den:
+            continue
+        ones = {w: _row_mask(nums[w:w + n], den) for w in set(chain.from_iterable(parts))}
+        covered = {p: reduce(or_, map(ones.__getitem__, p)) for p in set(parts) if p}
+        outside = {p: sum(m for x, m in lowered.items() if not u >> x & 1) for p, u in covered.items()}
+        wit += [(f.label, els[a], els[b]) for a, p in enumerate(parts) if p for b in _bits(s.parthood[a] & outside[p])]
     return wit
 
 
@@ -234,12 +241,18 @@ def check_laws(s: GranularSpace, fns: Sequence[InclusionFunction], alphas: Seque
 
     WeakSharpComp, WeakFlatComp and R0Plus, the laws of sharp, flat and
     sigma, depend on the space's approximations and granules and are
-    scanned exactly in each function's integer rows.  A report carries
-    every falsifying (function, a, b), in the order of fns, then of a,
-    then of b.  Functions not over s raise InputError and weights outside
-    [0,1] ParameterError; the call is refused with SizeError, before
-    either is read, when check_work's estimate for the space and
-    functions exceeds the budget.
+    scanned exactly in each function's integer rows.  R0Plus reads f at
+    granule rows only: every value is at most 1, so sigma(f)(a, b) == 1
+    exactly when a has no granule part, or some granule part g of a has
+    f(g, lower(b)) == 1.  So with U[p] the columns where f is 1 in some
+    row g of a part set p, and need[p] the lower(b) of every b above an a
+    whose granule parts are p, R0Plus holds exactly when need[p] lies
+    within U[p] for every nonempty p.  A report carries every falsifying
+    (function, a, b), in the order of fns, then of a, then of b.
+    Functions not over s raise InputError and weights outside [0,1]
+    ParameterError; the call is refused with SizeError, before either is
+    read, when check_work's estimate for the space and functions exceeds
+    the budget.
     """
     check_work(len(s.elements), len(fns))
     for f in fns:

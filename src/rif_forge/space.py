@@ -134,9 +134,9 @@ class GranularSpace:
         self._by_carrier = {c: e for e, c in carriers.items()}
         self.granulation, self.bottom, self.top, self.flavor = tuple(granulation), bottom, top, flavor
         # Data derived from the space on first use and kept (the inclusion
-        # axiom scans' rows, sigma's granule parts, the rows check_laws
-        # scans, the rows of k0, k1 and k2).  Nothing changes a space after
-        # construction, so what is kept stays valid.
+        # axiom scans' rows, the granule parts sigma reads, the offsets the
+        # check_laws scans read, the rows of k0, k1 and k2).  Nothing changes
+        # a space after construction, so what is kept stays valid.
         self._derived: dict = {}
 
     def _enforce_flavor(self):
@@ -542,12 +542,12 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
     order, runs the same input checks and returns that space.  Over 1, 2,
     3 and 4 objects there are 1, 2, 5 and 15 partitions, so at most 23
     spaces are kept, and what a space derives on first use and keeps in
-    _derived (the rows of k0, k1 and k2, sigma's granule parts, the rows
-    the law and axiom scans read) is built once per partition.  Sharing is safe because nothing
-    changes a space after construction; two threads that build the same
-    space at once each get a correct one.  The cap keeps what is kept
-    small: it lives as long as the module, and a module imported again
-    keeps its tables until the next cyclic collection.
+    _derived (the rows of k0, k1 and k2, the granule parts, the offsets
+    and rows the scans read) is built once per partition.  Sharing is
+    safe because nothing changes a space after construction; two threads
+    that build the same space at once each get a correct one.  The cap
+    keeps what is kept small: it lives as long as the module, and a
+    module imported again keeps its tables until the next cyclic collection.
     Sharing up to 6 objects (64 elements) raised the peak memory of the
     prif-kappa benchmark by 0.6 MiB; up to 4, the sizes the seeded
     samplers and the laws trials draw, it moved by nothing measured.

@@ -29,6 +29,8 @@ import re
 from collections.abc import MutableMapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Union
 
 from . import algebra, inclusion
@@ -115,8 +117,8 @@ class Operator:
     """One term constructor.
 
     kinds gives each argument's kind in the node's field order: "term",
-    "rational" or "integer", which is also the name of the parser method
-    that reads it.  build takes the evaluated arguments in the same order.
+    "rational" or "integer"; the parser reads the last two by the methods
+    of those names.  build takes the evaluated arguments in the same order.
     """
 
     node: type
@@ -147,113 +149,105 @@ _ARGUMENTS = {op.node: tuple(zip(op.kinds, [f.name for f in fields(op.node)])) f
 RESERVED = ("top",) + tuple(OPERATORS)
 
 
-# -- lexing -------------------------------------------------------------------
+# -- parsing ------------------------------------------------------------------
 
 # Each match is a token after its leading whitespace, or the first
 # character that starts no token (bad); the groups tell the kind.
 _TOKEN = re.compile(r"(\s*)(?:([A-Za-z_][A-Za-z_0-9]*)|(\d+)|([(),/])|(\S))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) of each token, kind name, num, sym or end,
-    read in one findall: the whitespace and tokens matched cover the text
-    but for trailing whitespace, so each position is a running sum."""
-    tokens, pos = [], 0
-    for space, name, num, sym, bad in _TOKEN.findall(text):
-        pos += len(space)
-        if bad:
-            raise TermParseError(f"unexpected character {bad!r}", pos, ("name", "number", "'('"))
-        tok = name or num or sym
-        tokens.append(("name" if name else "num" if num else "sym", tok, pos))
-        pos += len(tok)
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-# -- parsing ------------------------------------------------------------------
+_END = ("",) * 5  # after the last (space, name, num, sym, bad) of _TOKEN.findall
 
 
 class _Parser:
+    """One loop over the tokens of one _TOKEN.findall, then _END, driven
+    by OPERATORS, with a stack of frames (argument kinds, node type,
+    arguments read): one per open operator, over one for the whole text.
+
+    Errors are those of reading the tokens in turn, each at its token's
+    position: the first character that starts no token, before any
+    parsing; else the first token off the grammar ("unexpected ...", with
+    what was expected there), an operator name past MAX_TERM_DEPTH open
+    ones (before its "(" is read), a number too long to convert, a pow
+    exponent past MAX_POW_EXPONENT, or a zero denominator.  A node that
+    breaks its own rule raises ParameterError once its ")" is read."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.depth = 0
+        self.text, self.tokens = text, _TOKEN.findall(text)
+        if any(map(itemgetter(4), self.tokens)):
+            i = next(i for i, token in enumerate(self.tokens) if token[4])
+            self.fail(i, ("name", "number", "'('"), f"unexpected character {self.tokens[i][4]!r}")
+        self.tokens.append(_END)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def fail(self, expected: tuple[str, ...]):
-        kind, text, position = self.peek()
-        what = "end of input" if kind == "end" else repr(text)
-        raise TermParseError(f"unexpected {what}", position, expected)
-
-    def expect_symbol(self, symbol: str) -> None:
-        kind, text, _ = self.peek()
-        if kind != "sym" or text != symbol:
-            self.fail((f"'{symbol}'",))
-        self.advance()
+    def fail(self, i: int, expected: tuple[str, ...], message: str = ""):
+        """Raise TermParseError at token i, by default "unexpected <token>".
+        The tokens matched and their whitespace cover the text but for
+        trailing whitespace, so a position is a sum of lengths."""
+        token = self.tokens[i]
+        if token is _END:
+            message, position = message or "unexpected end of input", len(self.text)
+        else:
+            message = message or f"unexpected {''.join(token[1:])!r}"
+            position = sum(map(len, chain.from_iterable(self.tokens[:i]))) + len(token[0])
+        raise TermParseError(message, position, expected)
 
     def parse(self) -> AlgebraTerm:
-        term = self.term()
-        if self.peek()[0] != "end":
-            self.fail(("end of input",))
-        return term
+        tokens, i, stack = self.tokens, 0, [(("term",), None, [])]
+        while True:
+            word = tokens[i][1]  # a term starts at token i
+            if not word:
+                self.fail(i, ("name",) + RESERVED[1:] + ("'top'",))
+            if (op := OPERATORS.get(word)) is None:
+                stack[-1][2].append(TopTerm() if word == "top" else BaseTerm(word))
+                i += 1
+            elif len(stack) > MAX_TERM_DEPTH:
+                self.fail(i, (), f"operators nest more than {MAX_TERM_DEPTH} deep")
+            elif tokens[i + 1][3] != "(":
+                self.fail(i + 1, ("'('",))
+            else:
+                stack.append((op.kinds, op.node, []))
+                i += 2
+            # read up to the next term, closing each frame its last argument completes
+            while True:
+                kinds, node, args = stack[-1]
+                if len(args) == len(kinds):
+                    if node is None:
+                        return args[0] if tokens[i] is _END else self.fail(i, ("end of input",))
+                    if tokens[i][3] != ")":
+                        self.fail(i, ("')'",))
+                    stack.pop()
+                    stack[-1][2].append(node(*args))
+                    i += 1
+                    continue
+                if args:
+                    if tokens[i][3] != ",":
+                        self.fail(i, ("','",))
+                    i += 1
+                if kinds[len(args)] == "term":
+                    break
+                value, i = getattr(self, kinds[len(args)])(i)
+                args.append(value)
 
-    def term(self) -> AlgebraTerm:
-        kind, word, position = self.peek()
-        if kind != "name":
-            self.fail(("name",) + RESERVED[1:] + ("'top'",))
-        self.advance()
-        op = OPERATORS.get(word)
-        if op is None:
-            return TopTerm() if word == "top" else BaseTerm(word)
-        if self.depth == MAX_TERM_DEPTH:
-            raise TermParseError(f"operators nest more than {MAX_TERM_DEPTH} deep", position)
-        self.depth += 1
-        self.expect_symbol("(")
-        args = []
-        for i, kind in enumerate(op.kinds):
-            if i:
-                self.expect_symbol(",")
-            args.append(getattr(self, kind)())
-        self.expect_symbol(")")
-        self.depth -= 1
-        return op.node(*args)
-
-    def number(self, expected: str) -> int:
-        kind, text, position = self.peek()
-        if kind != "num":
-            self.fail((expected,))
-        self.advance()
+    def number(self, i: int, expected: str) -> int:
+        if not (text := self.tokens[i][2]):
+            self.fail(i, (expected,))
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
-            raise TermParseError(f"integer literal of {len(text)} digits is too long", position) from None
+            pass
+        self.fail(i, (), f"integer literal of {len(text)} digits is too long")
 
-    def integer(self) -> int:
+    def integer(self, i: int) -> tuple[int, int]:
         # the only integer argument is a pow exponent
-        position = self.peek()[2]
-        n = self.number("integer")
-        if n > MAX_POW_EXPONENT:
-            raise TermParseError(f"pow exponent exceeds the limit of {MAX_POW_EXPONENT}", position)
-        return n
+        if (n := self.number(i, "integer")) > MAX_POW_EXPONENT:
+            self.fail(i, (), f"pow exponent exceeds the limit of {MAX_POW_EXPONENT}")
+        return n, i + 1
 
-    def rational(self) -> Fraction:
-        numerator = self.number("rational")
-        if self.peek()[1] == "/":
-            self.advance()
-            position = self.peek()[2]
-            denominator = self.number("integer denominator")
-            if denominator == 0:
-                raise TermParseError("zero denominator", position, ("nonzero integer",))
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
+    def rational(self, i: int) -> tuple[Fraction, int]:
+        numerator = self.number(i, "rational")
+        if self.tokens[i + 1][3] != "/":
+            return Fraction(numerator), i + 1
+        if (denominator := self.number(i + 2, "integer denominator")) == 0:
+            self.fail(i + 2, ("nonzero integer",), "zero denominator")
+        return Fraction(numerator, denominator), i + 3
 
 
 def parse_term(text: str) -> AlgebraTerm:

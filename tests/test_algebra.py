@@ -578,16 +578,22 @@ def naive_check_laws(
 def _law_case(space: str, functions: str, seed: int, fixture_space):
     """Functions and weights for one oracle comparison.  The space is the
     GGS fixture, a power set of 1-4 objects (the laws-wqrif workload's
-    shape) or the one-element HGOS space; the functions are wqRIF terms
-    (not on the HGOS space, which has no carriers), or random kappas, most
-    of them not RIFs, which break WeakSharpComp, WeakFlatComp and R0Plus.
-    Operands are often passed more than once, and the weights often
-    include 0 and 1."""
+    shape), such a power set with random lower and upper maps (where a
+    granule part of b need not be part of lower(b), as it is on the
+    others) or the one-element HGOS space; the functions are wqRIF terms
+    (not on the HGOS space, which has no carriers), random kappas, most
+    of them not RIFs, which break WeakSharpComp, WeakFlatComp and R0Plus,
+    or k0 lowered below 1 at (g, lower(g)) for a granule g with no other
+    granule part, beside k0 and wqRIF terms: it fails R0Plus exactly at
+    the elements whose granule parts are g alone.  Operands are often
+    passed more than once, and the weights often include 0 and 1."""
     rng = Random(seed)
     if space == "fixture":
         s = fixture_space
     elif space == "powerset":
         s = random_set_hgos(rng, min_objects=1)
+    elif space == "declared":
+        s = with_declared_approximations(random_set_hgos(rng, min_objects=1), rng)
     else:
         s = space_from_dict(SINGLE_ELEMENT)
     if functions == "kappa" or not s.is_set_extensional:
@@ -596,6 +602,12 @@ def _law_case(space: str, functions: str, seed: int, fixture_space):
     else:
         env = default_env(s)
         fns = [eval_term(random_wqrif_term(rng), env, s) for _ in range(rng.randint(1, 3))]
+    if functions == "lowered" and s.is_set_extensional:
+        g = rng.choice([g for g in s.granulation if [h for h in s.granulation if s.part(h, g)] == [g]])
+        values = dict(env["k0"].values)
+        values[(g, s.lower_of(g))] = F(rng.randint(0, 11), 12)
+        fns = [fns[0], env["k0"], InclusionFunction(s, values, "lowered")]
+        rng.shuffle(fns)
     for _ in range(rng.randint(0, 2)):
         fns.insert(rng.randint(0, len(fns)), rng.choice(fns))
     alphas = [random_unit_rational(rng) for _ in range(rng.randint(0, 2))]
@@ -605,7 +617,8 @@ def _law_case(space: str, functions: str, seed: int, fixture_space):
 
 
 @settings(max_examples=100, deadline=None)
-@given(space=st.sampled_from(["powerset", "fixture", "single"]), functions=st.sampled_from(["wqrif", "kappa"]),
+@given(space=st.sampled_from(["powerset", "fixture", "single", "declared"]),
+       functions=st.sampled_from(["wqrif", "kappa", "lowered"]),
        seed=st.integers(0, 10_000))
 def test_law_reports_match_pairwise_loop(fixture_space, space, functions, seed):
     s, fns, alphas = _law_case(space, functions, seed, fixture_space)

@@ -1,9 +1,12 @@
 import json
+import pathlib
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from fixture_data import FIXTURE_PATH, APPROXIMATION_ROWS
 from rif_forge import (
@@ -719,6 +722,60 @@ class TestLongNumbers:
         expected = fit_alpha(k0(s), k1(s), [(pair, Fraction(t)) for pair, t in zip(pairs, targets)])
         assert expected.denominator.bit_length() > 4300 * 3.32
         assert Fraction(int(Decimal(p)), int(Decimal(q))) == expected
+
+
+# -- option values and command-line terms from edge tokens --------------------
+
+_RATIONALS = st.sampled_from(["1e-5000", "1/0", "nan", "inf", "-0", "", "-1/1000", "1001/1000", "1.0000001",
+                              "9" * 1001, "0." + "0" * 1000 + "1", "1/3", "0", "1"])
+_INTEGERS = st.sampled_from(["1e-5000", "1/0", "nan", "inf", "-0", "", "-1", "0", "1", "2", "9" * 1001])
+_TERMS = st.sampled_from(["sharp(" * d + "k0" + ")" * d for d in (199, 200, 201)]
+                         + ["", "k0", "-0", "1e-5000", "oplus(1001/1000,k0,k1)", "kst(k0,-0,1)",
+                            "pow(k0," + "9" * 1001 + ")", "oplus(1/0,k0,k1)"])
+
+
+@st.composite
+def _command_lines(draw):
+    """A command's arguments with the space file first, and the target of
+    the one fit-alpha sample (None for the other commands)."""
+    command = draw(st.sampled_from(["classify", "check-laws", "vprs", "prif-verify", "rif-failure-search",
+                                    "fit-alpha"]))
+    space = str(FIXTURE_PATH)
+    if command == "classify":
+        return [command, space, draw(_TERMS)], None
+    if command == "check-laws":
+        return [command, space, draw(_TERMS), "--alpha", draw(_RATIONALS), "--seed", draw(_INTEGERS)], None
+    if command == "vprs":
+        return [command, space, "ab", "--function", draw(_TERMS), "--alpha", draw(_RATIONALS),
+                "--beta", draw(_RATIONALS)], None
+    if command == "prif-verify":
+        function = draw(st.one_of(st.just([]), _TERMS.map(lambda term: ["--function", term])))
+        return [command, space, "--trials", draw(_INTEGERS), "--seed", draw(_INTEGERS), *function], None
+    if command == "rif-failure-search":
+        return [command, space, "--budget", draw(_INTEGERS), "--seed", draw(_INTEGERS)], None
+    return [command, space, draw(_TERMS), "k1"], draw(_RATIONALS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_command_lines())
+@example((["check-laws", str(FIXTURE_PATH), "k0", "--alpha", "1e-5000"], None))
+@example((["vprs", str(FIXTURE_PATH), "ab", "--alpha", "1e-5000", "--beta", "1/2"], None))
+@example((["fit-alpha", str(FIXTURE_PATH), "k0", "sharp(k0)"], "1e-5000"))
+def test_option_values_and_terms_exit_0_1_or_2(case):
+    # each command exits through its group or click's own usage error,
+    # never with another exception, and an exit 2 prints one error line
+    args, target = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if target is not None:
+            samples = pathlib.Path(tmp, "samples.json")
+            samples.write_text(json.dumps([["ab", "bc", target]]), encoding="utf-8")
+            args = [*args, str(samples)]
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), result.exception
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code == 2:
+        errors = [line for line in result.stderr.splitlines() if line.lower().startswith("error:")]
+        assert len(errors) == 1, result.stderr
 
 
 class TestDerive:

@@ -26,6 +26,8 @@ def test_timing_script_exits_0(script):
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("# 8 elements"), result.stdout
     if script == "time_check_laws.py":
+        # R0Plus timed where it lists witnesses, on kappas that fail it
+        assert any(line.startswith("R0Plus kappas") and "FAIL (" in line for line in result.stdout.splitlines())
         # the trial stages that tell the space a partition keeps from one built new
         rows = [line.split()[:3] for line in result.stdout.splitlines()]
         for stage in ("powerset_space cold", "powerset_space new", "powerset_space kept",

@@ -19,7 +19,7 @@ from random import Random
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fixture_data import FIXTURE_PATH
 from rif_forge import (
@@ -40,7 +40,7 @@ from rif_forge import (
 )
 from rif_forge.cli import main
 from rif_forge.sampling import BASE_LABELS
-from rif_forge.terms import MAX_POW_EXPONENT, MAX_TERM_DEPTH, OPERATORS, RESERVED, AlgebraTerm, _Parser, _tokenize
+from rif_forge.terms import MAX_POW_EXPONENT, MAX_TERM_DEPTH, OPERATORS, RESERVED, AlgebraTerm, _Parser
 
 
 @dataclass(frozen=True)
@@ -283,24 +283,22 @@ def _mutated(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_well_formed, _mutated(), _soup))
+# shapes a parser with an explicit stack of open operators can get wrong:
+# frames closing at once before trailing junk, a missing "," after a
+# finished inner term, and a rational as the last argument before ")"
+@example("sharp(flat(k0)))")
+@example("otimes(sharp(k0) k1)")
+@example("kst(k0,1/3,1)")
 def test_table_parser_matches_branch_parser(text):
     assert outcome(_Parser, text) == outcome(ParserOracle, text)
 
 
-def tokens_of(tokenize, text: str):
-    """(kind, text, position) of each token, a plain tuple or read from a
-    FormerToken, or the raised error as (type, message, position, expected)."""
-    try:
-        return [t if type(t) is tuple else (t.kind, t.text, t.position) for t in tokenize(text)]
-    except TermParseError as exc:
-        return (type(exc), str(exc), exc.position, exc.expected)
-
-
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(_well_formed, _mutated(), _soup, st.text(max_size=30),
-                 st.text(alphabet=" \t\n\x0b\u00a0\u2003(),/_aZ09é-", max_size=30)))
-def test_tokenizer_matches_the_former_one(text):
-    assert tokens_of(_tokenize, text) == tokens_of(former_tokenize, text)
+@given(st.one_of(st.text(max_size=30), st.text(alphabet=" \t\n\x0b\u00a0\u2003(),/_aZ09é-", max_size=30)))
+def test_parser_matches_branch_parser_on_any_text(text):
+    # any characters, Unicode whitespace among them, so every error
+    # position is counted over the text as the former tokenizer counted it
+    assert outcome(_Parser, text) == outcome(ParserOracle, text)
 
 
 def test_reserved_words_come_from_the_table():
