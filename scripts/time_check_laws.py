@@ -20,16 +20,15 @@ scripts/timing.py prints it: best, then q1/median/q3.
 
 The trial block then times the stages of one small acceptance-style trial
 on the power sets of 2, 3 and 4 objects (4, 8 and 16 elements), each with
-a partition drawn from the seed.  powerset_space is timed three ways:
-cold, each call the first build over its objects (fresh names each call);
-new, over objects an earlier call built, whose tables the new space
-shares, with a partition no kept space has; and kept, a partition an
+a partition drawn from the seed.  powerset_space is timed two ways:
+built, the construction a call runs for a partition it has not kept
+(_powerset.__wrapped__, which keeps nothing); and kept, a partition an
 earlier call built, whose space is returned.  Then parse_term and
 eval_term over TRIAL_TEXTS (terms shaped like the laws-wqrif workload's,
 evaluated on a fresh default_env over the kept space, as in a workload
 trial), and check_laws on their values with two interior weights, twice:
-on a space built new for each call, which has derived nothing (_derived
-is cold), and on the kept space, which has scanned before.  On spaces
+on a space built new for each call, which has derived nothing (_kept
+builds it all), and on the kept space, which has scanned before.  On spaces
 this small a call takes microseconds, so each sample is the mean of a
 batch of TRIAL_BATCH calls, printed in us a call; the inputs of a batch
 are made before it, untimed.
@@ -37,7 +36,6 @@ Stdlib only.
 """
 
 from fractions import Fraction
-from itertools import count
 from random import Random
 
 from timing import MACHINE, once_ms, parse_args, power_set, summary, timed
@@ -45,7 +43,7 @@ from timing import MACHINE, once_ms, parse_args, power_set, summary, timed
 from rif_forge.algebra import _LAW_CHECKS, check_laws, flat, leq, oplus, otimes, power, sharp, sigma
 from rif_forge.inclusion import k0, k1, k2, kst, random_kappa
 from rif_forge.sampling import random_partition
-from rif_forge.space import _shared_powersets, powerset_space
+from rif_forge.space import _powerset, powerset_space
 from rif_forge.terms import default_env, eval_term, parse_term
 
 WEIGHTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
@@ -97,24 +95,9 @@ def trial_stages(objects: int, rng: Random) -> dict:
     def space(_=None):
         return powerset_space(names, blocks)
 
-    partition = frozenset(map(frozenset, blocks))
-
     def built(_=None):
-        """A space over names and blocks built new over the kept tables
-        (space() keeps them): the kept space is dropped first, and returned
-        too, so that no space is freed while timed."""
-        return _shared_powersets[objects].spaces.pop(partition, None), space()
-
-    def evaluated_new():
-        space()
-        return evaluated(built()[1])
-
-    tags = count()
-
-    def renamed_blocks():
-        """blocks over objects named afresh, which no space was built over."""
-        tag = next(tags)
-        return [[f"{x}.{tag}" for x in b] for b in blocks]
+        """A space over names and blocks built new: the builder uncached."""
+        return _powerset.__wrapped__(tuple(sorted(names)), frozenset(map(frozenset, blocks)))
 
     def evaluated(s):
         env = default_env(s)
@@ -126,12 +109,11 @@ def trial_stages(objects: int, rng: Random) -> dict:
         return s_fns
 
     return {
-        "powerset_space cold": (renamed_blocks, lambda bs: powerset_space([x for b in bs for x in b], bs)),
-        "powerset_space new": (space, built),
-        "powerset_space kept": (lambda: None, space),
+        "powerset_space built": (lambda: None, built),
+        "powerset_space kept": (space, space),
         "parse_term": (lambda: None, lambda _: [parse_term(text) for text in TRIAL_TEXTS]),
         "eval_term": (space, evaluated),
-        "check_laws new": (evaluated_new, lambda s_fns: check_laws(*s_fns, TRIAL_WEIGHTS)),
+        "check_laws new": (lambda: evaluated(built()), lambda s_fns: check_laws(*s_fns, TRIAL_WEIGHTS)),
         "check_laws kept": (scanned, lambda s_fns: check_laws(*s_fns, TRIAL_WEIGHTS)),
     }
 

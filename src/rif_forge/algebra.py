@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ParameterError
 from .inclusion import ONE, InclusionFunction, _row_mask, check_rif_axiom, classify, k0, k1, k2
-from .space import GranularSpace, _bits, check_work, classify_flavor
+from .space import GranularSpace, _bits, _kept, check_work, classify_flavor
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,11 @@ def flat(f: InclusionFunction) -> InclusionFunction:
     return _gather(f, f.space.upper, "flat")
 
 
+@_kept
 def _granule_parts(s: GranularSpace) -> list[tuple[int, ...]]:
     """Each a_i's granule parts, as the offsets w * n of their rows in nums."""
-    if "granule parts" not in s._derived:
-        n, grans = len(s.elements), [s._index[w] for w in s.granulation]
-        s._derived["granule parts"] = [tuple(w * n for w in grans if s.parthood[w] >> a & 1) for a in range(n)]
-    return s._derived["granule parts"]
+    n, grans = len(s.elements), [s._index[w] for w in s.granulation]
+    return [tuple(w * n for w in grans if s.parthood[w] >> a & 1) for a in range(n)]
 
 
 def sigma(f: InclusionFunction) -> InclusionFunction:
@@ -155,20 +154,22 @@ def leq(f: InclusionFunction, g: InclusionFunction) -> bool:
 # -- law verification --------------------------------------------------------
 
 
+@_kept
+def _weak_comp_offsets(s: GranularSpace, inward: bool) -> tuple[list[int], list[int], list[int]]:
+    """The pairs (a_i, a_j) where _weak_comp compares, as i * n + j, then
+    the offsets in nums of its greater and its lesser side at each."""
+    n = len(s.elements)
+    own, mapped = range(n), s.lower if inward else s.upper
+    first, second = (own, mapped) if inward else (mapped, own)
+    pairs = [i * n + j for i in own if s.parthood[first[i]] >> second[i] & 1 for j in own]
+    return pairs, [second[k // n] * n + second[k % n] for k in pairs], [first[k // n] * n + first[k % n] for k in pairs]
+
+
 def _weak_comp(s: GranularSpace, fns: Sequence[InclusionFunction], inward: bool) -> list[tuple[str, ...]]:
     """WeakSharpComp (inward): a part of lower(a), f(lower(a), lower(b)) > f(a, b).
     WeakFlatComp: upper(a) part of a, f(a, b) > f(upper(a), upper(b))."""
     els, n = s.elements, len(s.elements)
-    key = ("weak comp rows", inward)
-    if key not in s._derived:
-        own, mapped = range(n), s.lower if inward else s.upper
-        first, second = (own, mapped) if inward else (mapped, own)
-        # the pairs (a_i, a_j) where the law compares, as i * n + j, then
-        # the offsets in nums of its greater and its lesser side at each
-        pairs = [i * n + j for i in own if s.parthood[first[i]] >> second[i] & 1 for j in own]
-        s._derived[key] = (pairs, [second[k // n] * n + second[k % n] for k in pairs],
-                           [first[k // n] * n + first[k % n] for k in pairs])
-    pairs, greater, lesser = s._derived[key]
+    pairs, greater, lesser = _weak_comp_offsets(s, inward)
     wit = []
     for f in fns:
         get = f.nums.__getitem__
@@ -177,26 +178,31 @@ def _weak_comp(s: GranularSpace, fns: Sequence[InclusionFunction], inward: bool)
     return wit
 
 
+@_kept
+def _r0_plus_columns(s: GranularSpace) -> tuple[Optional[list[int]], dict[int, int]]:
+    """What _r0_plus reads of s: the offsets g + x of its verdict, None
+    unless each part set tested is one granule, and per lower(b) the mask
+    of its b.  p is not tested where p less one granule is a part set q
+    with need[p] within need[q], as U[q] lies within U[p]."""
+    needs, lowered = {}, {}
+    for b, x in enumerate(s.lower):
+        lowered[x] = lowered.get(x, 0) | 1 << b
+    for a, p in enumerate(_granule_parts(s)):
+        if p:
+            needs[p] = needs.get(p, 0) | sum({1 << s.lower[b] for b in _bits(s.parthood[a])})
+    tested = [(p, need) for p, need in needs.items()
+              if all(need & ~needs.get(p[:k] + p[k + 1:], 0) for k in range(len(p)))]
+    return (None if any(len(p) > 1 for p, _ in tested)
+            else [p[0] + x for p, need in tested for x in _bits(need)], lowered)
+
+
 def _r0_plus(s: GranularSpace, fns: Sequence[InclusionFunction]) -> list[tuple[str, ...]]:
     """R0Plus by the masks of check_laws's docstring, bit j for column j.
-    p is not tested where p less one granule is a part set q with need[p]
-    within need[q], as U[q] lies within U[p].  When each p tested is one
-    granule g, as on power sets, f holds when its least value at the kept
-    offsets g + x, x in need[p], is 1.  Else, and when f fails, its
-    witnesses are read per element a off the mask of the b whose lower(b)
-    lies outside U[p], with the b of each lower(b) kept as a mask."""
-    if "R0Plus" not in s._derived:
-        needs, lowered = {}, {}
-        for b, x in enumerate(s.lower):
-            lowered[x] = lowered.get(x, 0) | 1 << b
-        for a, p in enumerate(_granule_parts(s)):
-            if p:
-                needs[p] = needs.get(p, 0) | sum({1 << s.lower[b] for b in _bits(s.parthood[a])})
-        tested = [(p, need) for p, need in needs.items()
-                  if all(need & ~needs.get(p[:k] + p[k + 1:], 0) for k in range(len(p)))]
-        s._derived["R0Plus"] = (None if any(len(p) > 1 for p, _ in tested)
-                                else [p[0] + x for p, need in tested for x in _bits(need)], lowered)
-    (at, lowered), els, n, parts = s._derived["R0Plus"], s.elements, len(s.elements), _granule_parts(s)
+    When each part set p tested is one granule g, as on power sets, f holds
+    when its least value at the kept offsets g + x, x in need[p], is 1.
+    Else, and when f fails, its witnesses are read per element a off the
+    mask of the b whose lower(b) lies outside U[p]."""
+    (at, lowered), els, n, parts = _r0_plus_columns(s), s.elements, len(s.elements), _granule_parts(s)
     wit = []
     for f in fns:
         nums, den = f.nums, f.den

@@ -50,7 +50,7 @@ from .errors import (
     InputError,
     ParameterError,
 )
-from .space import AxiomReport, GranularSpace, _bits, classify_flavor
+from .space import AxiomReport, GranularSpace, _bits, _kept, classify_flavor
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -178,18 +178,18 @@ def _refuse_out_of_range(space: GranularSpace, nums: list[int], den: int) -> Non
 def _from_carriers(build):
     """The base function that build(s) -> (nums, den) makes from the
     carrier masks and top's carrier of s alone, labelled with build's name.
-    The reduced rows are built once per space and kept in its _derived;
-    later calls wrap the same rows, which nothing changes."""
+    The reduced rows are built once per space and kept (_kept); each call
+    wraps the same rows, which nothing changes."""
     label = build.__name__
+
+    @_kept
+    def rows(s: GranularSpace) -> tuple[list[int], int]:
+        f = InclusionFunction._of_rows(s, *build(s), label)
+        return f.nums, f.den
 
     @wraps(build)
     def base(s: GranularSpace) -> InclusionFunction:
-        rows = s._derived.get(label)
-        if rows is not None:
-            return InclusionFunction._of_rows(s, *rows, label, reduced=True)
-        f = InclusionFunction._of_rows(s, *build(s), label)
-        s._derived[label] = f.nums, f.den
-        return f
+        return InclusionFunction._of_rows(s, *rows(s), label, reduced=True)
 
     return base
 
@@ -349,11 +349,9 @@ def _groups(masks: list[int]) -> list[tuple[int, int, list[int]]]:
     return [(j, m, _bits(m)) for j, m in enumerate(masks) if m]
 
 
+@_kept
 def _space_rows(s: GranularSpace, relation: str) -> _SpaceRows:
-    key = ("axiom rows", relation)
-    if key not in s._derived:
-        s._derived[key] = _SpaceRows(s, relation)
-    return s._derived[key]
+    return _SpaceRows(s, relation)
 
 
 def _axiom_kernel(f: InclusionFunction, axiom: str, relation: str):
@@ -506,16 +504,13 @@ class PrifVerdict:
     axioms: Mapping[str, bool]
 
 
+@_kept
 def complement_closed_set_hgos(s: GranularSpace) -> bool:
     """Set-HGOS whose carrier family is closed under complement in top."""
-    key = "complement closed"
-    if key not in s._derived:
-        closed = classify_flavor(s) == "setHGOS"
-        if closed:
-            universe = s.carriers[s.top]
-            closed = all(s.element_with_carrier(universe - s.carriers[x]) is not None for x in s.elements)
-        s._derived[key] = closed
-    return s._derived[key]
+    if classify_flavor(s) != "setHGOS":
+        return False
+    universe = s.carriers[s.top]
+    return all(s.element_with_carrier(universe - s.carriers[x]) is not None for x in s.elements)
 
 
 def verify_prif(f: InclusionFunction, relation: str = "parthood") -> list[PrifVerdict]:

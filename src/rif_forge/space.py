@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from itertools import chain, combinations, combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence
@@ -133,10 +134,7 @@ class GranularSpace:
         self.carriers: dict[str, frozenset[str]] = carriers
         self._by_carrier = {c: e for e, c in carriers.items()}
         self.granulation, self.bottom, self.top, self.flavor = tuple(granulation), bottom, top, flavor
-        # Data derived from the space on first use and kept (the inclusion
-        # axiom scans' rows, the granule parts sigma reads, the offsets the
-        # check_laws scans read, the rows of k0, k1 and k2).  Nothing changes
-        # a space after construction, so what is kept stays valid.
+        # What _kept derives from the space, by function and arguments.
         self._derived: dict = {}
 
     def _enforce_flavor(self):
@@ -219,6 +217,24 @@ class GranularSpace:
             f"GranularSpace({len(self.elements)} elements, "
             f"{len(self.granulation)} granules, flavor={self.flavor})"
         )
+
+
+def _kept(derive):
+    """derive(s, *args), run once per space and arguments: the result is
+    kept in s._derived under (derive, *args) and returned again by later
+    calls.  Nothing changes a space after construction, so what is kept
+    stays valid; two threads that derive at once each get a correct result."""
+
+    @wraps(derive)
+    def kept(s: GranularSpace, *args):
+        key = (derive, *args)
+        try:
+            return s._derived[key]
+        except KeyError:
+            value = s._derived[key] = derive(s, *args)
+            return value
+
+    return kept
 
 
 def proper_part(s: GranularSpace, a: str, b: str) -> bool:
@@ -524,33 +540,23 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
 
     Parthood and order are inclusion, join/meet are union/intersection
     (total), lower/upper are the classical approximations induced by the
-    blocks.  Rejects a universe over the work budget (check_work).  It is
-    setHGOS by construction, so the flavor is not proved again (documents
-    and the constructor prove it pair by pair): every subset is one
-    element, its carrier, parthood and order are the subset test of the
-    carrier bitmasks, join is | and meet is &, which are inclusion, union
-    and intersection, total on a power set.
+    blocks.  Rejects a universe over the work budget (check_work), and
+    object names that give two subsets the same id.  It is setHGOS by
+    construction, so the flavor is not proved again (documents and the
+    constructor prove it pair by pair): every subset is one element, its
+    carrier, parthood and order are the subset test of the carrier
+    bitmasks, join is | and meet is &, which are inclusion, union and
+    intersection, total on a power set.
 
-    Everything but the granulation, lower and upper depends on the sorted
-    objects alone: the ids, the index, the carriers and their masks,
-    parthood (which is also the order), join and meet.  Spaces over up to
-    _SHARED_OBJECTS objects share these tables (_PowerSetTables), one set
-    per object count, replaced when the names change; a larger power set
-    builds its own.  The tables also keep the space of each partition
-    built over them, keyed by its blocks as a set of sets: a call over the
-    same sorted objects and partition, its blocks and objects in any
-    order, runs the same input checks and returns that space.  Over 1, 2,
-    3 and 4 objects there are 1, 2, 5 and 15 partitions, so at most 23
-    spaces are kept, and what a space derives on first use and keeps in
-    _derived (the rows of k0, k1 and k2, the granule parts, the offsets
-    and rows the scans read) is built once per partition.  Sharing is
-    safe because nothing changes a space after construction; two threads
-    that build the same space at once each get a correct one.  The cap
-    keeps what is kept small: it lives as long as the module, and a
-    module imported again keeps its tables until the next cyclic collection.
-    Sharing up to 6 objects (64 elements) raised the peak memory of the
-    prif-kappa benchmark by 0.6 MiB; up to 4, the sizes the seeded
-    samplers and the laws trials draw, it moved by nothing measured.
+    Up to _KEPT_OBJECTS objects the space of each partition is kept
+    (_powerset): a call over the same sorted objects and partition, its
+    blocks and objects in any order, runs the same input checks and
+    returns that space, so what it derives on first use (_kept) is built
+    once per partition.  Over 1, 2, 3 and 4 objects there are 1, 2, 5 and
+    15 partitions, so the 23 spaces kept hold all of them.  Keeping spaces
+    up to 6 objects (64 elements) raised the peak memory of the prif-kappa
+    benchmark by 0.6 MiB; up to 4, the sizes the seeded samplers and the
+    laws trials draw, it moved by nothing measured.
     """
     objs = tuple(objects)
     if len(set(objs)) != len(objs):
@@ -558,51 +564,39 @@ def powerset_space(objects: Sequence[str], blocks: Iterable[Iterable[str]]) -> G
     check_work(1 << len(objs))
     blks = [frozenset(b) for b in blocks]
     check_partition(blks, frozenset(objs), "exactly the base objects")
+    build = _powerset if len(objs) <= _KEPT_OBJECTS else _powerset.__wrapped__
+    return build(tuple(sorted(objs)), frozenset(blks))
 
-    ordered = sorted(objs)
-    t = _shared_powersets.get(len(ordered))
-    if t is None or t.objects != ordered:
-        t = _PowerSetTables(ordered)
-        if len(ordered) <= _SHARED_OBJECTS:
-            _shared_powersets[len(ordered)] = t
-    partition = frozenset(blks)
-    if (s := t.spaces.get(partition)) is not None:
-        return s
-    masks, bit = t.masks, t.bit
-    grans = [t.at[sum(map(bit.__getitem__, b))] for b in blks]
-    lower, upper = (_granule_unions(key, range(len(masks)), masks, grans, t.parthood, t.objects)
+
+# The most objects whose spaces _powerset keeps: its bound, 23, is the
+# number of partitions over 1 to 4 objects.
+_KEPT_OBJECTS = 4
+
+
+@lru_cache(maxsize=23)
+def _powerset(ordered: tuple[str, ...], partition: frozenset[frozenset[str]]) -> GranularSpace:
+    """The power-set space over the sorted objects with this partition;
+    InputError naming the first id two subsets share."""
+    universe = [frozenset(c) for k in range(len(ordered) + 1) for c in combinations(ordered, k)]
+    ids = tuple(map(render_carrier, universe))
+    index = {eid: i for i, eid in enumerate(ids)}
+    if len(index) != len(ids):
+        shared = next(eid for i, eid in enumerate(ids) if index[eid] != i)
+        raise InputError(f"two subsets of the base objects have the id {shared!r}")
+    bit = {o: 1 << i for i, o in enumerate(ordered)}
+    masks = [sum(map(bit.__getitem__, c)) for c in universe]
+    at = {m: i for i, m in enumerate(masks)}
+    grans = [at[sum(map(bit.__getitem__, b))] for b in partition]
+    part = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
+    objects = list(ordered)
+    lower, upper = (_granule_unions(key, range(len(masks)), masks, grans, part, objects)
                     for key in ("lower", "upper"))
-    granulation = [render_carrier(b) for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
-    t.spaces[partition] = s = GranularSpace._of_tables(
-        t.ids, t.index, t.parthood, t.parthood, t.join, t.meet, lower, upper, t.objects, masks,
-        t.carriers, granulation, t.ids[0], t.ids[-1], "setHGOS",
+    granulation = [render_carrier(b) for b in sorted(partition, key=lambda b: (len(b), sorted(b)))]
+    return GranularSpace._of_tables(
+        ids, index, part, part, [[at[a | b] for b in masks] for a in masks],
+        [[at[a & b] for b in masks] for a in masks], lower, upper, objects, masks,
+        dict(zip(ids, universe)), granulation, ids[0], ids[-1], "setHGOS",
     )
-    return s
-
-
-class _PowerSetTables:
-    """The tables of the power set of the sorted objects that no
-    granulation changes, as powerset_space stores them in a space; at maps
-    a carrier mask to its index, bit an object to its mask.  spaces holds
-    the finished space of each partition built over them."""
-
-    def __init__(self, ordered: list[str]):
-        universe = [frozenset(c) for k in range(len(ordered) + 1) for c in combinations(ordered, k)]
-        self.objects, self.ids = ordered, tuple(map(render_carrier, universe))
-        self.index = {eid: i for i, eid in enumerate(self.ids)}
-        self.bit = bit = {o: 1 << i for i, o in enumerate(ordered)}
-        self.masks = masks = [sum(map(bit.__getitem__, c)) for c in universe]
-        self.at = at = {m: i for i, m in enumerate(masks)}
-        self.parthood = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
-        self.join = [[at[a | b] for b in masks] for a in masks]
-        self.meet = [[at[a & b] for b in masks] for a in masks]
-        self.carriers = dict(zip(self.ids, universe))
-        self.spaces: dict[frozenset[frozenset[str]], GranularSpace] = {}
-
-
-# The shared power-set tables by object count (see powerset_space).
-_SHARED_OBJECTS = 4
-_shared_powersets: dict[int, _PowerSetTables] = {}
 
 
 def check_partition(blocks: Iterable[frozenset[str]], carrier: frozenset[str], cover: str) -> None:

@@ -824,6 +824,16 @@ class TestDerive:
         assert result.stderr == "error: the value delimiter must not be empty\n"
         assert result.stdout == ""
 
+    def test_object_names_that_give_two_subsets_one_id_exit_2(self, runner, tmp_path):
+        # the subsets {a,b} and {"a,b"} would both have the id {a,b}
+        src = tmp_path / "table.csv"
+        src.write_text('object,color\na,red\nb,red\n"a,b",blue\n', encoding="utf-8")
+        result = runner.invoke(main, ["derive", str(src)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: two subsets of the base objects have the id '{a,b}'\n"
+        assert result.stdout == ""
+
 
 class TestUnwritableOut:
     @pytest.mark.parametrize("args", [

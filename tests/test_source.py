@@ -120,6 +120,22 @@ def test_every_public_name_is_exported_or_read(module):
     assert [name for name in public_definitions(MODULES[module]) if name not in exported | read] == []
 
 
+def attribute_users(tree, attr: str) -> list[str]:
+    """The module-level statements and the class-body statements that name
+    the attribute attr: a def by its name, any other as "<module>"."""
+    units = [n for n in tree.body if not isinstance(n, ast.ClassDef)]
+    units += [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body]
+    return sorted(getattr(u, "name", "<module>") for u in units
+                  if any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(u)))
+
+
+def test_derived_data_is_kept_through_one_memo():
+    # what a space derives is read and written by space._kept alone, which
+    # keys it by function and arguments; the space's _store starts it empty
+    users = {module: attribute_users(tree, "_derived") for module, tree in MODULES.items()}
+    assert {module: names for module, names in users.items() if names} == {"space": ["_kept", "_store"]}
+
+
 def test_the_checks_catch_leftovers():
     tree = ast.parse("from functools import cached_property\nimport os\n_UNREAD = 1\nUNREAD = 2\n"
                      "def _dead():\n    return os.sep\n"

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -45,8 +46,8 @@ from rif_forge import (
     verify_prif,
 )
 from rif_forge.space import (
-    _AXIOM_CHECKS, _SET_LATTICE_AXIOMS, _SHARED_OBJECTS, FLAVORS, WORK_BUDGET, AxiomReport, _extensionality_failure,
-    _granule_unions, _json_text, check_partition, representable_elements,
+    _AXIOM_CHECKS, _KEPT_OBJECTS, _SET_LATTICE_AXIOMS, FLAVORS, WORK_BUDGET, AxiomReport, _extensionality_failure,
+    _granule_unions, _json_text, _powerset, check_partition, representable_elements,
 )
 
 from fixture_data import APPROXIMATION_ROWS, FIXTURE_PATH
@@ -353,12 +354,12 @@ class TestPowerset:
             assert report.holds, (report.axiom, report.witnesses)
 
 
-# -- powerset_space against the former per-call construction ----------------
+# -- powerset_space against a construction that keeps nothing ----------------
 
 
 def former_powerset_space(objects, blocks) -> GranularSpace:
-    """powerset_space as it was before spaces over the same objects shared
-    their tables: every table built afresh on each call."""
+    """powerset_space as it was before it kept spaces: every table built
+    afresh on each call."""
     objs = tuple(objects)
     if len(set(objs)) != len(objs):
         raise InputError("base objects must be unique")
@@ -398,10 +399,9 @@ _ALL_FIELDS = (*GranularSpace._FIELDS, "_index", "objects", "carrier_masks")
 
 
 class TestSharedPowersetTables:
-    """Power sets over the same objects share the tables that depend on the
-    objects alone, for up to _SHARED_OBJECTS objects, and a partition seen
-    before gets the space built for it; spaces of different partitions
-    keep their own granulation, approximations and derived data."""
+    """Up to _KEPT_OBJECTS objects, a partition seen before gets the space
+    built for it, and at most 23 spaces are kept; spaces of different
+    partitions keep their own granulation, approximations and derived data."""
 
     @staticmethod
     def partitions(names):
@@ -417,7 +417,7 @@ class TestSharedPowersetTables:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_equals_the_former_construction_field_by_field(self, n):
         names, renamed = [f"o{i}" for i in range(n, 0, -1)], [f"p{i}" for i in range(1, n + 1)]
-        # a repeated tuple, a changed one, and the first again after the slot was replaced
+        # a repeated tuple, a changed one, and the first again
         for objects in (names, names, renamed, names):
             for blocks in self.partitions(objects):
                 self.assert_former(objects, blocks)
@@ -427,9 +427,8 @@ class TestSharedPowersetTables:
         names = [f"o{i}" for i in range(1, n + 1)]
         coarse, fine = self.partitions(names)
         s, t = self.assert_former(names, coarse), self.assert_former(names, fine)
-        assert (s.join is t.join) == (n <= _SHARED_OBJECTS)
         # the same partition gives the same space; one object has one partition only
-        assert (powerset_space(names, coarse) is s) == (n <= _SHARED_OBJECTS)
+        assert (powerset_space(names, coarse) is s) == (n <= _KEPT_OBJECTS)
         assert (s is t) == (n == 1)
         if n > 1:
             assert s.granulation != t.granulation
@@ -450,7 +449,7 @@ class TestSharedPowersetTables:
                 objects = rng.sample(names, n)
                 shuffled = [rng.sample(sorted(b), len(b)) for b in rng.sample(blocks, len(blocks))]
                 again = self.assert_former(objects, shuffled)
-                assert (again is first) == (n <= _SHARED_OBJECTS), (objects, shuffled)
+                assert (again is first) == (n <= _KEPT_OBJECTS), (objects, shuffled)
             # the blocks as a set are the kept partition's, but the inputs are still checked
             with pytest.raises(InputError, match="^partition blocks must be disjoint$"):
                 powerset_space(names, blocks + blocks[:1])
@@ -483,6 +482,31 @@ class TestSharedPowersetTables:
                 f = build(s)
                 assert f.space is s and f.label == build.__name__
                 assert f.pointwise_equal(build(copy)), (n, s.objects, build.__name__)
+
+    def test_at_most_23_spaces_are_kept(self):
+        # every partition over 1 to 4 objects, twice under other names: 46 keys
+        for prefix in ("o", "p"):
+            for n in range(1, _KEPT_OBJECTS + 1):
+                names = [f"{prefix}{i}" for i in range(1, n + 1)]
+                for blocks in _partitions(names):
+                    self.assert_former(names, blocks)
+                    assert _powerset.cache_info().currsize <= 23
+        # a 5-object space is built on each call and adds nothing to the cache
+        names, before = [f"o{i}" for i in range(1, 6)], _powerset.cache_info()
+        s = self.assert_former(names, [names])
+        assert powerset_space(names, [names]) is not s
+        assert _powerset.cache_info()[:2] == before[:2]
+
+    @pytest.mark.parametrize("objects, blocks, shared", [
+        (["a", "b", "a,b"], [["a"], ["b"], ["a,b"]], "{a,b}"),
+        (["", "a"], [[""], ["a"]], "{}"),
+        (["a", "b,c", "a,b", "c"], [["a", "b,c", "a,b", "c"]], "{a,b,c}"),
+    ])
+    def test_object_names_that_give_two_subsets_one_id_are_refused(self, objects, blocks, shared):
+        message = f"^two subsets of the base objects have the id {re.escape(repr(shared))}$"
+        for _ in range(2):  # a refused build is not kept
+            with pytest.raises(InputError, match=message):
+                powerset_space(objects, blocks)
 
 
 class TestSerialization:
