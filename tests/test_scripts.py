@@ -1,46 +1,47 @@
-"""The scripts run to the end: the timing scripts on a small power set,
-time_startup.py with two runs of each process, and make_fixture.py, which
-must write the packaged fixture byte for byte.
+"""The scripts run to the end: bench_layers.py at its smallest sizes, whose
+record must parse and hold every layer, and make_fixture.py, which must
+write the packaged fixture byte for byte.  Every script is run here.
 
 They import private names of the package, so a change to those breaks them
 without any other test noticing.
 """
 
+import json
 import pathlib
 import shutil
 import subprocess
 import sys
 
-import pytest
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
-@pytest.mark.parametrize("script", ["time_validate.py", "time_axioms.py", "time_check_laws.py"])
-def test_timing_script_exits_0(script):
+def test_bench_layers_prints_every_layer_as_json():
     result = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), "--objects", "3", "--repeat", "1"],
+        [sys.executable, str(SCRIPTS / "bench_layers.py"), "--objects", "3", "--repeat", "1"],
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("# 8 elements"), result.stdout
-    if script == "time_check_laws.py":
-        # R0Plus timed where it lists witnesses, on kappas that fail it
-        assert any(line.startswith("R0Plus kappas") and "FAIL (" in line for line in result.stdout.splitlines())
-        # the trial stages that tell the space a partition keeps from one built new
-        rows = [line.split()[:3] for line in result.stdout.splitlines()]
-        for stage in ("powerset_space built", "powerset_space kept", "check_laws new", "check_laws kept"):
-            assert [row[2] for row in rows if row[:2] == stage.split()] == ["2", "3", "4"], stage
-
-
-def test_startup_script_exits_0():
-    result = subprocess.run([sys.executable, str(SCRIPTS / "time_startup.py"), "--repeat", "2"],
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout)
+    assert list(record)[:6] == ["machine", "python", "commit", "objects", "seed", "repeat"], list(record)
+    assert (record["objects"], record["seed"], record["repeat"], record["elements"]) == (3, 0, 1, 8)
+    cells = {(c["layer"], c["name"]): c for c in record["cells"]}
+    assert len(cells) == len(record["cells"]), "two cells share a layer and name"
+    assert {layer for layer, _ in cells} == {
+        "load", "save", "space", "build", "operator", "axiom", "law", "trial", "startup"}
+    for c in record["cells"]:
+        assert c["best"] <= c["q1"] <= c["median"] <= c["q3"], c
+    # R0Plus timed where it lists witnesses, on kappas that fail it
+    assert cells["law", "R0Plus kappas"]["witnesses"] > 0
+    # the trial stages that tell the space a partition keeps from one built new
+    for stage in ("powerset_space built", "powerset_space kept", "check_laws new", "check_laws kept"):
+        for objects in (2, 3, 4):
+            assert ("trial", f"{stage}, {objects} objects") in cells, (stage, objects)
+    # construction apart from the wrap of rows a space keeps
+    assert ("build", "k0/k1/k2 new") in cells and ("build", "k0/k1/k2 kept") in cells
     # the modules a command imports in its body are listed too
-    assert "validate loads: rif_forge rif_forge.errors rif_forge.space\n" in result.stdout, result.stdout
-    assert "rif_forge.terms" in result.stdout.split("classify loads:")[1], result.stdout
+    assert cells["startup", "validate cached"]["loads"] == ["rif_forge", "rif_forge.errors", "rif_forge.space"]
+    assert "rif_forge.terms" in cells["startup", "classify cached"]["loads"]
 
 
 def test_make_fixture_rewrites_the_packaged_fixture(tmp_path):
@@ -57,3 +58,9 @@ def test_make_fixture_rewrites_the_packaged_fixture(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / fixture).read_bytes() == (ROOT / fixture).read_bytes()
+
+
+def test_every_script_is_run_here():
+    source = pathlib.Path(__file__).read_text()
+    for script in SCRIPTS.glob("*.py"):
+        assert f'"{script.name}"' in source, script.name
