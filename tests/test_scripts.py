@@ -2,6 +2,10 @@
 record must parse and hold every layer, and make_fixture.py, which must
 write the packaged fixture byte for byte.  Every script is run here.
 
+bench_layers.py replaced four timing scripts; each test named after one of
+them checks that the record holds the cells that script printed, with the
+assertions its run was held to.
+
 They import private names of the package, so a change to those breaks them
 without any other test noticing.
 """
@@ -12,33 +16,81 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+FUNCTIONS = ["k0", "k1", "k2", "kst(k0,1/4,3/4)", "kappa"]
+AXIOMS = ["U1", "R0", "R1", "R2", "R3", "R4", "R5", "R6", "IR0", "IR4", "RB"]
 
 
-def test_bench_layers_prints_every_layer_as_json():
+@pytest.fixture(scope="module")
+def record():
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench_layers.py"), "--objects", "3", "--repeat", "1"],
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    record = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+@pytest.fixture(scope="module")
+def cells(record):
+    return {(c["layer"], c["name"]): c for c in record["cells"]}
+
+
+def test_bench_layers_prints_every_layer_as_json(record, cells):
     assert list(record)[:6] == ["machine", "python", "commit", "objects", "seed", "repeat"], list(record)
     assert (record["objects"], record["seed"], record["repeat"], record["elements"]) == (3, 0, 1, 8)
-    cells = {(c["layer"], c["name"]): c for c in record["cells"]}
     assert len(cells) == len(record["cells"]), "two cells share a layer and name"
     assert {layer for layer, _ in cells} == {
         "load", "save", "space", "build", "operator", "axiom", "law", "trial", "startup"}
     for c in record["cells"]:
         assert c["best"] <= c["q1"] <= c["median"] <= c["q3"], c
-    # R0Plus timed where it lists witnesses, on kappas that fail it
-    assert cells["law", "R0Plus kappas"]["witnesses"] > 0
-    # the trial stages that tell the space a partition keeps from one built new
-    for stage in ("powerset_space built", "powerset_space kept", "check_laws new", "check_laws kept"):
-        for objects in (2, 3, 4):
-            assert ("trial", f"{stage}, {objects} objects") in cells, (stage, objects)
-    # construction apart from the wrap of rows a space keeps
-    assert ("build", "k0/k1/k2 new") in cells and ("build", "k0/k1/k2 kept") in cells
+
+
+# the cells each former timing script printed, by the script's name
+FORMER_CELLS = {
+    "time_validate.py": [("load", "load_space"), ("load", "json.load"), ("load", "load/decode"),
+                         ("save", "_json_text"), ("save", "json.dumps"),
+                         *(("space", f"scan {a}") for a in
+                           ["PT1", "PT2", "G1", "G2", "G3", "G4", "G5", "UL1", "UL2", "UL3", "TB"]),
+                         ("space", "validate_space"), ("space", "check_admissibility"), ("space", "classify_flavor")],
+    "time_axioms.py": [*(("build", f"{f} constructor") for f in FUNCTIONS),
+                       *(("axiom", f"{f} {a} {kind}") for f in FUNCTIONS for a in AXIOMS
+                         for kind in ["report", "report built", "verdict", "verdict built"]),
+                       *(("axiom", f"{f} {call}") for f in FUNCTIONS for call in ["verify_prif", "classify"]),
+                       ("law", "rif_failure_search"),
+                       *(("operator", op) for op in
+                         ["otimes(k0,k2)", "oplus(1/3,k0,k2)", "sharp(k0)", "flat(k1)", "sigma(k0)", "pow(k1,2)"])],
+    "time_check_laws.py": [*(("law", law) for law in ["WeakSharpComp", "WeakFlatComp", "R0Plus", "check_laws"]),
+                           *(("operator", op) for op in
+                             ["otimes", "oplus", "sharp", "flat", "sigma", "pow", "leq"]),
+                           ("build", "kst"), ("build", "k0/k1/k2 kept")],
+}
+
+
+@pytest.mark.parametrize("script", ["time_validate.py", "time_axioms.py", "time_check_laws.py"])
+def test_timing_script_exits_0(script, record, cells):
+    assert record["elements"] == 8
+    missing = [key for key in FORMER_CELLS[script] if key not in cells]
+    assert not missing, missing
+    if script == "time_check_laws.py":
+        # R0Plus timed where it lists witnesses, on kappas that fail it
+        assert cells["law", "R0Plus kappas"]["witnesses"] > 0
+        # the trial stages that tell the space a partition keeps from one built new
+        for stage in ("powerset_space built", "powerset_space kept", "check_laws new", "check_laws kept"):
+            for objects in (2, 3, 4):
+                assert ("trial", f"{stage}, {objects} objects") in cells, (stage, objects)
+        # construction apart from the wrap of rows a space keeps
+        assert ("build", "k0/k1/k2 new") in cells
+
+
+def test_startup_script_exits_0(cells):
+    for command in ("validate", "classify"):
+        for cache in ("cached", "uncached"):
+            for kind in ("", " bare", " minus bare"):
+                assert ("startup", f"{command} {cache}{kind}") in cells, (command, cache, kind)
     # the modules a command imports in its body are listed too
     assert cells["startup", "validate cached"]["loads"] == ["rif_forge", "rif_forge.errors", "rif_forge.space"]
     assert "rif_forge.terms" in cells["startup", "classify cached"]["loads"]
