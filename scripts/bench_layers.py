@@ -48,6 +48,9 @@ TRIAL_TEXTS = ["oplus(1/12,pow(k1,3),kst(k0,3/8,1))", "sharp(otimes(k2,top))", "
 TRIAL_WEIGHTS = [Fraction(1, 3), Fraction(3, 4)]
 TRIAL_BATCH = 50
 COMMANDS = {"validate": [], "classify": ["k0"]}
+# a startup cell whose quartiles lie further apart than this, in ms, cannot
+# resolve a change of that size, and is marked unresolved
+RESOLVED_MS = 5
 
 
 def once_ms(call, *args):
@@ -133,8 +136,9 @@ def space_cells(s, repeat: int):
 
 def build_cells(s, fns, new_space, repeat: int):
     """k0, k1 and k2 on new_space(), which must have derived nothing, and on
-    s, whose kept rows they wrap; kst once and on each of k0, k1 and k2; the
-    table constructor InclusionFunction(s, f.values) of each of fns."""
+    s, which keeps them and returns them again; kst once and on each of k0,
+    k1 and k2; the table constructor InclusionFunction(s, f.values) of each
+    of fns."""
     def base_functions(t):
         if t._derived:
             sys.exit("a space built new has derived data before k0/k1/k2")
@@ -269,8 +273,13 @@ def startup_cells(repeat: int):
     packaged fixture alternated with a bare `python -c pass`, with a bytecode
     cache (filled by one untimed run) and without one: the command, the bare
     start, their difference pair by pair, and the package modules the command
-    loads.  They run from a copy of src/, so the checkout is never written,
-    with the copy's path and the cache setting as their whole environment."""
+    loads.  Each cell says whether it is resolved: q3 - q1 <= RESOLVED_MS.
+    They run from a copy of src/, so the checkout is never written, with
+    the copy's path and the cache setting as their whole environment."""
+    def startup(name, times, **found):
+        c = cell("startup", name, times, **found)
+        return c | {"resolved": c["q3"] - c["q1"] <= RESOLVED_MS}
+
     with tempfile.TemporaryDirectory() as tmp:
         src = pathlib.Path(tmp, "src")
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -285,9 +294,9 @@ def startup_cells(repeat: int):
                 run(argv, env)
                 times, bare = alternated(lambda: run(argv, env), lambda: run([sys.executable, "-c", "pass"], env),
                                          repeat)
-                yield cell("startup", f"{name} {mode}", times, loads=loads)
-                yield cell("startup", f"{name} {mode} bare", bare)
-                yield cell("startup", f"{name} {mode} minus bare", [a - b for a, b in zip(times, bare)])
+                yield startup(f"{name} {mode}", times, loads=loads)
+                yield startup(f"{name} {mode} bare", bare)
+                yield startup(f"{name} {mode} minus bare", [a - b for a, b in zip(times, bare)])
 
 
 def commit():

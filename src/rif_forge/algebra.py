@@ -21,7 +21,7 @@ from operator import gt, mul, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ParameterError
-from .inclusion import ONE, InclusionFunction, _row_mask, check_rif_axiom, classify, k0, k1, k2
+from .inclusion import ONE, InclusionFunction, _row_mask, check_rif_axiom, k0, k1, k2
 from .space import GranularSpace, _bits, _kept, check_work, classify_flavor
 
 
@@ -305,8 +305,12 @@ def rif_failure_search(s: GranularSpace, budget: int) -> SearchResult:
     """Search for sharp images of RIFs breaking R1; report closure of the
     RIF class under products and convex sums from its proof.
 
-    The pool is those of k0, k1, k2 that classify as RIF, then the
-    distinct products of pairs of them.  With values in [0,1]:
+    The pool is k0, k1 and k2, then the distinct products of pairs of
+    them.  k0, k1 and k2 are RIFs on every setHGOS space by the theorem in
+    inclusion._from_carriers, so they are not classified: parthood there is
+    inclusion of carriers, an empty carrier gives 1 and lies inside every
+    carrier, and k2 is refused unless top's carrier is nonempty and holds
+    every carrier.  With values in [0,1]:
     - f*g == 1 exactly where f == 1 and g == 1, so R1 for f and g gives R1
       for f*g; where f*g(b,c) == 1, f(a,b) <= f(a,c) and g(a,b) <= g(a,c)
       by R2, and products of non-negative values keep the order, so R2
@@ -321,16 +325,15 @@ def rif_failure_search(s: GranularSpace, budget: int) -> SearchResult:
     with every pair it fails at.  Nothing is drawn at random.
     A budget below 1 raises ParameterError, then check_work's count of
     the functions built may raise SizeError, then a space that is not
-    setHGOS or has no RIF among k0, k1, k2 raises InputError.
+    setHGOS raises InputError, then k2 raises DegenerateSpaceError for an
+    empty top carrier and InputError for a carrier outside top's.
     """
     if budget < 1:
         raise ParameterError(f"budget must be positive, got {budget}")
     check_work(len(s.elements), _SEARCH_FUNCTIONS)
     if classify_flavor(s) != "setHGOS":
         raise InputError("closure search expects a set-based hemiring space")
-    rifs = [f for f in (k0(s), k1(s), k2(s)) if classify(f) == "RIF"]
-    if not rifs:
-        raise InputError("no RIF could be built on this space")
+    rifs = [k0(s), k1(s), k2(s)]
     pool = list(rifs)
     for i, f in enumerate(rifs):
         for g in rifs[i:]:

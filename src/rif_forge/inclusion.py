@@ -178,26 +178,32 @@ def _refuse_out_of_range(space: GranularSpace, nums: list[int], den: int) -> Non
 def _from_carriers(build):
     """The base function that build(s) -> (nums, den) makes from the
     carrier masks and top's carrier of s alone, labelled with build's name.
-    The reduced rows are built once per space and kept (_kept); each call
-    wraps the same rows, which nothing changes."""
-    label = build.__name__
+    It is built once per space and kept (_kept): every call returns the
+    same function, which nothing changes, so its axiom rows and R2 verdict
+    are built once per space too.  A refused build keeps nothing.
 
-    @_kept
-    def rows(s: GranularSpace) -> tuple[list[int], int]:
-        f = InclusionFunction._of_rows(s, *build(s), label)
-        return f.nums, f.den
+    Theorem (Gomolinska, "On three closely related rough inclusion
+    functions", 2007): where parthood is inclusion of carriers, as on every
+    setHGOS space, k0, k1 and k2 are RIFs.  Each is 1 exactly where A is a
+    subset of B (R1): each is 1 where A is empty, and the empty set is a
+    subset of every set.  Each is monotone in B (R2).  k2 needs top's
+    carrier to be nonempty and to hold every carrier, and it is refused
+    otherwise.  R0 follows from R1 and R3 from R1 and R2."""
+    label = build.__name__
 
     @wraps(build)
     def base(s: GranularSpace) -> InclusionFunction:
-        return InclusionFunction._of_rows(s, *rows(s), label, reduced=True)
+        return InclusionFunction._of_rows(s, *build(s), label)
 
-    return base
+    return _kept(base)
 
 
 @_from_carriers
 def k0(s: GranularSpace) -> tuple[list[int], int]:
     """Classical overlap degree #(A and B)/#A, and 1 when A is empty.
-    In [0,1]: A and B is a subset of A."""
+    In [0,1]: A and B is a subset of A.  A RIF on a setHGOS space (see
+    _from_carriers): #(A and B) == #A exactly when A is a subset of B, and
+    A and B grows with B."""
     masks, den = _carrier_masks(s)
     nums = []
     for ma in masks:
@@ -212,7 +218,9 @@ def k0(s: GranularSpace) -> tuple[list[int], int]:
 @_from_carriers
 def k1(s: GranularSpace) -> tuple[list[int], int]:
     """#B/#(A or B), and 1 when both are empty.  In [0,1]: B is a subset
-    of A or B."""
+    of A or B.  A RIF on a setHGOS space (see _from_carriers): #B ==
+    #(A or B) exactly when A is a subset of B, and as B grows its part
+    outside A grows and the part of A outside B shrinks."""
     masks, den = _carrier_masks(s)
     return [mb.bit_count() * (den // (ma | mb).bit_count()) if ma | mb else den
             for ma in masks for mb in masks], den
@@ -223,7 +231,9 @@ def k2(s: GranularSpace) -> tuple[list[int], int]:
     """#(complement(A) or B)/#top, complements taken inside the top carrier.
     In [0,1] when every carrier lies inside top's: complement(A) or B is
     then a subset of top.  A space where some carrier does not is refused
-    with InputError naming the first such element."""
+    with InputError naming the first such element.  A RIF on a setHGOS
+    space it builds on (see _from_carriers): complement(A) or B is top
+    exactly when A is a subset of B, and it grows with B."""
     masks, _ = _carrier_masks(s)
     universe = masks[s._index[s.top]]
     if not universe:

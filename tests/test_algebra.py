@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rif_forge import algebra
+from rif_forge import algebra, inclusion
 from rif_forge import (
     CarrierError,
     DegenerateSpaceError,
@@ -20,10 +20,12 @@ from rif_forge import (
     LawReport,
     LAW_ORDER,
     ParameterError,
+    RifForgeError,
     SizeError,
     check_laws,
     check_rif_axiom,
     classify,
+    classify_flavor,
     convex_polynomial,
     default_env,
     eval_term,
@@ -55,6 +57,8 @@ from rif_forge import (
 from rif_forge.algebra import SearchResult, _check_alpha, _law, _same_space
 from rif_forge.inclusion import ONE, ZERO, class_from_axioms
 from rif_forge.terms import AlphaSumTerm, BaseTerm, KstTerm
+from test_inclusion import naive_check_rif_axiom
+from test_space import _lattice_document
 
 SINGLE_ELEMENT = {
     "flavor": "HGOS",
@@ -354,20 +358,48 @@ def with_declared_approximations(s: GranularSpace, rng: Random) -> GranularSpace
 @pytest.mark.parametrize("seed, budget", [(0, 1), (1, 20), (7, 50)])
 def test_search_classifies_each_product_once_with_the_same_result(objects, seed, budget, monkeypatch):
     # The search equals the former one, which scanned products and convex
-    # sums, and classifies exactly k0, k1 and k2, once each.
+    # sums, and reads no verdict: k0, k1 and k2 are RIFs by the theorem in
+    # inclusion._from_carriers, and their products by the search's proof.
     names = [f"o{i}" for i in range(objects)]
     rng = Random(seed)
     power_set = powerset_space(names, random_partition(names, rng))
+    verdict = inclusion._verdict
     for s in (power_set, with_declared_approximations(power_set, rng)):
-        classified = []
+        verdicts = []
 
-        def counted(f, *args):
-            classified.append((f.den, tuple(f.nums)))
-            return classify(f, *args)
+        def counted(*args):
+            verdicts.append(args)
+            return verdict(*args)
 
-        monkeypatch.setattr(algebra, "classify", counted)
-        assert rif_failure_search(s, budget) == naive_rif_failure_search(s, budget, seed)
-        assert classified == [(f.den, tuple(f.nums)) for f in (k0(s), k1(s), k2(s))]
+        monkeypatch.setattr(inclusion, "_verdict", counted)
+        result = rif_failure_search(s, budget)
+        assert verdicts == []
+        assert result == naive_rif_failure_search(s, budget, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_base_functions_are_rifs_on_set_lattices_that_are_not_power_sets(data):
+    # The theorem the search rests on, where parthood is carrier inclusion
+    # but the elements are any family of sets closed under union and
+    # intersection: k0, k1 and k2 hold R0-R3 by full reports, and the
+    # search equals the former one.  Where k2 is refused, the search raises
+    # what the former one raised.
+    s = space_from_dict(_lattice_document(data.draw))
+    assert classify_flavor(s) == "setHGOS"
+    try:
+        expected = naive_rif_failure_search(s, 3)
+    except RifForgeError as refusal:
+        with pytest.raises(RifForgeError) as raised:
+            rif_failure_search(s, 3)
+        assert (type(raised.value), str(raised.value)) == (type(refusal), str(refusal))
+        with pytest.raises(type(refusal)):
+            k2(s)
+        return
+    for f in (k0(s), k1(s), k2(s)):
+        for axiom in ("R0", "R1", "R2", "R3"):
+            assert naive_check_rif_axiom(f, axiom).holds, (f.label, axiom)
+    assert rif_failure_search(s, 3) == expected
 
 
 @settings(max_examples=25, deadline=None)

@@ -487,6 +487,21 @@ class TestBaseFunctionsBuiltOnRead:
         assert rebound["term"] == "k0"
         assert (rebound["class"], rebound["axioms"]) == (expected["class"], expected["axioms"])
 
+    def test_env_file_rebinding_k0_leaves_the_kept_k0_alone(self, runner, tmp_path, monkeypatch):
+        # the kept k0 is the function every later k0(s) returns, so no
+        # binding may relabel or replace it
+        built = []
+        monkeypatch.setattr(terms, "k0", lambda s: built.append(k0(s)) or built[-1])
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"k0": "kst(k0, 1/4, 3/4)", "x": "k0"}), encoding="utf-8")
+        result = runner.invoke(main, ["classify", str(FIXTURE_PATH), "x", "--env", str(env), "--format", "json"])
+        assert result.exit_code == 0, result.exception
+        [kept] = built
+        assert kept is k0(kept.space)
+        assert kept.label == "k0"
+        direct = runner.invoke(main, ["classify", str(FIXTURE_PATH), "kst(k0, 1/4, 3/4)", "--format", "json"])
+        assert json.loads(result.stdout)["class"] == json.loads(direct.stdout)["class"]
+
     def test_fit_alpha_builds_each_named_function_once(self, runner, tmp_path, built_base_functions):
         samples = tmp_path / "samples.json"
         samples.write_text(json.dumps([["ab", "bc", "1/2"]]), encoding="utf-8")

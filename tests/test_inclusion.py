@@ -16,13 +16,16 @@ from rif_forge import (
     k1,
     k2,
     kst,
+    load_space,
     power,
     powerset_space,
     random_kappa,
     satisfies_class,
     verify_prif,
 )
-from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO, _verdict
+from fixture_data import FIXTURE_PATH
+from rif_forge import inclusion
+from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO, _AxiomRows, _verdict
 from rif_forge.sampling import random_partition
 
 
@@ -73,6 +76,29 @@ class TestConcreteFunctions:
             fixture_space, {p: F(1) for p in fixture_space.pairs()}, "ones"
         )
         assert top_like.image_gap() is None
+
+
+class TestKeptBaseFunctions:
+    """k0, k1 and k2 are built once per space: each call returns the kept
+    function itself, so its axiom rows and R2 verdict are built once."""
+
+    def test_each_call_returns_the_kept_function(self, fixture_space):
+        power_set = powerset_space(["x1", "x2", "x3"], [["x1", "x2"], ["x3"]])
+        assert powerset_space(["x3", "x2", "x1"], [["x3"], ["x2", "x1"]]) is power_set
+        for s in (fixture_space, power_set):
+            for build in (k0, k1, k2):
+                assert build(s) is build(s), (build.__name__, s.elements[:3])
+
+    def test_a_second_classify_reuses_the_axiom_rows(self, monkeypatch):
+        s = load_space(FIXTURE_PATH)  # loaded afresh, so nothing is built yet
+        built = []
+        monkeypatch.setattr(inclusion, "_AxiomRows", lambda f: built.append(f) or _AxiomRows(f))
+        assert classify(k0(s)) == "RIF"
+        rows = k0(s)._axiom_rows
+        assert rows.order_verdict is True
+        assert classify(k0(s)) == "RIF"
+        assert k0(s)._axiom_rows is rows
+        assert built == [k0(s)]
 
 
 class TestValidation:

@@ -91,6 +91,10 @@ def test_startup_script_exits_0(cells):
         for cache in ("cached", "uncached"):
             for kind in ("", " bare", " minus bare"):
                 assert ("startup", f"{command} {cache}{kind}") in cells, (command, cache, kind)
+    # each says whether its quartiles lie close enough to resolve a 5 ms change
+    for c in cells.values():
+        if c["layer"] == "startup":
+            assert type(c["resolved"]) is bool and c["resolved"] == (c["q3"] - c["q1"] <= 5), c
     # the modules a command imports in its body are listed too
     assert cells["startup", "validate cached"]["loads"] == ["rif_forge", "rif_forge.errors", "rif_forge.space"]
     assert "rif_forge.terms" in cells["startup", "classify cached"]["loads"]
