@@ -8,6 +8,7 @@ from random import Random
 from typing import Optional, Sequence
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from rif_forge import algebra, inclusion
@@ -48,6 +49,7 @@ from rif_forge import (
     random_set_hgos,
     rif_failure_search,
     satisfies_class,
+    save_space,
     sharp,
     sigma,
     space_from_dict,
@@ -55,6 +57,7 @@ from rif_forge import (
     top_function,
 )
 from rif_forge.algebra import SearchResult, _check_alpha, _law, _same_space
+from rif_forge.cli import main
 from rif_forge.inclusion import ONE, ZERO, class_from_axioms
 from rif_forge.terms import AlphaSumTerm, BaseTerm, KstTerm
 from test_inclusion import naive_check_rif_axiom
@@ -269,6 +272,27 @@ class TestFailureSearch:
     def test_budget_validation(self, two_block_space):
         with pytest.raises(ParameterError):
             rif_failure_search(two_block_space, budget=0)
+
+    def test_refuses_a_carried_hgos_space_where_parthood_is_not_inclusion(self, two_block_space, tmp_path):
+        # the power set with parthood and order reversed and join and meet
+        # swapped loads as HGOS, carriers and all, but the base functions
+        # are RIFs only where parthood is inclusion: here none of them is
+        d = space_to_dict(two_block_space)
+        d["parthood"] = [[b, a] for a, b in d["parthood"]]
+        d["order"] = [[b, a] for a, b in d["order"]]
+        d["join"], d["meet"] = d["meet"], d["join"]
+        d["flavor"] = "HGOS"
+        s = space_from_dict(d)
+        assert classify_flavor(s) == "HGOS"
+        assert [classify(build(s)) for build in (k0, k1, k2)] == ["none"] * 3
+        message = "closure search expects a set-based hemiring space"
+        with pytest.raises(InputError, match=f"^{message}$"):
+            rif_failure_search(s, budget=5)
+        path = tmp_path / "reversed.json"
+        save_space(s, path)
+        result = CliRunner().invoke(main, ["rif-failure-search", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines() == [f"error: {message}"] and result.stdout == ""
 
     def test_a_billion_trials_are_reported_from_the_proof(self, two_block_space):
         # no trial runs, so a budget of a billion costs nothing

@@ -8,10 +8,16 @@ assertions its run was held to.
 
 They import private names of the package, so a change to those breaks them
 without any other test noticing.
+
+The committed records and the README are checked here too: each
+BENCH_<commit>.json has the live record's shape, and the README cites what a
+layer costs only as a cell of the newest record, and names no oracle or test
+that tests/ does not define.
 """
 
 import json
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +28,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 FUNCTIONS = ["k0", "k1", "k2", "kst(k0,1/4,3/4)", "kappa"]
 AXIOMS = ["U1", "R0", "R1", "R2", "R3", "R4", "R5", "R6", "IR0", "IR4", "RB"]
+RECORD_NAME = re.compile(r"BENCH_([0-9a-f]{7,40})\.json")
+# the committed layer records; BENCH_backfill.json holds no cells
+RECORDS = {p.name: json.loads(p.read_text(encoding="utf-8"))
+           for p in sorted(ROOT.glob("BENCH_*.json")) if RECORD_NAME.fullmatch(p.name)}
 
 
 @pytest.fixture(scope="module")
@@ -39,14 +49,18 @@ def cells(record):
     return {(c["layer"], c["name"]): c for c in record["cells"]}
 
 
-def test_bench_layers_prints_every_layer_as_json(record, cells):
-    assert list(record)[:6] == ["machine", "python", "commit", "objects", "seed", "repeat"], list(record)
+def test_bench_layers_prints_every_layer_as_json(record):
     assert (record["objects"], record["seed"], record["repeat"], record["elements"]) == (3, 0, 1, 8)
-    assert len(cells) == len(record["cells"]), "two cells share a layer and name"
-    assert {layer for layer, _ in cells} == {
-        "load", "save", "space", "build", "operator", "axiom", "law", "trial", "startup"}
-    for c in record["cells"]:
-        assert c["best"] <= c["q1"] <= c["median"] <= c["q3"], c
+    assert RECORDS, "no committed BENCH_<commit>.json"
+    # this run's record, then each committed one
+    for name, r in [("this run", record), *RECORDS.items()]:
+        assert list(r)[:6] == ["machine", "python", "commit", "objects", "seed", "repeat"], (name, list(r))
+        keys = {(c["layer"], c["name"]) for c in r["cells"]}
+        assert len(keys) == len(r["cells"]), f"{name}: two cells share a layer and name"
+        assert {layer for layer, _ in keys} == {
+            "load", "save", "space", "build", "operator", "axiom", "law", "trial", "startup"}, name
+        for c in r["cells"]:
+            assert c["best"] <= c["q1"] <= c["median"] <= c["q3"], (name, c)
 
 
 # the cells each former timing script printed, by the script's name
@@ -120,3 +134,53 @@ def test_every_script_is_run_here():
     source = pathlib.Path(__file__).read_text()
     for script in SCRIPTS.glob("*.py"):
         assert f'"{script.name}"' in source, script.name
+
+
+# -- the README cites the newest record, and the tests it names exist ---------
+
+README = ROOT / "README.md"
+CITED_CELL = re.compile(r"cell `([^`]+)` `([^`]+)`")
+# a number with a unit of time, rate, memory, ratio or share
+FIGURE = re.compile(r"(?<![\w.])\d[\d,.]*\s*(?:ms|us|µs|s|ops/s|MiB|KiB|x|%)(?![\w/])")
+COST_SECTION = re.compile(r"Measuring the layers|What .* costs?")
+
+
+def readme_sections():
+    """README.md's sections by heading, each text on one line."""
+    parts = re.split(r"^## (.+)$", README.read_text(encoding="utf-8"), flags=re.M)
+    return {parts[i]: " ".join(parts[i + 1].split()) for i in range(1, len(parts), 2)}
+
+
+def test_readme_cites_its_costs_as_cells_of_the_newest_record():
+    sections = readme_sections()
+    text = " ".join(sections.values())
+    cited = {m[0] for m in RECORD_NAME.finditer(text)}
+    assert len(cited) == 1 and cited <= RECORDS.keys(), cited
+    name = cited.pop()
+    record = RECORDS[name]
+    citations = CITED_CELL.findall(text)
+    assert citations, "the README cites no cell"
+    have = {(c["layer"], c["name"]) for c in record["cells"]}
+    missing = [cell for cell in citations if cell not in have]
+    assert not missing, missing
+    costs = [heading for heading in sections if COST_SECTION.fullmatch(heading)]
+    assert len(costs) == 8, costs
+    figures = {heading: FIGURE.findall(sections[heading]) for heading in costs}
+    assert not any(figures.values()), figures
+    # newest in the order git log lists the commits the records are named by
+    log = subprocess.run(["git", "log", "--format=%H"], cwd=ROOT, capture_output=True, text=True)
+    if log.returncode != 0:
+        pytest.skip("the order of the records needs a git checkout")
+    commits = log.stdout.split()
+    position = {r: next((i for i, c in enumerate(commits) if c.startswith(RECORD_NAME.fullmatch(r)[1])), None)
+                for r in RECORDS}
+    assert None not in position.values(), position
+    assert position[name] == min(position.values()), position
+
+
+def test_readme_names_only_oracles_and_tests_that_exist():
+    cited = set(re.findall(r"\b(?:naive|former|test)_\w+\b(?!\.py)", README.read_text(encoding="utf-8")))
+    defined = {name for path in (ROOT / "tests").rglob("*.py")
+               for name in re.findall(r"^\s*(?:def|class) (\w+)", path.read_text(encoding="utf-8"), re.M)}
+    assert cited, "the README names no oracle or test"
+    assert not cited - defined, sorted(cited - defined)

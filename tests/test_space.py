@@ -3,7 +3,6 @@ import gc
 import json
 import re
 from fractions import Fraction
-from itertools import combinations
 from random import Random
 
 import pytest
@@ -47,7 +46,7 @@ from rif_forge import (
 )
 from rif_forge.space import (
     _AXIOM_CHECKS, _KEPT_OBJECTS, _SET_LATTICE_AXIOMS, FLAVORS, WORK_BUDGET, AxiomReport, _extensionality_failure,
-    _granule_unions, _json_text, _powerset, check_partition, representable_elements,
+    _json_text, _powerset, representable_elements,
 )
 
 from fixture_data import APPROXIMATION_ROWS, FIXTURE_PATH
@@ -354,35 +353,12 @@ class TestPowerset:
             assert report.holds, (report.axiom, report.witnesses)
 
 
-# -- powerset_space against a construction that keeps nothing ----------------
+# -- powerset_space against its builder, which keeps nothing ------------------
 
 
-def former_powerset_space(objects, blocks) -> GranularSpace:
-    """powerset_space as it was before it kept spaces: every table built
-    afresh on each call."""
-    objs = tuple(objects)
-    if len(set(objs)) != len(objs):
-        raise InputError("base objects must be unique")
-    check_work(1 << len(objs))
-    blks = [frozenset(b) for b in blocks]
-    check_partition(blks, frozenset(objs), "exactly the base objects")
-
-    ordered = sorted(objs)
-    universe = [frozenset(c) for k in range(len(ordered) + 1) for c in combinations(ordered, k)]
-    ids = tuple(map(render_carrier, universe))
-    bit = {o: 1 << i for i, o in enumerate(ordered)}
-    masks = [sum(map(bit.__getitem__, c)) for c in universe]
-    at = {m: i for i, m in enumerate(masks)}
-    grans = [at[sum(map(bit.__getitem__, b))] for b in blks]
-    part = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
-    lower, upper = (_granule_unions(key, range(len(masks)), masks, grans, part, ordered)
-                    for key in ("lower", "upper"))
-    granulation = [render_carrier(b) for b in sorted(blks, key=lambda b: (len(b), sorted(b)))]
-    return GranularSpace._of_tables(
-        ids, {eid: i for i, eid in enumerate(ids)}, part, part,
-        [[at[a | b] for b in masks] for a in masks], [[at[a & b] for b in masks] for a in masks],
-        lower, upper, ordered, masks, dict(zip(ids, universe)), granulation, ids[0], ids[-1], "setHGOS",
-    )
+def built_powerset_space(objects, blocks) -> GranularSpace:
+    """powerset_space's builder without its cache: every table built afresh."""
+    return _powerset.__wrapped__(tuple(sorted(objects)), frozenset(map(frozenset, blocks)))
 
 
 def _partitions(names):
@@ -409,9 +385,9 @@ class TestSharedPowersetTables:
         return [list(reversed(names))], [[x] for x in names]
 
     def assert_former(self, names, blocks):
-        s, former = powerset_space(names, blocks), former_powerset_space(names, blocks)
+        s, built = powerset_space(names, blocks), built_powerset_space(names, blocks)
         for field in _ALL_FIELDS:
-            assert getattr(s, field) == getattr(former, field), field
+            assert getattr(s, field) == getattr(built, field), field
         return s
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -438,7 +414,7 @@ class TestSharedPowersetTables:
             sigma(k1(s))
             check_laws(s, [k2(s)], [])
             assert s._derived and set(t._derived) == kept
-        assert space_to_dict(t) == space_to_dict(former_powerset_space(names, fine))
+        assert space_to_dict(t) == space_to_dict(built_powerset_space(names, fine))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_a_partition_seen_before_returns_its_space(self, n):
