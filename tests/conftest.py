@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+import reference_model
 from fixture_data import FIXTURE_PATH
 from rif_forge import load_space, powerset_space, terms
 
@@ -10,10 +13,22 @@ def fixture_space():
 
 
 @pytest.fixture(scope="session")
+def fixture_model():
+    """The worked example as the independent model reads its document."""
+    return reference_model.Space(json.loads(FIXTURE_PATH.read_text(encoding="utf-8")))
+
+
+@pytest.fixture(scope="session")
 def two_block_space():
     """Three objects, blocks {x1,x2} and {x3}; the smallest space where
     sharp composition leaves the RIF class."""
     return powerset_space(["x1", "x2", "x3"], [["x1", "x2"], ["x3"]])
+
+
+@pytest.fixture(scope="session")
+def two_block_model():
+    """two_block_space as the independent model reads the document it writes."""
+    return reference_model.Space(reference_model.powerset_document(["x1", "x2", "x3"], [["x1", "x2"], ["x3"]]))
 
 
 @pytest.fixture()

@@ -661,9 +661,10 @@ class TestRationalLimit:
 
     LIMIT_LINE = "error: a rational may have at most 1,000 digits and an exponent of at most 1,000: "
 
-    def invoke(self, runner, tmp_path, command, text):
+    def invoke(self, runner, tmp_path, command, text, number=False):
         samples = tmp_path / "samples.json"
-        samples.write_text(json.dumps([["ab", "bc", text]]), encoding="utf-8")
+        target = text if number else json.dumps(text)  # a JSON number, or a string
+        samples.write_text('[["ab", "bc", %s]]' % target, encoding="utf-8")
         return runner.invoke(main, {
             "check-laws": ["check-laws", str(FIXTURE_PATH), "k0", "k1", "--alpha", text],
             "vprs": ["vprs", str(FIXTURE_PATH), "ab", "--alpha", text, "--beta", "1/2"],
@@ -687,6 +688,15 @@ class TestRationalLimit:
         result = self.invoke(runner, tmp_path, command, text)
         assert result.exit_code == 0, result.output
         assert "rational" not in result.stderr
+
+    @pytest.mark.parametrize("text", ["0.30000000000000001", "1e-400", "1E-1000", "1e-1001"])
+    def test_a_number_target_is_read_as_the_text_it_is_written_in(self, runner, tmp_path, text):
+        # a sample target written as a JSON number reaches _rat as its text,
+        # as the same text written as a string does, and is refused past the
+        # limit: read as a float, the first would be 3/10 and the others 0
+        number, string = (self.invoke(runner, tmp_path, "fit-alpha", text, number) for number in (True, False))
+        assert (number.exit_code, number.stdout, number.stderr) == (string.exit_code, string.stdout, string.stderr)
+        assert number.exit_code == (2 if text == "1e-1001" else 0), number.output
 
 
 class TestLongNumbers:

@@ -1,14 +1,16 @@
+import json
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_model as model
 from rif_forge import (
     InclusionFunction,
     InputError,
     ParameterError,
-    AxiomReport,
+    RifForgeError,
     check_rif_axiom,
     classify,
     complement_closed_set_hgos,
@@ -21,12 +23,14 @@ from rif_forge import (
     powerset_space,
     random_kappa,
     satisfies_class,
+    space_from_dict,
     verify_prif,
 )
 from fixture_data import FIXTURE_PATH
 from rif_forge import inclusion
-from rif_forge.inclusion import ONE, RIF_AXIOM_ORDER, ZERO, _AxiomRows, _verdict
+from rif_forge.inclusion import RIF_AXIOM_ORDER, _AxiomRows, _verdict
 from rif_forge.sampling import random_partition
+from test_space import _drawn_partition, documents_of_every_flavor
 
 
 class TestConcreteFunctions:
@@ -254,33 +258,19 @@ class TestRandomKappa:
         assert all(0 <= v <= 1 for v in f.values.values())
 
 
-def naive_random_kappa(s, rng: Random, max_denominator: int = 12) -> InclusionFunction:
-    """random_kappa as it was before it built integer rows: a dict of
-    Fractions through the public constructor, kept as the oracle."""
-    values = {}
-    for a in s.elements:
-        for b in s.elements:
-            den = rng.randint(1, max_denominator)
-            values[(a, b)] = F(rng.randint(0, den), den)
-    if rng.random() < 0.5:
-        for a in s.elements:
-            values[(a, a)] = ONE
-    return InclusionFunction(s, values, "kappa")
-
-
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 10_000), objects=st.integers(1, 4), max_denominator=st.integers(1, 12))
-def test_random_kappa_matches_fraction_construction(fixture_space, seed, objects, max_denominator):
-    # the same draws in the same order give the same function, and leave
-    # the generator where the former construction left it
+@given(seed=st.integers(0, 10_000), objects=st.integers(1, 4),
+       max_denominator=st.one_of(st.integers(1, 12), st.just(10**12)))
+def test_random_kappa_matches_fraction_construction(fixture_space, fixture_model, seed, objects, max_denominator):
+    # the model draws each pair's Fraction in pair order: the same draws
+    # give the same function and leave the generator in the same state;
+    # denominators up to 10**12 have an lcm of hundreds of digits
     objs = [f"o{i}" for i in range(objects)]
-    s = fixture_space if objects == 4 else powerset_space(objs, random_partition(objs, Random(seed)))
+    s, m = (fixture_space, fixture_model) if objects == 4 else powerset_pair(objs, random_partition(objs, Random(seed)))
     got_rng, want_rng = Random(seed), Random(seed)
-    got = random_kappa(s, got_rng, max_denominator)
-    want = naive_random_kappa(s, want_rng, max_denominator)
-    assert (got.nums, got.den, got.label) == (want.nums, want.den, want.label)
-    assert got.values == want.values
-    assert got_rng.random() == want_rng.random()
+    got, want = random_kappa(s, got_rng, max_denominator), model.random_kappa(m, want_rng, max_denominator)
+    assert form(got) == want.form() and got.values == want.values
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,128 +290,37 @@ def test_axiom_reports_are_self_consistent(seed, two_block_space):
         assert report.holds == (not report.witnesses)
 
 
-# -- reference scan ------------------------------------------------------------
+# -- against the independent model (tests/reference_model.py) -----------------
 
 
-def naive_check_rif_axiom(f: InclusionFunction, axiom: str, relation: str = "parthood") -> AxiomReport:
-    """The exhaustive element-by-element scan the axiom kernels replaced,
-    kept as the reference it must agree with report for report."""
-    s = f.space
-    if relation == "parthood":
-        rel = s.part
-    elif relation == "order":
-        rel = s.leq
-    else:
-        raise InputError(f"relation must be 'parthood' or 'order', got {relation!r}")
-
-    bottom = s.bottom
-
-    def proper_bottom(a: str) -> bool:
-        return rel(bottom, a) and not rel(a, bottom)
-
-    els = s.elements
-    witnesses: list[tuple[str, ...]] = []
-    skipped = 0
-
-    if axiom == "U1":
-        witnesses = [(a,) for a in els if f(a, a) != ONE]
-
-    elif axiom == "R0":
-        witnesses = [(a, b) for a in els for b in els if rel(a, b) and f(a, b) != ONE]
-
-    elif axiom == "R1":
-        witnesses = [(a, b) for a in els for b in els if (f(a, b) == ONE) != rel(a, b)]
-
-    elif axiom == "R2":
-        for a in els:
-            for b in els:
-                for c in els:
-                    if f(b, c) == ONE and f(a, b) > f(a, c):
-                        witnesses.append((a, b, c))
-
-    elif axiom == "R3":
-        for a in els:
-            for b in els:
-                for c in els:
-                    if rel(b, c) and f(a, b) > f(a, c):
-                        witnesses.append((a, b, c))
-
-    elif axiom == "R4":
-        for a in els:
-            for b in els:
-                if f(a, b) != ZERO:
-                    continue
-                m = s.meet_of(a, b)
-                if m is None:
-                    skipped += 1
-                elif m != bottom:
-                    witnesses.append((a, b))
-
-    elif axiom == "IR4":
-        for a in els:
-            if not proper_bottom(a):
-                continue
-            for b in els:
-                m = s.meet_of(a, b)
-                if m is None:
-                    skipped += 1
-                elif m == bottom and f(a, b) != ZERO:
-                    witnesses.append((a, b))
-
-    elif axiom == "RB":
-        witnesses = [(a,) for a in els if proper_bottom(a) and f(a, bottom) != ZERO]
-
-    elif axiom == "R5":
-        for a in els:
-            if not proper_bottom(a):
-                continue
-            for b in els:
-                m = s.meet_of(a, b)
-                if m is None:
-                    skipped += 1
-                elif (f(a, b) == ZERO) != (m == bottom):
-                    witnesses.append((a, b))
-
-    elif axiom == "R6":
-        for a in els:
-            if not proper_bottom(a):
-                continue
-            for b in els:
-                for c in els:
-                    j = s.join_of(b, c)
-                    if j is None:
-                        skipped += 1
-                    elif j == s.top and f(a, b) + f(a, c) != ONE:
-                        witnesses.append((a, b, c))
-
-    elif axiom == "IR0":
-        witnesses = [(a, b) for a in els for b in els if f(a, b) == ONE and not rel(a, b)]
-
-    else:
-        raise InputError(f"unknown axiom {axiom!r}")
-
-    return AxiomReport.of(axiom, witnesses, skipped)
+def form(f: InclusionFunction) -> tuple:
+    """f as the model writes a function: (nums, den, label)."""
+    return f.nums, f.den, f.label
 
 
-def naive_classify(holds) -> str:
-    if holds["R1"] and holds["R2"]:
-        return "RIF"
-    if holds["R0"] and holds["R2"]:
-        return "qRIF"
-    if holds["R0"] and holds["R3"]:
-        return "wqRIF"
-    return "none"
+def modelled(f: InclusionFunction, m: model.Space) -> model.Function:
+    """The model's function on m with the values of f."""
+    return model.table(m, f.values, f.label)
+
+
+def powerset_pair(objects, blocks):
+    """The power set as powerset_space builds it, and as the model reads the document it writes."""
+    return powerset_space(objects, blocks), model.Space(model.powerset_document(objects, blocks))
 
 
 @st.composite
-def powerset_spaces(draw):
-    """Power sets of 2 to 4 objects under a random partition."""
-    objects = [f"x{i}" for i in range(draw(st.integers(min_value=2, max_value=4)))]
-    labels = draw(st.lists(st.integers(0, 3), min_size=len(objects), max_size=len(objects)))
-    blocks = {}
-    for obj, label in zip(objects, labels):
-        blocks.setdefault(label, []).append(obj)
-    return powerset_space(objects, list(blocks.values()))
+def space_documents(draw, every_flavor=True):
+    """The worked example or a power set of 2-4 objects under a drawn
+    partition, written by the model; with every_flavor, also any document
+    of documents_of_every_flavor, among them GGS documents with partial
+    join and meet, an order apart from parthood and no carriers."""
+    kind = draw(st.sampled_from(["power set", "fixture", "any flavor"][:3 if every_flavor else 2]))
+    if kind == "power set":
+        objects = [f"x{i}" for i in range(draw(st.integers(2, 4)))]
+        return model.powerset_document(objects, _drawn_partition(draw, objects))
+    if kind == "fixture":
+        return json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
+    return draw(documents_of_every_flavor())
 
 
 # kst-pow64 is power(kst(...), 64): its denominator runs past a hundred
@@ -457,90 +356,84 @@ def build_function(kind: str, s, seed: int, lo: F, hi: F) -> InclusionFunction:
     return {"k0": k0, "k1": k1, "k2": k2}[kind](s)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    data=st.data(),
-    kind=st.sampled_from(FUNCTION_KINDS),
-    seed=st.integers(min_value=0, max_value=10_000),
-    bounds=st.tuples(st.fractions(0, 1, max_denominator=6), st.fractions(0, 1, max_denominator=6))
-    .filter(lambda b: b[0] < b[1]),
-)
-def test_axiom_kernels_match_naive_scan(data, kind, seed, bounds, fixture_space):
-    s = data.draw(st.one_of(st.just(fixture_space), powerset_spaces()), label="space")
-    f = build_function(kind, s, seed, *bounds)
-    for relation in ("parthood", "order"):
-        expected = {ax: naive_check_rif_axiom(f, ax, relation) for ax in RIF_AXIOM_ORDER}
-        for axiom in RIF_AXIOM_ORDER:
-            assert check_rif_axiom(f, axiom, relation) == expected[axiom], (axiom, relation)
-        holds = {ax: r.holds for ax, r in expected.items()}
-        assert classify(f, relation) == naive_classify(holds)
-        for verdict in verify_prif(f, relation):
-            assert dict(verdict.axioms) == {ax: holds[ax] for ax in verdict.axioms}, verdict.name
+def drawn_function(kind: str, s, seed: int, bounds) -> InclusionFunction:
+    """build_function's function, or a random kappa where s refuses the base function that kind needs."""
+    try:
+        return build_function(kind, s, seed, *bounds)
+    except RifForgeError:
+        return random_kappa(s, Random(seed))
+
+
+RELATIONS = ("parthood", "order")
+BOUNDS = st.tuples(st.fractions(0, 1, max_denominator=6), st.fractions(0, 1, max_denominator=6)).filter(
+    lambda b: b[0] < b[1])
+
+
+def reports(f: InclusionFunction, relation: str) -> list[tuple]:
+    return [(r.axiom, r.witnesses, r.skipped) for r in (check_rif_axiom(f, ax, relation) for ax in RIF_AXIOM_ORDER)]
+
+
+def model_reports(g: model.Function, relation: str) -> list[tuple]:
+    return [model.check_rif_axiom(g, ax, relation) for ax in model.AXIOMS]
+
+
+def battery(verdicts) -> list[tuple]:
+    return [(v.name, v.applicable, v.violated, dict(v.axioms)) for v in verdicts]
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    data=st.data(),
-    kind=st.sampled_from(FUNCTION_KINDS),
-    seed=st.integers(min_value=0, max_value=10_000),
-    bounds=st.tuples(st.fractions(0, 1, max_denominator=6), st.fractions(0, 1, max_denominator=6))
-    .filter(lambda b: b[0] < b[1]),
-)
-def test_r2_r3_verdicts_in_any_order_match_naive_scan(data, kind, seed, bounds, fixture_space):
+@given(doc=space_documents(), kind=st.sampled_from(FUNCTION_KINDS), seed=st.integers(0, 10_000), bounds=BOUNDS)
+def test_axiom_kernels_match_naive_scan(doc, kind, seed, bounds):
+    s, m = space_from_dict(doc), model.Space(doc)
+    f = drawn_function(kind, s, seed, bounds)
+    g = modelled(f, m)
+    for relation in RELATIONS:
+        assert reports(f, relation) == model_reports(g, relation), relation
+        assert classify(f, relation) == model.classify(g, relation)
+        assert battery(verify_prif(f, relation)) == model.verify_prif(g, relation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=space_documents(), kind=st.sampled_from(FUNCTION_KINDS), seed=st.integers(0, 10_000), bounds=BOUNDS)
+def test_r2_r3_verdicts_in_any_order_match_naive_scan(doc, kind, seed, bounds):
     # R2 and, where R1 holds, R3 share one order-scan verdict; asking them
     # in either order, alone, or under the other relation first must not
     # change what either reads
-    s = data.draw(st.one_of(st.just(fixture_space), powerset_spaces()), label="space")
-    f = build_function(kind, s, seed, *bounds)
-    relations = ("parthood", "order")
-    expected = {(ax, rel): naive_check_rif_axiom(f, ax, rel).holds for ax in ("R2", "R3") for rel in relations}
-    r1 = {rel: naive_check_rif_axiom(f, "R1", rel).holds for rel in relations}
+    s, m = space_from_dict(doc), model.Space(doc)
+    f = drawn_function(kind, s, seed, bounds)
+    g = modelled(f, m)
+    expected = {(ax, rel): not model.check_rif_axiom(g, ax, rel)[1] for ax in ("R1", "R2", "R3") for rel in RELATIONS}
     if kind.startswith("r1-kappa-"):
-        assert r1[kind.removeprefix("r1-kappa-")]
-    for rels in (relations, relations[::-1]):
+        assert expected["R1", kind.removeprefix("r1-kappa-")]
+    for rel in RELATIONS:
+        assert not expected["R1", rel] or expected["R2", rel] == expected["R3", rel]
+    for rels in (RELATIONS, RELATIONS[::-1]):
         for axioms in (("R2", "R3"), ("R3", "R2"), ("R2",), ("R3",)):
-            g = InclusionFunction._of_rows(s, f.nums, f.den, f.label)
+            h = InclusionFunction._of_rows(s, f.nums, f.den, f.label)
             for rel in rels:
                 for ax in axioms:
-                    assert _verdict(g, ax, rel) == (expected[ax, rel], 0), (ax, rel, rels, axioms)
+                    assert _verdict(h, ax, rel) == (expected[ax, rel], 0), (ax, rel, rels, axioms)
             if "R2" in axioms:
-                assert g._axiom_rows.order_verdict == expected["R2", "parthood"] == expected["R2", "order"]
-            for rel in rels:
-                if r1[rel]:
-                    assert expected["R2", rel] == expected["R3", rel]
+                assert h._axiom_rows.order_verdict == expected["R2", "parthood"] == expected["R2", "order"]
 
 
-@pytest.mark.parametrize("relation", ["parthood", "order"])
+@pytest.mark.parametrize("relation", RELATIONS)
 @pytest.mark.parametrize("kind", FUNCTION_KINDS)
 @settings(max_examples=10, deadline=None)
-@given(
-    data=st.data(),
-    seed=st.integers(min_value=0, max_value=10_000),
-    bounds=st.tuples(st.fractions(0, 1, max_denominator=6), st.fractions(0, 1, max_denominator=6))
-    .filter(lambda b: b[0] < b[1]),
-)
-def test_verdicts_asked_first_leave_reports_whole(data, kind, relation, seed, bounds, fixture_space):
+@given(data=st.data(), seed=st.integers(0, 10_000), bounds=BOUNDS)
+def test_verdicts_asked_first_leave_reports_whole(data, kind, relation, seed, bounds):
     # a verdict builds a row's masks only up to its first flagged row; the
     # reports asked after the verdicts must still read every row whole
-    s = data.draw(st.one_of(st.just(fixture_space), powerset_spaces()), label="space")
+    doc = data.draw(space_documents(every_flavor=False), label="space")
+    s, m = space_from_dict(doc), model.Space(doc)
     f = build_function(kind, s, seed, *bounds)
-    expected = {ax: naive_check_rif_axiom(f, ax, relation) for ax in RIF_AXIOM_ORDER}
+    expected = dict(zip(RIF_AXIOM_ORDER, model_reports(modelled(f, m), relation)))
     g = InclusionFunction._of_rows(s, f.nums, f.den, f.label)
     for axiom in data.draw(st.permutations(RIF_AXIOM_ORDER), label="verdict order"):
-        assert _verdict(g, axiom, relation) == (expected[axiom].holds, expected[axiom].skipped), axiom
+        assert _verdict(g, axiom, relation) == (not expected[axiom][1], expected[axiom][2]), axiom
     for axiom in data.draw(st.permutations(RIF_AXIOM_ORDER), label="report order"):
-        assert check_rif_axiom(g, axiom, relation) == expected[axiom], axiom
-
-
-class _ValueTable:
-    """f as the naive scan reads it, one value at a time, but from f's
-    value dict: a 64-element scan makes a quarter of a million reads."""
-
-    def __init__(self, f: InclusionFunction):
-        self.space, self._values = f.space, f.values
-
-    def __call__(self, a, b):
-        return self._values[(a, b)]
+        r = check_rif_axiom(g, axiom, relation)
+        assert (r.axiom, r.witnesses, r.skipped) == expected[axiom], axiom
 
 
 def wide_functions(s):
@@ -551,19 +444,17 @@ def wide_functions(s):
 
 
 def test_masks_wider_than_a_word_match_naive_scan():
-    s = powerset_space([f"x{i}" for i in range(6)], [["x0", "x1"], ["x2"], ["x3", "x4", "x5"]])
+    s, m = powerset_pair([f"x{i}" for i in range(6)], [["x0", "x1"], ["x2"], ["x3", "x4", "x5"]])
     assert len(s.elements) == 64
-    # order and parthood are both inclusion here, so one naive scan serves both
-    assert s.order == s.parthood
+    # order and parthood are both inclusion here, so one model scan serves both
+    assert m.order == m.parthood
     for f in wide_functions(s):
-        expected = {ax: naive_check_rif_axiom(_ValueTable(f), ax) for ax in RIF_AXIOM_ORDER}
-        holds = {ax: r.holds for ax, r in expected.items()}
-        for relation in ("parthood", "order"):
-            for axiom in RIF_AXIOM_ORDER:
-                assert check_rif_axiom(f, axiom, relation) == expected[axiom], (f.label, axiom, relation)
-            assert classify(f, relation) == naive_classify(holds), f.label
-            for verdict in verify_prif(f, relation):
-                assert dict(verdict.axioms) == {ax: holds[ax] for ax in verdict.axioms}, (f.label, verdict.name)
+        g = modelled(f, m)
+        expected, klass, verdicts = model_reports(g, "parthood"), model.classify(g), model.verify_prif(g)
+        for relation in RELATIONS:
+            assert reports(f, relation) == expected, (f.label, relation)
+            assert classify(f, relation) == klass, f.label
+            assert battery(verify_prif(f, relation)) == verdicts, f.label
 
 
 @pytest.mark.parametrize("relation", ["parthood", "order"])

@@ -12,9 +12,11 @@ without any other test noticing.
 The committed records and the README are checked here too: each
 BENCH_<commit>.json has the live record's shape, and the README cites what a
 layer costs only as a cell of the newest record, and names no oracle or test
-that tests/ does not define.
+that tests/ does not define, and no name of tests/reference_model.py that the
+model does not define.
 """
 
+import ast
 import json
 import pathlib
 import re
@@ -179,8 +181,17 @@ def test_readme_cites_its_costs_as_cells_of_the_newest_record():
 
 
 def test_readme_names_only_oracles_and_tests_that_exist():
-    cited = set(re.findall(r"\b(?:naive|former|test)_\w+\b(?!\.py)", README.read_text(encoding="utf-8")))
+    text = README.read_text(encoding="utf-8")
+    cited = set(re.findall(r"\b(?:naive|former|test)_\w+\b(?!\.py)", text))
     defined = {name for path in (ROOT / "tests").rglob("*.py")
                for name in re.findall(r"^\s*(?:def|class) (\w+)", path.read_text(encoding="utf-8"), re.M)}
     assert cited, "the README names no oracle or test"
+    assert not cited - defined, sorted(cited - defined)
+    # and every name it cites as reference_model.<name> is a module-level name of that file
+    cited = set(re.findall(r"\breference_model\.(?!py\b)(\w+)", text))
+    model = ast.parse((ROOT / "tests" / "reference_model.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in model.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in model.body if isinstance(node, ast.Assign) for t in node.targets
+                if isinstance(t, ast.Name)}
+    assert cited, "the README names nothing of reference_model"
     assert not cited - defined, sorted(cited - defined)

@@ -1,15 +1,17 @@
 """Leftovers in the package source: imports a module never reads, imports
 in a function body that the function never reads, private module-level
 names that no module of the package reads, and public module-level names
-that the package neither exports nor reads.
+that the package neither exports nor reads.  And the independence of the
+tests' reference model, which may import the standard library only.
 
-All four are read from the syntax tree alone (stdlib ast), so a name counts
+All are read from the syntax tree alone (stdlib ast), so a name counts
 as read wherever it appears as a loaded name, an attribute, an imported
 name or inside a quoted annotation.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from rif_forge import _EXPORTS
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rif_forge"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+REFERENCE_MODEL = pathlib.Path(__file__).resolve().parent / "reference_model.py"
 
 
 def _annotations(tree):
@@ -120,6 +123,23 @@ def test_every_public_name_is_exported_or_read(module):
     assert [name for name in public_definitions(MODULES[module]) if name not in exported | read] == []
 
 
+def foreign_imports(tree) -> list[str]:
+    """The modules the tree imports from outside the standard library, a
+    relative import by its dots."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    return [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_the_reference_model_imports_only_the_standard_library():
+    # the model is the tests' oracle only while it shares no code with the package
+    assert foreign_imports(ast.parse(REFERENCE_MODEL.read_text(encoding="utf-8"))) == []
+
+
 def attribute_users(tree, attr: str) -> list[str]:
     """The module-level statements and the class-body statements that name
     the attribute attr: a def by its name, any other as "<module>"."""
@@ -145,3 +165,6 @@ def test_the_checks_catch_leftovers():
     assert private_definitions(tree) == ["_UNREAD", "_dead"]
     assert public_definitions(tree) == ["UNREAD", "late"]
     assert not {"_UNREAD", "UNREAD", "_dead", "late"} & read_names(tree)
+    assert foreign_imports(tree) == ["."]
+    tree = ast.parse("import json, rif_forge.space\nfrom perfbench import reference\ndef f():\n    import hypothesis\n")
+    assert foreign_imports(tree) == ["rif_forge.space", "perfbench", "hypothesis"]
