@@ -650,6 +650,22 @@ def test_constructor_round_trips_any_valid_mapping(seed):
     assert [f(a, b) for a, b in s.pairs()] == list(values.values())
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), spread=st.sampled_from([0, 1]))
+def test_out_of_range_mappings_raise_the_former_message(seed, spread):
+    # the first value outside [0,1] in pair order is named as the former
+    # constructor named it; plain ints are converted as Fractions are
+    rng = Random(seed)
+    s, m = powerset_pair(*drawn_powerset(rng))
+    values = {p: _drawn_fraction(rng, -spread, 1 + spread) for p in s.pairs()}
+    values[rng.choice(list(s.pairs()))] = rng.choice([0, 1, 2, -1])
+    bad = [(p, F(v)) for p, v in values.items() if not 0 <= v <= 1]
+    want = form(InclusionFunction(s, values, "drawn")) if not bad else (
+        "raised", "InputError", f"value {bad[0][1]} at ({bad[0][0][0]!r},{bad[0][0][1]!r}) is outside [0,1]")
+    assert outcome(InclusionFunction, s, values, "drawn", read=form) == want
+    assert outcome(model.table, m, values, "drawn", read=model.Function.form) == want
+
+
 def test_missing_pair_and_bad_kst_thresholds_keep_their_errors(fixture_space, fixture_model):
     values = dict(k0(fixture_space).values)
     del values[("ab", "bc")]
@@ -742,10 +758,11 @@ TABLE_FORMS = {
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 10_000), shape=st.sampled_from(sorted(TABLE_FORMS)))
-def test_constructor_matches_the_model_on_any_mapping(data, seed, shape, fixture_space, fixture_model):
-    # every table and value form, with pairs missing and values outside
-    # [0,1]; a mapping whose keys run in pair order is read by its values,
-    # any other table by key
+def test_constructor_matches_the_former_one_on_any_mapping(data, seed, shape, fixture_space, fixture_model):
+    # the model's table reads a mapping as the former constructor did: every
+    # table and value form, with pairs missing and values outside [0,1]; a
+    # mapping whose keys run in pair order is read by its values, any other
+    # table by key
     s, m = fixture_space, fixture_model
     if data.draw(st.booleans(), label="power set"):
         s, m = powerset_pair(*drawn_powerset(Random(seed)))
@@ -759,6 +776,41 @@ def test_fraction_slots_hold_the_public_parts():
     for v in (F(6, -4), F(-6, 4), F(0), F(7), F(10**30 + 1, 3 * 10**29)):
         assert (v._numerator, v._denominator) == (v.numerator, v.denominator)
     assert (F(6, -4)._numerator, F(6, -4)._denominator) == (-3, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["powerset", "fixture"]), seed=st.integers(0, 10_000))
+def test_operator_path_matches_the_former_store(fixture_space, fixture_model, kind, seed):
+    # The former store reduced every result by the full gcd and checked its
+    # range; each build, random kappas of a seed included, still shows the
+    # model's function with its rows in lowest terms inside [0,1].
+    rng = Random(seed)
+    s, m = (fixture_space, fixture_model) if kind == "fixture" else powerset_pair(*drawn_powerset(rng))
+    fns = [random_kappa(s, rng), random_kappa(s, rng, 2), random_kappa(s, rng, 10**12), k0(s), k2(s)]
+    fns.append(oplus(random_unit_rational(rng), fns[0], fns[2]))
+    f, g = (Two((h, modelled(h, m))) for h in (rng.choice(fns), rng.choice(fns)))
+    alpha = rng.choice([F(0), F(1), random_unit_rational(rng), F(10**9 - 1, 10**9)])
+    low, high = random_thresholds(rng)
+    if rng.random() < 0.3:
+        high = ONE
+    n, space, kappa_seed = rng.randint(1, 4), Two((s, m)), rng.randrange(10**6)
+
+    def builds():  # each call seeds its kappas afresh
+        seeded = Two((Random(kappa_seed), Random(kappa_seed)))
+        return [("k0", space), ("k1", space), ("k2", space), ("top_function", space),
+                ("random_kappa", space, seeded), ("random_kappa", space, seeded, 10**12),
+                ("otimes", f, g), ("otimes", f, f), ("oplus", alpha, f, g), ("oplus", alpha, f, f),
+                ("sharp", f), ("flat", f), ("sigma", f), ("power", f, n), ("kst", f, low, high),
+                ("convex_polynomial", [alpha, 1 - alpha], [n, 1], [f, g]),
+                ("convex_polynomial", [F(0), alpha, 1 - alpha], [1, n, 2], [f, f, g])]
+
+    for name, *args in builds():
+        agree(name, *args)
+    for name, *args in builds():
+        args = [a[0] if isinstance(a, Two) else [x[0] for x in a] if name == "convex_polynomial" and a is args[-1]
+                else a for a in args]
+        h = getattr(rif_forge, name)(*args)
+        assert gcd(h.den, *h.nums) == 1 and 0 <= min(h.nums) and max(h.nums) <= h.den, name
 
 
 def test_k2_refuses_a_carrier_outside_top_naming_it(fixture_space):
