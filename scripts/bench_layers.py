@@ -207,11 +207,10 @@ def axiom_cells(fns, repeat: int):
         yield cell("axiom", f"{f.label} classify", times, **{"class": name})
 
 
-def law_cells(s, fns, new_space, rng: Random, repeat: int):
+def law_cells(s, fns, rng: Random, repeat: int):
     """Each law check_laws scans, on fns; R0Plus on three kappas drawn from
     rng that fail it, so that listing witnesses is timed too; check_laws at
-    WEIGHTS; rif_failure_search with budget 20 on new_space() with k0, k1
-    and k2 built, and on s, which keeps what the search found."""
+    WEIGHTS; rif_failure_search with budget 20."""
     for law, (check, *rest) in _LAW_CHECKS.items():
         times, witnesses = timed(lambda: check(s, fns, *rest), repeat)
         yield cell("law", law, times, witnesses=len(witnesses))
@@ -223,13 +222,7 @@ def law_cells(s, fns, new_space, rng: Random, repeat: int):
     yield cell("law", "R0Plus kappas", times, witnesses=len(witnesses))
     times, reports = timed(lambda: check_laws(s, fns, WEIGHTS), repeat)
     yield cell("law", "check_laws", times, witnesses=sum(len(r.witnesses) for r in reports))
-    def with_base():
-        t = new_space()
-        k0(t), k1(t), k2(t)
-        return t
-
-    yield cell("law", "rif_failure_search", timed(lambda t: rif_failure_search(t, 20), repeat, with_base)[0])
-    yield cell("law", "rif_failure_search kept", timed(lambda: rif_failure_search(s, 20), repeat)[0])
+    yield cell("law", "rif_failure_search", timed(lambda: rif_failure_search(s, 20), repeat)[0])
 
 
 def trial_cells(rng: Random, repeat: int):
@@ -328,11 +321,10 @@ def main() -> None:
     blocks = random_partition(names, rng)
     s, cells = load_cells(powerset_space(names, blocks), args.repeat)
     fns = [k0(s), k1(s), k2(s), kst(k0(s), Fraction(1, 4), Fraction(3, 4)), random_kappa(s, rng)]
-    new_space = partial(new_powerset, names, blocks)
-    cells += [*space_cells(s, args.repeat), *build_cells(s, fns, new_space, args.repeat),
+    cells += [*space_cells(s, args.repeat), *build_cells(s, fns, lambda: new_powerset(names, blocks), args.repeat),
               *operator_cells(fns, args.repeat), *axiom_cells(fns, args.repeat),
-              *law_cells(s, fns[:3], new_space, Random(args.seed), args.repeat),
-              *trial_cells(Random(args.seed), args.repeat), *startup_cells(args.repeat)]
+              *law_cells(s, fns[:3], Random(args.seed), args.repeat), *trial_cells(Random(args.seed), args.repeat),
+              *startup_cells(args.repeat)]
     header = {"machine": f"{os.cpu_count()} cpus, {platform.machine()}", "python": platform.python_version(),
               "commit": commit(), "objects": args.objects, "seed": args.seed, "repeat": args.repeat,
               "elements": len(s.elements)}

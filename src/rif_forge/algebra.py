@@ -333,18 +333,6 @@ def rif_failure_search(s: GranularSpace, budget: int) -> SearchResult:
     check_work(len(s.elements), _SEARCH_FUNCTIONS)
     if classify_flavor(s) != "setHGOS":
         raise InputError("closure search expects a set-based hemiring space")
-    pool, sharp_witness = _closure_scan(s)
-    return SearchResult(
-        rif_pool=pool, trials=budget, oplus_witness=None,
-        sharp_witness=sharp_witness, otimes_checked=len(pool) ** 2, otimes_counterexample=None,
-    )
-
-
-@_kept
-def _closure_scan(s: GranularSpace) -> tuple[tuple[str, ...], Optional[tuple[str, tuple[tuple[str, ...], ...]]]]:
-    """The pool's labels and the sharp witness of rif_failure_search on s.
-    Neither reads the budget, so both are kept on s (_kept) and a later
-    search of s builds nothing; a refused k2 keeps nothing."""
     rifs = [k0(s), k1(s), k2(s)]
     pool = list(rifs)
     for i, f in enumerate(rifs):
@@ -359,7 +347,10 @@ def _closure_scan(s: GranularSpace) -> tuple[tuple[str, ...], Optional[tuple[str
         if not report.holds:
             sharp_witness = (sf.label, report.witnesses)
             break
-    return tuple(f.label for f in pool), sharp_witness
+    return SearchResult(
+        rif_pool=tuple(f.label for f in pool), trials=budget, oplus_witness=None,
+        sharp_witness=sharp_witness, otimes_checked=len(pool) ** 2, otimes_counterexample=None,
+    )
 
 
 # -- convex polynomials and weight fitting ------------------------------------

@@ -131,14 +131,19 @@ def _rat_text(x: Fraction) -> str:
     return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
 
 
+class _NumberText(str):
+    """A JSON number literal with a fraction or an exponent, as it is
+    written; not a plain str, so it is never read as an element id."""
+
+    __repr__ = str.__str__
+
+
 def _read_json(path: str, what: str, parse_float=None):
     """The JSON value in the file at path, which the error messages call
     what.  With parse_float, each number literal with a fraction or an
     exponent is read by it, as json.loads reads it, in place of a float."""
     try:
-        text = pathlib.Path(path).read_text(encoding="utf-8")
-        value = _json_value(text)  # which refuses an integer literal past int's limit as malformed
-        return value if parse_float is None else json.loads(text, parse_float=parse_float)
+        return _json_value(pathlib.Path(path).read_text(encoding="utf-8"), parse_float)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -447,12 +452,12 @@ def fit_alpha_cmd(space_file, f_term, h_term, samples_file, fmt, out):
     f, h = _evaluate(s, [f_term, h_term])
     # a target reaches _rat as the text it is written in: a float would
     # round 0.30000000000000001 to 0.3 and 1e-400 to 0 before _rat's limits
-    raw = _read_json(samples_file, "samples file", parse_float=str)
+    raw = _read_json(samples_file, "samples file", parse_float=_NumberText)
     if not isinstance(raw, list):
         raise InputError("samples file must hold a list of [x, y, value] triples")
     samples = []
     for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(e, str) for e in entry[:2])):
+        if not (isinstance(entry, list) and len(entry) == 3 and all(type(e) is str for e in entry[:2])):
             raise InputError(f"bad sample entry: {entry!r}")
         x, y, value = entry
         samples.append(((find_element(s, x), find_element(s, y)), _rat(str(value))))

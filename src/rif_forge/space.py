@@ -876,13 +876,14 @@ def save_space(s: GranularSpace, path) -> None:
         fh.write(_json_text(space_to_dict(s)) + "\n")
 
 
-def _json_value(text: str):
-    """The JSON value of text, as json.loads decodes it.  json refuses an
-    integer literal of more digits than int() converts
-    (sys.get_int_max_str_digits) with a plain ValueError; that is raised as
-    the JSONDecodeError it is, at the first such literal outside a string."""
+def _json_value(text: str, parse_float=None):
+    """The JSON value of text, as json.loads(text, parse_float=parse_float)
+    decodes it.  json refuses an integer literal of more digits than int()
+    converts (sys.get_int_max_str_digits) with a plain ValueError; that is
+    raised as the JSONDecodeError it is, at the first such literal outside
+    a string."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=parse_float)
     except json.JSONDecodeError:
         raise
     except ValueError as exc:

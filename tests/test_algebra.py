@@ -1,5 +1,5 @@
 from collections import defaultdict
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from fractions import Fraction, Fraction as F
 from itertools import product
 from math import gcd
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import reference_model as model
 import rif_forge
 from reference_model import outcome
-from rif_forge import algebra, inclusion
+from rif_forge import inclusion
 from rif_forge import (
     GranularSpace,
     InclusionFunction,
@@ -307,22 +307,6 @@ class TestFailureSearch:
         monkeypatch.setattr("rif_forge.space.WORK_BUDGET", 64 * 19)
         assert rif_failure_search(two_block_space, budget=10**9).trials == 10**9
 
-    def test_a_second_search_of_a_space_builds_nothing(self, two_block_space, monkeypatch):
-        # the pool's labels and the sharp witness are kept on the space, so
-        # a second search builds no sharp image; a refused k2 keeps nothing
-        # and refuses every search
-        s = space_from_dict(space_to_dict(two_block_space))  # loaded afresh, so nothing is kept yet
-        sharpened = []
-        monkeypatch.setattr(algebra, "sharp", lambda f: sharpened.append(f.label) or sharp(f))
-        first = rif_failure_search(s, budget=5)
-        assert sharpened == ["k0"]
-        assert rif_failure_search(s, budget=5) == first and sharpened == ["k0"]
-        assert rif_failure_search(s, budget=9) == replace(first, trials=9)
-        refusing = space_from_dict(space_to_dict(two_block_space) | {"top": "{x1}"})
-        for _ in range(2):
-            with pytest.raises(InputError, match=r"^k2 needs every carrier inside the top carrier \{x1\}; "):
-                rif_failure_search(refusing, budget=5)
-
     def test_sharp_witness_actually_breaks_exactness(self, two_block_space):
         result = rif_failure_search(two_block_space, budget=5)
         assert result.sharp_witness is not None
@@ -570,14 +554,17 @@ class Two(tuple):
 
 
 def seen(f: InclusionFunction) -> tuple:
-    """What a function shows: its form, its values in pair order, its image and its largest value below 1."""
-    return (*form(f), list(f.values.items()), f.image(), f.image_gap())
+    """What a function shows: its form, its values in pair order, whether
+    each value is a Fraction and each row inside [0,1], its image and its
+    largest value below 1."""
+    sound = all(type(v) is Fraction for v in f.values.values()) and 0 <= min(f.nums) and max(f.nums) <= f.den
+    return (*form(f), list(f.values.items()), sound, f.image(), f.image_gap())
 
 
 def model_seen(g: model.Function) -> tuple:
     nums, den = g.row
     below = [x for x in nums if x < den]
-    return (*g.form(), list(g.values.items()), tuple(Fraction(x, den) for x in sorted(set(nums))),
+    return (*g.form(), list(g.values.items()), True, tuple(Fraction(x, den) for x in sorted(set(nums))),
             Fraction(max(below), den) if below else None)
 
 
@@ -598,15 +585,28 @@ def typed(value) -> tuple:
     return type(value), value, str(value)
 
 
+def operator_calls(rng: Random, f: Two, g: Two) -> tuple[Fraction, list[tuple]]:
+    """A weight drawn from rng, and every operator on f and g, each operand
+    also passed twice: the weight is 0, 1, random or 999999999/10**9, kst's
+    t is often 1, and one polynomial has a zero coefficient."""
+    alpha = rng.choice([F(0), F(1), random_unit_rational(rng), F(10**9 - 1, 10**9)])
+    low, high = random_thresholds(rng)
+    if rng.random() < 0.3:
+        high = ONE
+    n = rng.randint(1, 4)
+    return alpha, [("otimes", f, g), ("otimes", f, f), ("oplus", alpha, f, g), ("oplus", alpha, f, f),
+                   ("sharp", f), ("flat", f), ("sigma", f), ("power", f, n), ("kst", f, low, high),
+                   ("convex_polynomial", [alpha, 1 - alpha], [n, 1], [f, g]),
+                   ("convex_polynomial", [F(0), alpha, 1 - alpha], [1, n, 2], [f, f, g])]
+
+
 @settings(max_examples=120, deadline=None)
 @given(kind=st.sampled_from(["powerset", "fixture"]), seed=st.integers(0, 10_000))
 def test_integer_row_operators_match_fraction_operators(fixture_space, fixture_model, kind, seed):
-    # Every construction and operator shows the model's function: the
-    # canonical form, label, values, image and gap, or the same refusal.
-    # The operands are the base functions, random kappas with denominators
-    # up to 12, 2 and 10**12 (whose lcm runs to hundreds of digits), a
-    # blend and wqRIF terms, often one passed twice; the weights include 0
-    # and 1, and one polynomial has a zero coefficient.
+    # Every construction and operator (operator_calls) shows the model's
+    # function, or the same refusal, on the base functions, random kappas
+    # with denominators up to 12, 2 and 10**12 (whose lcm runs to hundreds
+    # of digits), a blend and wqRIF terms.
     rng = Random(seed)
     s, m = (fixture_space, fixture_model) if kind == "fixture" else powerset_pair(*drawn_powerset(rng))
     env = default_env(s)
@@ -616,21 +616,15 @@ def test_integer_row_operators_match_fraction_operators(fixture_space, fixture_m
     fns += [eval_term(random_wqrif_term(rng), env, s) for _ in range(2)]
     operands = [Two((f, modelled(f, m))) for f in fns]
     f, g = rng.choice(operands), rng.choice(operands)
-    alpha = rng.choice([F(0), F(1), random_unit_rational(rng), F(10**9 - 1, 10**9)])
-    low, high = random_thresholds(rng)
-    if rng.random() < 0.3:
-        high = ONE
-    n, space = rng.randint(1, 4), Two((s, m))
-    for name in ("k0", "k1", "k2", "top_function"):
-        agree(name, space)
-    for name, *rest in (("otimes", f, g), ("otimes", f, f), ("oplus", alpha, f, g), ("oplus", alpha, f, f),
-                        ("sharp", f), ("flat", f), ("sigma", f), ("power", f, n), ("kst", f, low, high),
-                        ("convex_polynomial", [alpha, 1 - alpha], [n, 1], [f, g]),
-                        ("convex_polynomial", [F(0), alpha, 1 - alpha], [1, n, 2], [f, f, g])):
-        agree(name, *rest)
+    alpha, calls = operator_calls(rng, f, g)
+    for name, *args in [(name, Two((s, m))) for name in ("k0", "k1", "k2", "top_function")] + calls:
+        agree(name, *args)
     for h in operands:
         agree("leq", f, h)
         assert f[0].pointwise_equal(h[0]) == (f[1].values == h[1].values)
+    # results that equal their operands, reached by another route
+    for got, want in ((oplus(alpha, f[0], f[0]), f[0]), (otimes(f[0], g[0]), otimes(g[0], f[0]))):
+        assert got.pointwise_equal(want) and want.pointwise_equal(got)
 
 
 def _drawn_fraction(rng: Random, low: int, high: int) -> Fraction:
@@ -783,34 +777,18 @@ def test_fraction_slots_hold_the_public_parts():
 def test_operator_path_matches_the_former_store(fixture_space, fixture_model, kind, seed):
     # The former store reduced every result by the full gcd and checked its
     # range; each build, random kappas of a seed included, still shows the
-    # model's function with its rows in lowest terms inside [0,1].
+    # model's function (whose rows are in lowest terms) with rows in [0,1].
     rng = Random(seed)
     s, m = (fixture_space, fixture_model) if kind == "fixture" else powerset_pair(*drawn_powerset(rng))
     fns = [random_kappa(s, rng), random_kappa(s, rng, 2), random_kappa(s, rng, 10**12), k0(s), k2(s)]
     fns.append(oplus(random_unit_rational(rng), fns[0], fns[2]))
     f, g = (Two((h, modelled(h, m))) for h in (rng.choice(fns), rng.choice(fns)))
-    alpha = rng.choice([F(0), F(1), random_unit_rational(rng), F(10**9 - 1, 10**9)])
-    low, high = random_thresholds(rng)
-    if rng.random() < 0.3:
-        high = ONE
-    n, space, kappa_seed = rng.randint(1, 4), Two((s, m)), rng.randrange(10**6)
-
-    def builds():  # each call seeds its kappas afresh
-        seeded = Two((Random(kappa_seed), Random(kappa_seed)))
-        return [("k0", space), ("k1", space), ("k2", space), ("top_function", space),
-                ("random_kappa", space, seeded), ("random_kappa", space, seeded, 10**12),
-                ("otimes", f, g), ("otimes", f, f), ("oplus", alpha, f, g), ("oplus", alpha, f, f),
-                ("sharp", f), ("flat", f), ("sigma", f), ("power", f, n), ("kst", f, low, high),
-                ("convex_polynomial", [alpha, 1 - alpha], [n, 1], [f, g]),
-                ("convex_polynomial", [F(0), alpha, 1 - alpha], [1, n, 2], [f, f, g])]
-
-    for name, *args in builds():
+    space, kappa_seed = Two((s, m)), rng.randrange(10**6)
+    seeded = Two((Random(kappa_seed), Random(kappa_seed)))
+    for name, *args in [("k0", space), ("k1", space), ("k2", space), ("top_function", space),
+                        ("random_kappa", space, seeded), ("random_kappa", space, seeded, 10**12),
+                        *operator_calls(rng, f, g)[1]]:
         agree(name, *args)
-    for name, *args in builds():
-        args = [a[0] if isinstance(a, Two) else [x[0] for x in a] if name == "convex_polynomial" and a is args[-1]
-                else a for a in args]
-        h = getattr(rif_forge, name)(*args)
-        assert gcd(h.den, *h.nums) == 1 and 0 <= min(h.nums) and max(h.nums) <= h.den, name
 
 
 def test_k2_refuses_a_carrier_outside_top_naming_it(fixture_space):

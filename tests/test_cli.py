@@ -642,7 +642,8 @@ class TestFitAlpha:
         assert "bad sample entry" in result.stderr
 
     @pytest.mark.parametrize("entry", [[1, 2, "1/2"], [None, "b", "1/2"], ["ab", ["bc"], "1/2"],
-                                       ["ab", {"id": "bc"}, "1/2"], [True, "bc", "1/2"]])
+                                       ["ab", {"id": "bc"}, "1/2"], [True, "bc", "1/2"],
+                                       [1.5, "bc", "1/2"], ["ab", 2e0, "1/2"]])
     def test_non_string_sample_element_exits_2(self, runner, tmp_path, entry):
         samples = tmp_path / "samples.json"
         samples.write_text(json.dumps([["ab", "bc", "3/16"], entry]), encoding="utf-8")
