@@ -1,19 +1,20 @@
-"""An independent model of the function layer, the oracle that the
-function-layer tests compare the package against.  It imports only the
+"""An independent model of the space and function layers, the oracle
+that their tests compare the package against.  It imports only the
 standard library.
 
-A space is read from the sections of its document, or written as the
-document of a power set; a function is a dict of Fractions keyed by element
-pair; every value, refusal, axiom report, class, law report and search
-result is computed from its definition by loops over the elements.  Nothing
-the package settles by theorem is taken as given: the eight pointwise laws
-are scanned, R3 apart from R2, the base functions and the search's
+A space is read from its document, with the loader's refusals, or written
+as the document of a power set; a function is a dict of Fractions keyed by
+element pair; every value, refusal, axiom report, class, law report and
+search result is computed from its definition by loops over the elements.
+Nothing the package settles by theorem is taken as given: the flavor is
+read up from GGS, PT1-TB are scanned on every flavor, the eight pointwise
+laws are scanned, R3 apart from R2, the base functions and the search's
 products and blends are classified, and every canonical form takes its gcd.
 """
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
 from random import Random
 
@@ -70,53 +71,275 @@ def powerset_document(objects, blocks) -> dict:
     }
 
 
+FLAVORS = ("GGS", "GS", "HGOS", "setHGOS")
+SECTIONS = ("elements", "parthood", "order", "join", "meet", "granulation", "lower", "upper", "bottom", "top",
+            "flavor")
+
+
+def _shape(text: str) -> Refused:
+    return Refused("SpaceFormatError", text)
+
+
+def _structure(text: str) -> Refused:
+    return Refused("StructuralError", text)
+
+
+def _rows(doc: dict, key: str, width: int, must: str):
+    """(k, row) of each row of the section, as a tuple of width string ids,
+    each row's shape checked as it is reached."""
+    if not isinstance(doc[key], list):
+        raise _shape(f"{key} must be {must}")
+    for k, row in enumerate(doc[key]):
+        if not (isinstance(row, list) and len(row) == width):
+            raise _shape(f"{key}[{k}] must be a {'two' if width == 2 else 'three'}-element array")
+        if not all(isinstance(x, str) for x in row):
+            raise _shape(f"{key}[{k}] must hold string ids")
+        yield k, tuple(row)
+
+
+def _conflict(where: str, shown: str, value: str, earlier: str) -> Refused:
+    return _shape(f"{where} maps {shown} to {value!r}, but an earlier entry maps it to {earlier!r}")
+
+
 class Space:
     """A space as its document states it: the ids in document order, the
     carriers, the relations as sets of pairs, the partial join and meet as
-    dicts, and the lower and upper maps, derived from the granules where
-    the document says "granular"."""
+    dicts, the lower and upper maps, derived from the granules where the
+    document says "granular", and the declared flavor.
+
+    A document the package refuses is refused with the same error, the
+    first it meets: a section of the wrong shape, an entry that gives a key
+    a second value, or a "granular" map that cannot be derived, at once in
+    document order; then no element, a repeated id or two elements with one
+    carrier; then the first problem noted in section order, each section
+    noting its first id outside the universe, and a repeated granule, a
+    bottom or top that is no string and an unknown flavor noted too; then
+    the first condition of the declared flavor that fails.  Documents over
+    the package's work budget are not modelled."""
 
     def __init__(self, doc: dict):
-        self.elements = [e["id"] for e in doc["elements"]]
-        self.carriers = {e["id"]: frozenset(e["carrier"]) for e in doc["elements"] if "carrier" in e}
-        self.parthood, self.order = ({tuple(p) for p in doc[key]} for key in ("parthood", "order"))
-        self.join, self.meet = ({(a, b): r for a, b, r in doc[key]} for key in ("join", "meet"))
-        self.granulation, self.bottom, self.top = doc["granulation"], doc["bottom"], doc["top"]
+        for key in SECTIONS:
+            if key not in doc:
+                raise _shape(f"missing key {key!r}")
+        if not isinstance(doc["elements"], list):
+            raise _shape("elements must be an array")
+        self.elements, self.carriers = [], {}
+        for k, entry in enumerate(doc["elements"]):
+            if not isinstance(entry, dict) or "id" not in entry:
+                raise _shape(f"elements[{k}] must be an object with an id")
+            if not isinstance(entry["id"], str):
+                raise _shape(f"elements[{k}].id must be a string")
+            self.elements.append(entry["id"])
+            if "carrier" in entry:
+                if not (isinstance(entry["carrier"], list) and all(isinstance(x, str) for x in entry["carrier"])):
+                    raise _shape(f"elements[{k}].carrier must be an array of strings")
+                self.carriers[entry["id"]] = frozenset(entry["carrier"])
+        self.granulation = grans = doc["granulation"]
+        if not (isinstance(grans, list) and all(isinstance(g, str) for g in grans)):
+            raise _shape("granulation must be an array of string ids")
+        known, notes = set(self.elements), []
+        self.parthood = self._relation(doc, "parthood", known, notes)
+        self.order = self._relation(doc, "order", known, notes)
+        self.join = self._operation(doc, "join", known, notes)
+        self.meet = self._operation(doc, "meet", known, notes)
+        if len(set(grans)) != len(grans):
+            notes.append(_structure("granulation ids must be unique"))
+        if unknown := [g for g in grans if g not in known]:
+            notes.append(_structure(f"granulation names unknown element {unknown[0]!r}"))
+        self.lower = self._map(doc, "lower", known, notes)
+        self.upper = self._map(doc, "upper", known, notes)
+        for key in ("bottom", "top"):
+            if not isinstance(doc[key], str):
+                notes.append(_shape(f"{key} must be a string id"))
+            elif doc[key] not in known:
+                notes.append(_structure(f"{key} element {doc[key]!r} is not in the universe"))
+        if doc["flavor"] not in FLAVORS:
+            notes.append(_structure(f"unknown flavor {doc['flavor']!r}"))
+        if not self.elements:
+            raise _structure("a space needs at least one element")
+        if len(known) != len(self.elements):
+            raise _structure("element ids must be unique")
+        owner = {}
+        for e, carrier in self.carriers.items():
+            if owner.setdefault(carrier, e) != e:
+                raise _structure(f"elements {owner[carrier]!r} and {e!r} share the carrier {render(carrier)}")
+        if notes:
+            raise notes[0]
+        self.bottom, self.top, self.declared = doc["bottom"], doc["top"], doc["flavor"]
         self.pairs = [(a, b) for a in self.elements for b in self.elements]
-        self.lower, self.upper = (self._approximation(doc[key], key) for key in ("lower", "upper"))
+        for failure in islice(self._ladder(), FLAVORS.index(self.declared)):
+            if failure:
+                raise _structure(f"flavor {self.declared} requires {failure}")
 
-    def _approximation(self, section, key: str) -> dict:
-        """x -> the element whose carrier is the union of the granules that
-        are parts of x (lower), resp. whose carriers meet x's (upper)."""
-        if section != "granular":
-            return dict(section)
+    @staticmethod
+    def _relation(doc: dict, key: str, known: set, notes: list) -> set:
+        """The relation as a set of pairs; its first pair outside the universe is noted."""
+        pairs = [p for _, p in _rows(doc, key, 2, "an array of pairs")]
+        if stray := next((p for p in pairs if not known.issuperset(p)), None):
+            notes.append(_structure(f"{key} pair ({stray[0]!r},{stray[1]!r}) leaves the universe"))
+        return set(pairs)
+
+    @staticmethod
+    def _operation(doc: dict, key: str, known: set, notes: list) -> dict:
+        """The operation as a dict; its first entry outside the universe is noted."""
+        table, stray = {}, None
+        for k, (a, b, r) in _rows(doc, key, 3, "an array of triples"):
+            if table.setdefault((a, b), r) != r:
+                raise _conflict(f"{key}[{k}]", f"({a!r},{b!r})", r, table[a, b])
+            if not (stray or known.issuperset((a, b, r))):
+                stray = _structure(f"{key} entry ({a!r},{b!r})->{r!r} leaves the universe")
+        notes += [stray] if stray else []
+        return table
+
+    def _map(self, doc: dict, key: str, known: set, notes: list) -> dict:
+        """The lower or upper map: x -> the element whose carrier is the
+        union of the granules that are parts of x (lower), resp. whose
+        carriers meet x's (upper), where the section says "granular"; else
+        the section's pairs, every one checked for shape before any for a
+        second value, and its first entry outside the universe, else the
+        ids it misses, noted."""
+        if doc[key] == "granular":
+            c = self.carriers
+            if set(c) != known:
+                raise _shape(f"{key} mode 'granular' needs a carrier on every element")
+            for g in self.granulation:
+                if g not in known:
+                    raise _structure(f"granulation names unknown element {g!r}")
+            by_carrier, out = {carrier: e for e, carrier in c.items()}, {}
+            for x in self.elements:
+                union = frozenset().union(*(c[g] for g in self.granulation
+                                            if ((g, x) in self.parthood if key == "lower" else c[g] & c[x])))
+                if union not in by_carrier:
+                    raise Refused("ClosureError", f"union carrier {render(union)} is not an element")
+                out[x] = by_carrier[union]
+            return out
+        rows, out = list(_rows(doc, key, 2, "an array of pairs or 'granular'")), {}
+        for k, (x, v) in rows:
+            if out.setdefault(x, v) != v:
+                raise _conflict(f"{key}[{k}]", repr(x), v, out[x])
+        if stray := next(((x, v) for _, (x, v) in rows if not known.issuperset((x, v))), None):
+            notes.append(_structure(f"{key} entry {stray[0]!r}->{stray[1]!r} leaves the universe"))
+        elif missing := sorted(known - set(out)):
+            notes.append(_structure(f"{key} map is not total, missing {missing}"))
+        return out
+
+    def _ladder(self):
+        """Per step of the flavor ladder, GS, HGOS, then setHGOS, the text
+        of the condition it adds to the flavor below, where that fails,
+        else None; a step is reached only when the ones before it hold.
+        HGOS adds total join and meet to GS; setHGOS adds a carrier on every
+        element and, per pair in order, parthood as inclusion of carriers,
+        join as union and meet as intersection."""
+        yield None if self.parthood == self.order else "parthood == order"
+        yield None if all(p in self.join and p in self.meet for p in self.pairs) else "total join and meet"
         c = self.carriers
-        by_carrier = {carrier: e for e, carrier in c.items()}
-        return {x: by_carrier[frozenset().union(*(c[g] for g in self.granulation
-                                                  if ((g, x) in self.parthood if key == "lower" else c[g] & c[x])))]
-                for x in self.elements}
+        yield "a carrier on every element" if set(c) != set(self.elements) else next((
+            failure for a, b in self.pairs for failure, holds in (
+                ("parthood == inclusion", ((a, b) in self.parthood) == (c[a] <= c[b])),
+                ("join == union", c[self.join[a, b]] == c[a] | c[b]),
+                ("meet == intersection", c[self.meet[a, b]] == c[a] & c[b])) if not holds), None)
 
     def flavor(self) -> str:
-        """The most specific flavor whose conditions hold: GS where parthood
-        is the order, HGOS where join and meet are total too, setHGOS where
-        every element has a carrier, parthood is inclusion of carriers, join
-        union and meet intersection."""
-        if self.parthood != self.order:
-            return "GGS"
-        if any(p not in self.join or p not in self.meet for p in self.pairs):
-            return "GS"
-        c = self.carriers
-        if set(c) != set(self.elements) or any(
-                ((a, b) in self.parthood) != (c[a] <= c[b]) or c[self.join[a, b]] != c[a] | c[b]
-                or c[self.meet[a, b]] != c[a] & c[b] for a, b in self.pairs):
-            return "HGOS"
-        return "setHGOS"
+        """The most specific flavor whose conditions hold, read up the ladder from GGS."""
+        return next((FLAVORS[k] for k, failure in enumerate(self._ladder()) if failure), FLAVORS[-1])
 
     def complement_closed(self) -> bool:
         """setHGOS, with top's carrier less any element's carrier the carrier of an element."""
         carriers = set(self.carriers.values())
         return self.flavor() == "setHGOS" and all(
             self.carriers[self.top] - c in carriers for c in self.carriers.values())
+
+
+# -- space axioms and admissibility ------------------------------------------
+
+
+def _weak(x, y) -> bool:
+    """x = y read weakly: it holds unless both are defined and differ."""
+    return x is None or y is None or x == y
+
+
+def _apply(table: dict, x, y):
+    """table at (x, y), None where x or y or the entry is undefined."""
+    return None if x is None or y is None else table.get((x, y))
+
+
+def validate(s: Space) -> list[tuple[str, tuple, int]]:
+    """(axiom, witnesses, skipped) of PT1, PT2, G1-G5, UL1-UL3 and TB, each
+    by a scan of every instance on every flavor, in element order.  An
+    equality of operation values holds weakly, and an instance that reads
+    an undefined value is counted in skipped."""
+    els, P, J, M, L, U, bot, top = s.elements, s.parthood, s.join, s.meet, s.lower, s.upper, s.bottom, s.top
+    # the lattice axioms' instances, each as (key, the values it reads, whether it holds)
+    g1 = (((a, b), (lj, rj, lm, rm), _weak(lj, rj) and _weak(lm, rm)) for i, a in enumerate(els) for b in els[i:]
+          for lj, rj, lm, rm in [(J.get((a, b)), J.get((b, a)), M.get((a, b)), M.get((b, a)))])
+    g2 = (((a, b), (x, y), _weak(x, a) and _weak(y, a)) for a, b in s.pairs
+          for x, y in [(_apply(M, J.get((a, b)), a), _apply(J, M.get((a, b)), a))])
+
+    def distributive(outer, inner):
+        """inner(outer(a, b), c) = outer(inner(a, c), inner(b, c))."""
+        return (((a, b, c), (x, y), _weak(x, y)) for a, b in s.pairs for c in els
+                for x, y in [(_apply(inner, outer.get((a, b)), c),
+                              _apply(outer, inner.get((a, c)), inner.get((b, c))))])
+
+    g5 = (((a, b), (j, m), (j is None or (j == b) == le) and (m is None or (m == a) == le)) for a, b in s.pairs
+          for le, j, m in [((a, b) in s.order, J.get((a, b)), M.get((a, b)))])
+    reports = [
+        ("PT1", [(a,) for a in els if (a, a) not in P], 0),
+        ("PT2", [(a, b) for i, a in enumerate(els) for b in els[i + 1:] if (a, b) in P and (b, a) in P], 0),
+        ("G1", *_scan(g1)), ("G2", *_scan(g2)), ("G3", *_scan(distributive(M, J))),
+        ("G4", *_scan(distributive(J, M))), ("G5", *_scan(g5)),
+        ("UL1", [(a,) for a in els if not ((L[a], a) in P and L[L[a]] == L[a] and (U[a], U[U[a]]) in P)], 0),
+        ("UL2", [(a, b) for a, b in s.pairs if (a, b) in P and not ((L[a], L[b]) in P and (U[a], U[b]) in P)], 0),
+        ("UL3", [(x,) for x, holds in ((bot, L[bot] == bot == U[bot]),
+                                       (top, (L[top], top) in P and (U[top], top) in P)) if not holds], 0),
+        ("TB", [(a,) for a in els if not ((bot, a) in P and (a, top) in P)], 0),
+    ]
+    return [(axiom, tuple(wit), skipped) for axiom, wit, skipped in reports]
+
+
+def _scan(instances) -> tuple[list, int]:
+    """(the keys of the instances that fail, how many read an undefined
+    value) of instances (key, values read, holds)."""
+    wit, skipped = [], 0
+    for key, values, holds in instances:
+        skipped += None in values
+        if not holds:
+            wit.append(key)
+    return wit, skipped
+
+
+def representable_elements(s: Space, depth: int = 1) -> frozenset:
+    """bottom and the granules closed under joins with a granule, either
+    side; then, per depth past 1, every defined join and meet of two of
+    those added, while that adds any."""
+    if depth < 1:
+        raise Refused("InputError", "term_depth must be at least 1")
+    rep = {s.bottom, *s.granulation}
+
+    def added(ops, others) -> set:
+        """The defined values of ops at an element of rep and one of others, either side, not in rep."""
+        return {op.get(p) for x in rep for y in others for p in ((x, y), (y, x)) for op in ops} - rep - {None}
+
+    while more := added([s.join], s.granulation):
+        rep |= more
+    for _ in range(depth - 1):
+        if not (more := added([s.join, s.meet], rep)):
+            break
+        rep |= more
+    return frozenset(rep)
+
+
+def admissibility(s: Space, depth: int = 1) -> list[tuple[str, tuple, int]]:
+    """(condition, witnesses, 0) of WRA, LS and FU: WRA, every lower and
+    upper image is representable; LS, a granule that is a part of x is a
+    part of lower(x); FU, every two granules are proper parts of one
+    definite element, an element that is its lower and its upper image."""
+    rep, P, L, U, grans = representable_elements(s, depth), s.parthood, s.lower, s.upper, s.granulation
+    definite = {z for z in s.elements if L[z] == z == U[z]}
+    above = {g: {z for z in s.elements if (g, z) in P and (z, g) not in P} for g in grans}
+    return [("WRA", tuple((x,) for x in s.elements if L[x] not in rep or U[x] not in rep), 0),
+            ("LS", tuple((g, x) for g in grans for x in s.elements if (g, x) in P and (g, L[x]) not in P), 0),
+            ("FU", tuple((x, g) for x in grans for g in grans if not above[x] & above[g] & definite), 0)]
 
 
 # -- functions ---------------------------------------------------------------

@@ -330,6 +330,7 @@ def drawn_powerset(rng: Random, min_objects: int = 2) -> tuple[list[str], list[l
 @pytest.mark.parametrize("objects", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("seed, budget", [(0, 1), (1, 20), (7, 50)])
 def test_search_classifies_each_product_once_with_the_same_result(objects, seed, budget, monkeypatch):
+    """rif_failure_search, which asks no verdict, against reference_model.rif_failure_search, which classifies."""
     # The search reads no verdict: k0, k1 and k2 are RIFs by the theorem in
     # inclusion._from_carriers, and their products and blends by the
     # search's proof.  The model classifies every product and checks budget
@@ -805,6 +806,7 @@ def test_k2_refuses_a_carrier_outside_top_naming_it(fixture_space):
 
 @pytest.mark.parametrize("weight", [F(0), F(1)])
 def test_oplus_at_an_end_weight_is_an_operand_as_the_former_store_built_it(weight):
+    """oplus at weight 0 or 1 against reference_model.oplus, and its rows those of the operand."""
     # at weight 1 or 0 the blend is f, resp. g, with its canonical rows
     rng = Random(7)
     for objects, blocks in (drawn_powerset(rng), (["a", "b", "c", "d"], [["a", "b"], ["c", "d"]])):
@@ -836,6 +838,7 @@ WEIGHT_FORMS = [0, 1, 2, -1, True, "1/3", "-1/2", "3/2", "0", "1", "x", 0.5, -0.
 
 @pytest.mark.parametrize("alpha", WEIGHT_FORMS, ids=repr)
 def test_weight_checks_match_the_former_fraction_path(alpha, two_block_space, two_block_model):
+    """Weight checks of an operator and a term node against reference_model.weight and reference_model.oplus."""
     # an operator converts a weight by Fraction before its range check; a
     # term node compares it as it is given
     assert outcome(_check_alpha, alpha, read=typed) == outcome(model.weight, alpha, read=typed)
@@ -849,6 +852,7 @@ def test_weight_checks_match_the_former_fraction_path(alpha, two_block_space, tw
                          + [(F(1, 4), F(1, 4)), (F(1, 2), F(1, 3)), (F(0), F(1)), (SubFraction(1, 4), F(3, 4))],
                          ids=repr)
 def test_threshold_checks_match_the_former_fraction_path(low, high, two_block_space, two_block_model):
+    """Threshold checks of kst and its term node against reference_model.kst and reference_model.thresholds."""
     agree("kst", Two((k1(two_block_space), model.k1(two_block_model))), low, high)
 
     def node():

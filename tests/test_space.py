@@ -49,6 +49,7 @@ from rif_forge.space import (
     _json_text, _powerset, representable_elements,
 )
 
+import reference_model as model
 from fixture_data import APPROXIMATION_ROWS, FIXTURE_PATH
 
 
@@ -781,131 +782,20 @@ def test_random_powerset_spaces_satisfy_all_axioms(data, n):
     assert by_axiom["FU"].holds == (len(blocks) >= 2)
 
 
-# -- validate_space against the former string-keyed loops ---------------------
+# -- validate_space against the independent model (tests/reference_model.py) --
 
 
-def naive_validate_space(s: GranularSpace) -> list[AxiomReport]:
-    """validate_space as it was before the index tables, kept as the
-    oracle: string ids, one id query per lookup and one loop per axiom."""
-    els = s.elements
-    jn, mt = (lambda ab: s.join_of(*ab)), (lambda ab: s.meet_of(*ab))
-    reports = []
-
-    wit = [(x,) for x in els if not s.part(x, x)]
-    reports.append(AxiomReport.of("PT1", wit))
-
-    wit = [
-        (a, b)
-        for i, a in enumerate(els)
-        for b in els[i + 1 :]
-        if s.part(a, b) and s.part(b, a)
-    ]
-    reports.append(AxiomReport.of("PT2", wit))
-
-    wit, skipped = [], 0
-    for i, a in enumerate(els):
-        for b in els[i:]:
-            lj, rj = jn((a, b)), jn((b, a))
-            lm, rm = mt((a, b)), mt((b, a))
-            if None in (lj, rj) or None in (lm, rm):
-                skipped += 1
-            if not (_weak_equal(lj, rj) and _weak_equal(lm, rm)):
-                wit.append((a, b))
-    reports.append(AxiomReport.of("G1", wit, skipped))
-
-    wit, skipped = [], 0
-    for a in els:
-        for b in els:
-            absorbed_join = _naive_apply(mt, jn((a, b)), a)
-            absorbed_meet = _naive_apply(jn, mt((a, b)), a)
-            if absorbed_join is None or absorbed_meet is None:
-                skipped += 1
-            if not (_weak_equal(absorbed_join, a) and _weak_equal(absorbed_meet, a)):
-                wit.append((a, b))
-    reports.append(AxiomReport.of("G2", wit, skipped))
-
-    wit, skipped = [], 0
-    for a in els:
-        for b in els:
-            for c in els:
-                lhs = _naive_apply(jn, mt((a, b)), c)
-                rhs = _naive_apply(mt, jn((a, c)), jn((b, c)))
-                if lhs is None or rhs is None:
-                    skipped += 1
-                if not _weak_equal(lhs, rhs):
-                    wit.append((a, b, c))
-    reports.append(AxiomReport.of("G3", wit, skipped))
-
-    wit, skipped = [], 0
-    for a in els:
-        for b in els:
-            for c in els:
-                lhs = _naive_apply(mt, jn((a, b)), c)
-                rhs = _naive_apply(jn, mt((a, c)), mt((b, c)))
-                if lhs is None or rhs is None:
-                    skipped += 1
-                if not _weak_equal(lhs, rhs):
-                    wit.append((a, b, c))
-    reports.append(AxiomReport.of("G4", wit, skipped))
-
-    wit, skipped = [], 0
-    for a in els:
-        for b in els:
-            le = s.leq(a, b)
-            jv, mv = jn((a, b)), mt((a, b))
-            if jv is None or mv is None:
-                skipped += 1
-            ok = True
-            if jv is not None and (jv == b) != le:
-                ok = False
-            if mv is not None and (mv == a) != le:
-                ok = False
-            if not ok:
-                wit.append((a, b))
-    reports.append(AxiomReport.of("G5", wit, skipped))
-
-    wit = []
-    for a in els:
-        la, ua = s.lower_of(a), s.upper_of(a)
-        if not (s.part(la, a) and s.lower_of(la) == la and s.part(ua, s.upper_of(ua))):
-            wit.append((a,))
-    reports.append(AxiomReport.of("UL1", wit))
-
-    wit = []
-    for a in els:
-        for b in els:
-            if s.part(a, b):
-                if not (s.part(s.lower_of(a), s.lower_of(b)) and s.part(s.upper_of(a), s.upper_of(b))):
-                    wit.append((a, b))
-    reports.append(AxiomReport.of("UL2", wit))
-
-    wit = []
-    if not (s.lower_of(s.bottom) == s.bottom and s.upper_of(s.bottom) == s.bottom):
-        wit.append((s.bottom,))
-    if not (s.part(s.lower_of(s.top), s.top) and s.part(s.upper_of(s.top), s.top)):
-        wit.append((s.top,))
-    reports.append(AxiomReport.of("UL3", wit))
-
-    wit = [(a,) for a in els if not (s.part(s.bottom, a) and s.part(a, s.top))]
-    reports.append(AxiomReport.of("TB", wit))
-
-    return reports
-
-
-def _weak_equal(lhs, rhs):
-    return lhs is None or rhs is None or lhs == rhs
-
-
-def _naive_apply(table_get, x, y):
-    if x is None or y is None:
-        return None
-    return table_get((x, y))
+def assert_validates_as_the_model(s: GranularSpace, doc=None) -> None:
+    """validate_space(s) gives the reports reference_model.validate scans
+    on doc, or on the document s writes."""
+    m = model.Space(space_to_dict(s) if doc is None else doc)
+    assert [(r.axiom, r.witnesses, r.skipped) for r in validate_space(s)] == model.validate(m)
 
 
 @st.composite
 def ggs_documents(draw):
     """A GGS space document of 1-7 elements with random relations, partial
-    join and meet and random lower and upper maps.  Table entries, maps,
+    join and meet, up to three granules and random lower and upper maps.  Table entries, maps,
     bottom and top lean to the last element and to undefined entries, where
     an index of -1 read without a guard would land."""
     n = draw(st.integers(min_value=1, max_value=7))
@@ -927,7 +817,7 @@ def ggs_documents(draw):
         "order": pairs(),
         "join": table(),
         "meet": table(),
-        "granulation": [],
+        "granulation": draw(st.lists(st.sampled_from(els), unique=True, max_size=3)),
         "lower": [[e, els[draw(target)]] for e in els],
         "upper": [[e, els[draw(target)]] for e in els],
         "bottom": els[draw(target)],
@@ -940,25 +830,27 @@ class TestValidateSpaceOracle:
     @settings(max_examples=300, deadline=None)
     @given(doc=ggs_documents())
     def test_random_ggs_spaces(self, doc):
-        s = space_from_dict(doc)
-        assert validate_space(s) == naive_validate_space(s)
+        """validate_space against reference_model.validate on partial operations."""
+        assert_validates_as_the_model(space_from_dict(doc), doc)
 
     @settings(max_examples=12, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=2, max_value=6))
     def test_powersets(self, data, n):
+        """validate_space against reference_model.validate on the model's own power-set document."""
         objects = [f"o{i}" for i in range(n)]
         labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
         blocks: dict[int, list[str]] = {}
         for obj, label in zip(objects, labels):
             blocks.setdefault(label, []).append(obj)
         s = powerset_space(objects, list(blocks.values()))
-        assert validate_space(s) == naive_validate_space(s)
+        assert_validates_as_the_model(s, model.powerset_document(objects, list(blocks.values())))
 
     def test_fixture_two_block_and_broken_lower(self, fixture_space, two_block_space):
+        """validate_space against reference_model.validate, with UL witnesses where lower is broken."""
         broken = space_to_dict(two_block_space)
         broken["lower"] = [[x, "{x1,x2,x3}" if x == "{x3}" else low] for x, low in broken["lower"]]
         for s in (fixture_space, two_block_space, space_from_dict(broken)):
-            assert validate_space(s) == naive_validate_space(s)
+            assert_validates_as_the_model(s)
         assert not all(r.holds for r in validate_space(space_from_dict(broken)))
 
 
@@ -1050,12 +942,13 @@ class TestSetLatticeTheorem:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_lattice_scans_find_nothing_on_set_hgos(self, path, data):
+        """The proof and the scans against reference_model.validate, which proves nothing."""
         s = data.draw(set_hgos_spaces(path))
         assert classify_flavor(s) == "setHGOS"
         for axiom in _SET_LATTICE_AXIOMS:
             check, *args = _AXIOM_CHECKS[axiom]
             assert check(s, *args) == ([], 0), axiom
-        assert validate_space(s) == naive_validate_space(s)
+        assert_validates_as_the_model(s)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(0, 5))
@@ -1069,14 +962,17 @@ class TestSetLatticeTheorem:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_undeclared_set_lattices_are_proved_too(self, data):
-        # a set lattice declared HGOS classifies as setHGOS and skips the scans
-        s = space_from_dict(_lattice_document(data.draw, flavor="HGOS"))
+        """A set lattice declared HGOS classifies as setHGOS and skips the
+        scans; its reports against reference_model.validate."""
+        doc = _lattice_document(data.draw, flavor="HGOS")
+        s = space_from_dict(doc)
         assert classify_flavor(s) == "setHGOS"
-        assert validate_space(s) == naive_validate_space(s)
+        assert_validates_as_the_model(s, doc)
 
     @pytest.mark.parametrize("shape", ["M3", "N5"])
     @pytest.mark.parametrize("carried", [False, True])
     def test_non_distributive_lattices_keep_their_witnesses(self, shape, carried):
+        """G3 and G4 witnesses on M3 and N5 against reference_model.validate."""
         # M3 (three atoms) and N5 (a pentagon) are lattices but not
         # distributive; with carriers their joins are not unions, so they
         # are not setHGOS and G3 and G4 are scanned
@@ -1097,7 +993,7 @@ class TestSetLatticeTheorem:
         reports = {r.axiom: r for r in validate_space(s)}
         assert [r.holds for r in map(reports.get, ("PT1", "PT2", "G1", "G2", "G5"))] == [True] * 5
         assert not reports["G3"].holds and not reports["G4"].holds
-        assert validate_space(s) == naive_validate_space(s)
+        assert_validates_as_the_model(s)
         with pytest.raises(StructuralError, match="setHGOS requires"):
             GranularSpace(els, leq, leq, join, meet, ["a"], {x: x for x in els}, {x: x for x in els},
                           "0", "1", "setHGOS", carriers)
@@ -1155,7 +1051,9 @@ class TestFlavorLadder:
     @settings(max_examples=200, deadline=None)
     @given(doc=documents_of_every_flavor())
     def test_a_flavor_loads_exactly_when_the_document_classifies_at_or_above_it(self, doc):
+        """classify_flavor and each declaration's refusal against reference_model.Space, which reads up from GGS."""
         flavor = classify_flavor(space_from_dict(doc))
+        assert flavor == model.Space(doc).flavor()
         failures = set()
         for declared in FLAVORS:
             if FLAVORS.index(declared) <= FLAVORS.index(flavor):
@@ -1166,10 +1064,22 @@ class TestFlavorLadder:
                 space_from_dict(doc | {"flavor": declared})
             prefix = f"flavor {declared} requires "
             assert str(exc.value).startswith(prefix)
+            refusal = model.outcome(model.Space, doc | {"flavor": declared})
+            assert refusal == ("raised", "StructuralError", str(exc.value))
             failures.add(str(exc.value).removeprefix(prefix))
         # every declaration above the flavor names the one condition it lacks
         assert len(failures) == (flavor != "setHGOS")
         assert failures <= _MISSING.get(flavor, set())
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.one_of(documents_of_every_flavor(), ggs_documents()), depth=st.sampled_from([1, 2]))
+def test_admissibility_matches_the_model_on_every_flavor(doc, depth):
+    """check_admissibility and representable_elements against reference_model.admissibility
+    and reference_model.representable_elements."""
+    s, m = space_from_dict(doc), model.Space(doc)
+    assert representable_elements(s, depth) == model.representable_elements(m, depth)
+    assert [(r.axiom, r.witnesses, r.skipped) for r in check_admissibility(s, depth)] == model.admissibility(m, depth)
 
 
 class TestWorkBudget:
