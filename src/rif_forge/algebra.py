@@ -52,6 +52,13 @@ def _check_alpha(alpha) -> Fraction:
     return alpha
 
 
+def _check_exponent(n) -> int:
+    # an int, so the rows stay integers; a bool is not taken for one
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"exponent must be a positive integer, got {n}")
+    return n
+
+
 # Every operator builds its result through _of_rows, which reduces the
 # rows but does not range-check them: each operator's docstring proves
 # its values lie in [0,1] when its operands' do.
@@ -140,8 +147,7 @@ def power(f: InclusionFunction, n: int) -> InclusionFunction:
     """Pointwise n-th power.  In [0,1]: 0 <= x <= D gives 0 <= x**n <= D**n.
     Already reduced: a prime dividing D**n and every x**n divides D and
     every x, and f is reduced."""
-    if n < 1:
-        raise ParameterError(f"exponent must be a positive integer, got {n}")
+    _check_exponent(n)
     return _rows(f.space, [x**n for x in f.nums], f.den**n, f"pow({f.label},{n})", reduced=True)
 
 

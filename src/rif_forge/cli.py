@@ -167,7 +167,7 @@ def _evaluate(s: GranularSpace, texts: Iterable[str], env_path: Optional[str] = 
     parsed = [terms.parse_term(text) for text in texts] + list(more)
     nodes = sum(terms.term_nodes(term) for term in [term for _, term in named] + parsed)
     check_work(len(s.elements), functions, nodes)
-    env = terms.default_env(s) if s.is_set_extensional else {}
+    env = terms.default_env(s)
     for name, term in named:
         env[name] = terms.eval_term(term, env, s)
     return [terms.eval_term(term, env, s) for term in parsed]

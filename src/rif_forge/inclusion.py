@@ -44,12 +44,7 @@ from operator import attrgetter, eq, mul
 from random import Random
 from typing import Optional
 
-from .errors import (
-    CarrierError,
-    DegenerateSpaceError,
-    InputError,
-    ParameterError,
-)
+from .errors import DegenerateSpaceError, InputError, ParameterError
 from .space import AxiomReport, GranularSpace, _bits, _kept, classify_flavor
 
 ONE = Fraction(1)
@@ -250,15 +245,10 @@ def kst(f: InclusionFunction, s: Fraction, t: Fraction) -> InclusionFunction:
     In [0,1]: on the ramp s < v < t, so 0 < (v - s)/(t - s) < 1.  Each
     distinct numerator of f is mapped once, and the result reduced over
     the mapped values, which are exactly its values."""
-    s = s if type(s) is Fraction else Fraction(s)
-    t = t if type(t) is Fraction else Fraction(t)
+    s, t = _check_thresholds(s, t)
     # With v = x/D, s = sp/sq and t = tp/tq, sq and tq > 0: v <= s iff x*sq <= sp*D,
     # v >= t iff x*tq >= tp*D, and (v - s)/(t - s) = (x*sq - sp*D)*tq / (D*(tp*sq - sp*tq)).
     (sp, sq), (tp, tq) = s.as_integer_ratio(), t.as_integer_ratio()
-    if sp < 0 or tp > tq:
-        raise ParameterError(f"thresholds must satisfy 0 <= s < t <= 1, got s={s}, t={t}")
-    if sp * tq >= tp * sq:
-        raise ParameterError(f"thresholds must satisfy s < t, got s={s}, t={t}")
     low, high, den = sp * f.den, tp * f.den, f.den * (tp * sq - sp * tq)
     ramp = {x: 0 if x * sq <= low else den if x * tq >= high else (x * sq - low) * tq for x in set(f.nums)}
     g = gcd(den, *ramp.values())
@@ -267,13 +257,25 @@ def kst(f: InclusionFunction, s: Fraction, t: Fraction) -> InclusionFunction:
                                       f"kst({f.label},{s},{t})", reduced=True)
 
 
+def _check_thresholds(s, t) -> tuple[Fraction, Fraction]:
+    """kst's thresholds converted by Fraction: ParameterError unless both
+    lie in [0,1], then unless s < t."""
+    s = s if type(s) is Fraction else Fraction(s)
+    t = t if type(t) is Fraction else Fraction(t)
+    (sp, sq), (tp, tq) = s.as_integer_ratio(), t.as_integer_ratio()
+    if sp < 0 or tp > tq:
+        raise ParameterError(f"thresholds must satisfy 0 <= s < t <= 1, got s={s}, t={t}")
+    if sp * tq >= tp * sq:
+        raise ParameterError(f"thresholds must satisfy s < t, got s={s}, t={t}")
+    return s, t
+
+
 def _carrier_masks(s: GranularSpace) -> tuple[list[int], int]:
     """Each element's carrier as a bitmask over the objects, in element
     order, and lcm(1, ..., number of objects), a common denominator of
-    every ratio of carrier sizes."""
-    if s.carrier_masks is None:
-        raise CarrierError(f"elements without carriers: {[e for e in s.elements if e not in s.carriers]}")
-    return s.carrier_masks, lcm(*range(1, len(s.objects) + 1))
+    every ratio of carrier sizes; CarrierError naming the first element
+    without a carrier."""
+    return s.require_carriers(), lcm(*range(1, len(s.objects) + 1))
 
 
 # -- axiom checking ----------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CarrierError, ParameterError, UndefinedMeasureError
+from .errors import ParameterError, UndefinedMeasureError
 from .inclusion import InclusionFunction
 from .space import GranularSpace
 
@@ -88,8 +88,9 @@ def vprs(
 
     Lower region: union of granules whose inclusion degree in x exceeds
     beta.  Upper region: same with alpha.  Strict thresholds throughout.
+    CarrierError names the first element without a carrier.
     """
-    _require_set_extensional(s)
+    s.require_carriers()
     lower = _granule_union(s, f, x, p.beta)
     upper = _granule_union(s, f, x, p.alpha)
     return lower, upper
@@ -100,10 +101,4 @@ def fixed_vprs(
 ) -> tuple[frozenset[str], frozenset[str]]:
     """vprs measured against the lower approximation of x rather than
     against x itself."""
-    _require_set_extensional(s)
     return vprs(s, f, p, s.lower_of(x))
-
-
-def _require_set_extensional(s: GranularSpace):
-    if not s.is_set_extensional:
-        raise CarrierError("measure needs carriers on every element")

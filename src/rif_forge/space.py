@@ -187,6 +187,12 @@ class GranularSpace:
             raise CarrierError(f"element {x!r} has no carrier")
         return self.carriers[x]
 
+    def require_carriers(self) -> list[int]:
+        """carrier_masks; CarrierError naming the first element without a carrier."""
+        if self.carrier_masks is None:
+            self.carrier_of(next(e for e in self.elements if e not in self.carriers))
+        return self.carrier_masks
+
     def element_with_carrier(self, carrier: frozenset[str]) -> Optional[str]:
         return self._by_carrier.get(frozenset(carrier))
 
@@ -441,12 +447,9 @@ def granular_upper(s: GranularSpace, x: str) -> str:
 
 
 def _granular(key: str, s: GranularSpace, x: str) -> str:
-    if s.carrier_masks is None:
-        # CarrierError naming the first element without a carrier
-        s.carrier_of(next(e for e in s.elements if e not in s.carriers))
-    i = s._index_of(x)
+    masks, i = s.require_carriers(), s._index_of(x)
     grans = [s._index[g] for g in s.granulation]
-    return s.elements[_granule_unions(key, [i], s.carrier_masks, grans, s.parthood, s.objects)[0]]
+    return s.elements[_granule_unions(key, [i], masks, grans, s.parthood, s.objects)[0]]
 
 
 def _granule_unions(key: str, cols, masks: list[int], grans: list[int], parthood: list[int],
@@ -955,12 +958,8 @@ def _json_rows(rows, newline: str) -> Optional[str]:
 def find_element(s: GranularSpace, token: str) -> str:
     """Resolve a CLI-facing element reference: an id, or a carrier rendering
     like '{a,b}' on set-extensional spaces ('{}' names the empty carrier)."""
-    if token in s._index:
-        return token
-    if token.startswith("{") and token.endswith("}"):
-        inner = token[1:-1]
-        carrier = frozenset(t for t in inner.split(",") if t)
-        eid = s.element_with_carrier(carrier)
+    if token not in s._index and token.startswith("{") and token.endswith("}"):
+        eid = s.element_with_carrier(frozenset(t for t in token[1:-1].split(",") if t))
         if eid is not None:
             return eid
-    raise InputError(f"unknown element {token!r}")
+    return s.elements[s._index_of(token)]  # InputError for an unknown id

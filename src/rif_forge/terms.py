@@ -16,7 +16,9 @@ Each constructor is one row of OPERATORS: its node dataclass, the kinds of
 its arguments in field order, and the function that builds its value.
 The parser, the evaluator, RESERVED and the random term sampler all read
 that table.  The constructor words are reserved and cannot name base
-functions.  Operators nest at most MAX_TERM_DEPTH deep.  A pow exponent
+functions.  A node checks its weight, exponent or thresholds by the check
+its operator runs, so it refuses what the operator refuses, with the same
+error.  Operators nest at most MAX_TERM_DEPTH deep.  A pow exponent
 is at most MAX_POW_EXPONENT, and so is the product of the exponents of the
 pows nested on any path from the root, which evaluation checks before it
 builds anything below such a pow.  Parse errors carry the offending
@@ -65,8 +67,7 @@ class AlphaSumTerm:
     right: "AlgebraTerm"
 
     def __post_init__(self):
-        if not (0 <= self.alpha <= 1):
-            raise ParameterError(f"weight must lie in [0,1], got {self.alpha}")
+        algebra._check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,7 @@ class PowerTerm:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"exponent must be a positive integer, got {self.n}")
+        algebra._check_exponent(self.n)
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,7 @@ class KstTerm:
     high: Fraction
 
     def __post_init__(self):
-        if not (0 <= self.low < self.high <= 1):
-            raise ParameterError(
-                f"thresholds must satisfy 0 <= s < t <= 1, got s={self.low}, t={self.high}"
-            )
+        inclusion._check_thresholds(self.low, self.high)
 
 
 AlgebraTerm = Union[
@@ -167,8 +164,8 @@ class _Parser:
     parsing; else the first token off the grammar ("unexpected ...", with
     what was expected there), an operator name past MAX_TERM_DEPTH open
     ones (before its "(" is read), a number too long to convert, a pow
-    exponent past MAX_POW_EXPONENT, or a zero denominator.  A node that
-    breaks its own rule raises ParameterError once its ")" is read."""
+    exponent past MAX_POW_EXPONENT, or a zero denominator.  A node whose
+    arguments its operator refuses raises that refusal once its ")" is read."""
 
     def __init__(self, text: str):
         self.text, self.tokens = text, _TOKEN.findall(text)
@@ -299,12 +296,13 @@ class FunctionEnv(MutableMapping):
 
 
 def default_env(s: GranularSpace) -> FunctionEnv:
-    """The built-in named functions available to terms on a set-extensional
-    space: k0, k1 and k2, each built the first time it is read, so a term
-    that names k0 alone builds k0 alone."""
+    """The built-in named functions available to terms: on a set-extensional
+    space k0, k1 and k2, each built the first time it is read, so a term
+    that names k0 alone builds k0 alone; on any other space, none."""
     # the builders look k0, k1 and k2 up when they run, so a wrapper bound
     # to those names later on (a profiler's, say) sees the builds
-    return FunctionEnv({"k0": lambda: k0(s), "k1": lambda: k1(s), "k2": lambda: k2(s)})
+    return FunctionEnv({"k0": lambda: k0(s), "k1": lambda: k1(s), "k2": lambda: k2(s)}
+                       if s.is_set_extensional else {})
 
 
 def eval_term(
@@ -345,7 +343,7 @@ def _eval(term: AlgebraTerm, env: Mapping[str, InclusionFunction], s: GranularSp
 
 def evaluate(text: str, s: GranularSpace, env: Optional[Mapping[str, InclusionFunction]] = None) -> InclusionFunction:
     """Parse and evaluate text against the default environment (plus env)."""
-    bindings = default_env(s) if s.is_set_extensional else {}
+    bindings = default_env(s)
     if env:
         bindings.update(env)
     return eval_term(parse_term(text), bindings, s)

@@ -403,9 +403,9 @@ def table(space: Space, values, label: str) -> Function:
 
 
 def _carriers(space: Space) -> dict:
-    missing = [e for e in space.elements if e not in space.carriers]
-    if missing:
-        raise Refused("CarrierError", f"elements without carriers: {missing}")
+    for e in space.elements:
+        if e not in space.carriers:
+            raise Refused("CarrierError", f"element {e!r} has no carrier")
     return space.carriers
 
 
@@ -458,24 +458,21 @@ def random_kappa(space: Space, rng: Random, max_denominator: int = 12) -> Functi
 # -- operators ---------------------------------------------------------------
 
 
-def weight(alpha, convert: bool = True):
+def weight(alpha):
     """A weight as an operator reads it, converted by Fraction and refused
-    outside [0,1]; a term node (convert False) compares it as it is given."""
-    if convert:
-        alpha = Fraction(alpha)
+    outside [0,1]."""
+    alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise Refused("ParameterError", f"weight must lie in [0,1], got {alpha}")
     return alpha
 
 
-def thresholds(low, high, convert: bool = True):
+def thresholds(low, high):
     """kst's thresholds as the operator reads them, converted by Fraction
-    and refused outside [0,1], then unless s < t; a term node (convert
-    False) compares them as they are given, in one chain."""
-    if convert:
-        low, high = Fraction(low), Fraction(high)
+    and refused outside [0,1], then unless s < t."""
+    low, high = Fraction(low), Fraction(high)
     if not 0 <= low < high <= 1:
-        rule = "s < t" if convert and 0 <= low and high <= 1 else "0 <= s < t <= 1"
+        rule = "s < t" if 0 <= low and high <= 1 else "0 <= s < t <= 1"
         raise Refused("ParameterError", f"thresholds must satisfy {rule}, got s={low}, t={high}")
     return low, high
 
@@ -511,7 +508,8 @@ def sigma(f: Function) -> Function:
 
 
 def power(f: Function, n: int) -> Function:
-    if n < 1:
+    """f**n pointwise, for an int n of at least 1; a bool is not one."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise Refused("ParameterError", f"exponent must be a positive integer, got {n}")
     return _pointwise(f, lambda a, b: f.values[a, b] ** n, f"pow({f.label},{n})")
 

@@ -57,7 +57,7 @@ from rif_forge import (
 from rif_forge.algebra import _check_alpha, _law
 from rif_forge.cli import main
 from rif_forge.inclusion import ONE
-from rif_forge.terms import AlphaSumTerm, BaseTerm, KstTerm
+from rif_forge.terms import AlphaSumTerm, BaseTerm, KstTerm, PowerTerm
 from test_inclusion import form, modelled, powerset_pair
 from test_space import _lattice_document, documents_of_every_flavor
 
@@ -586,6 +586,11 @@ def typed(value) -> tuple:
     return type(value), value, str(value)
 
 
+def accepted(value) -> bool:
+    """outcome's reading of a call that returned: only that it did."""
+    return True
+
+
 def operator_calls(rng: Random, f: Two, g: Two) -> tuple[Fraction, list[tuple]]:
     """A weight drawn from rng, and every operator on f and g, each operand
     also passed twice: the weight is 0, 1, random or 999999999/10**9, kst's
@@ -839,13 +844,13 @@ WEIGHT_FORMS = [0, 1, 2, -1, True, "1/3", "-1/2", "3/2", "0", "1", "x", 0.5, -0.
 @pytest.mark.parametrize("alpha", WEIGHT_FORMS, ids=repr)
 def test_weight_checks_match_the_former_fraction_path(alpha, two_block_space, two_block_model):
     """Weight checks of an operator and a term node against reference_model.weight and reference_model.oplus."""
-    # an operator converts a weight by Fraction before its range check; a
-    # term node compares it as it is given
+    # an operator converts a weight by Fraction before its range check
     assert outcome(_check_alpha, alpha, read=typed) == outcome(model.weight, alpha, read=typed)
     s, m = two_block_space, two_block_model
     agree("oplus", alpha, Two((k0(s), model.k0(m))), Two((k1(s), model.k1(m))))
-    node = outcome(lambda: AlphaSumTerm(alpha, BaseTerm("k0"), BaseTerm("k1")).alpha, read=typed)
-    assert node == outcome(model.weight, alpha, False, read=typed)
+    # a term node refuses what oplus refuses, and keeps a weight it accepts as given
+    node = outcome(AlphaSumTerm, alpha, BaseTerm("k0"), BaseTerm("k1"), read=lambda term: term.alpha is alpha)
+    assert node == outcome(oplus, alpha, k0(s), k1(s), read=accepted) == outcome(model.weight, alpha, read=accepted)
 
 
 @pytest.mark.parametrize("low, high", [(a, b) for a in WEIGHT_FORMS[::3] for b in WEIGHT_FORMS[1::3]]
@@ -853,13 +858,23 @@ def test_weight_checks_match_the_former_fraction_path(alpha, two_block_space, tw
                          ids=repr)
 def test_threshold_checks_match_the_former_fraction_path(low, high, two_block_space, two_block_model):
     """Threshold checks of kst and its term node against reference_model.kst and reference_model.thresholds."""
-    agree("kst", Two((k1(two_block_space), model.k1(two_block_model))), low, high)
+    s = two_block_space
+    agree("kst", Two((k1(s), model.k1(two_block_model))), low, high)
+    # a term node refuses what kst refuses, and keeps thresholds it accepts as given
+    node = outcome(KstTerm, BaseTerm("k0"), low, high, read=lambda term: term.low is low and term.high is high)
+    assert node == outcome(kst, k1(s), low, high, read=accepted) == outcome(model.thresholds, low, high, read=accepted)
 
-    def node():
-        term = KstTerm(BaseTerm("k0"), low, high)
-        return term.low, term.high
 
-    assert outcome(node, read=typed) == outcome(model.thresholds, low, high, False, read=typed)
+@pytest.mark.parametrize("n", [1.5, 2.0, F(2), "2", True, 0, -1], ids=repr)
+def test_an_exponent_is_an_int_of_at_least_one(n, two_block_space, two_block_model):
+    """power, convex_polynomial and a pow node refuse an exponent that is
+    not an int of at least 1, as reference_model.power does, so no other
+    exponent reaches a function's rows."""
+    s, m = two_block_space, two_block_model
+    refused = ("raised", "ParameterError", f"exponent must be a positive integer, got {n}")
+    assert outcome(power, k0(s), n) == outcome(model.power, model.k0(m), n) == refused
+    assert outcome(convex_polynomial, [1], [n], [k0(s)]) == refused
+    assert outcome(PowerTerm, BaseTerm("k0"), n) == refused
 
 
 def test_pointwise_equal_compares_denominators(two_block_space):

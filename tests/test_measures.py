@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from itertools import product
 from random import Random
@@ -5,6 +6,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_model as model
+from fixture_data import FIXTURE_PATH
 from rif_forge import (
     InputError,
     ParameterError,
@@ -14,7 +17,9 @@ from rif_forge import (
     fit_alpha,
     fixed_vprs,
     granular_lower,
+    granular_upper,
     k0,
+    k1,
     k2,
     misclassification,
     powerset_space,
@@ -22,8 +27,11 @@ from rif_forge import (
     regions,
     rough_eq,
     rough_leq,
+    space_from_dict,
+    top_function,
     vprs,
 )
+from reference_model import outcome
 
 
 class TestAccuracy:
@@ -197,6 +205,22 @@ GHOST_CALLS = {
 def test_an_unknown_element_is_an_input_error(fixture_space, measure):
     with pytest.raises(InputError, match="'ghost'"):
         GHOST_CALLS[measure](fixture_space)
+
+
+def test_every_carrier_check_names_the_first_element_without_a_carrier():
+    """The base functions, of the package and of reference_model, both
+    variable-precision schemes and both granular approximations refuse a
+    space with uncarried elements by one text."""
+    doc = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
+    for entry in doc["elements"]:
+        if entry["id"] in ("e", "top"):
+            del entry["carrier"]
+    s, m, params = space_from_dict(doc), model.Space(doc), VprsParams(F(1, 4), F(1, 2))
+    calls = [(k0, s), (k1, s), (k2, s), (model.k0, m), (model.k1, m), (model.k2, m),
+             (vprs, s, top_function(s), params, "a"), (fixed_vprs, s, top_function(s), params, "a"),
+             (granular_lower, s, "a"), (granular_upper, s, "a")]
+    refused = ("raised", "CarrierError", "element 'e' has no carrier")
+    assert [outcome(*call) for call in calls] == [refused] * len(calls)
 
 
 @settings(max_examples=60, deadline=None)

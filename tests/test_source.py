@@ -1,8 +1,9 @@
 """Leftovers in the package source: imports a module never reads, imports
 in a function body that the function never reads, private module-level
 names that no module of the package reads, and public module-level names
-that the package neither exports nor reads.  And the independence of the
-tests' reference model, which may import the standard library only.
+that the package neither exports nor reads.  Error texts raised from two
+places, as each rule has one check.  And the independence of the tests'
+reference model, which may import the standard library only.
 
 All are read from the syntax tree alone (stdlib ast), so a name counts
 as read wherever it appears as a loaded name, an attribute, an imported
@@ -12,6 +13,8 @@ name or inside a quoted annotation.
 import ast
 import pathlib
 import sys
+from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -123,6 +126,26 @@ def test_every_public_name_is_exported_or_read(module):
     assert [name for name in public_definitions(MODULES[module]) if name not in exported | read] == []
 
 
+def raised_texts(tree) -> list[str]:
+    """The text of each raise X(<text>) whose text is a string or an
+    f-string, each hole of an f-string read as {}."""
+    texts = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            text = node.exc.args[0]
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                texts.append(text.value)
+            elif isinstance(text, ast.JoinedStr):
+                texts.append("".join(v.value if isinstance(v, ast.Constant) else "{}" for v in text.values))
+    return texts
+
+
+def test_no_error_text_is_raised_from_two_places():
+    # a rule has one check, which every caller calls, so its text is raised once
+    texts = Counter(chain.from_iterable(map(raised_texts, MODULES.values())))
+    assert [text for text, n in texts.items() if n > 1] == []
+
+
 def foreign_imports(tree) -> list[str]:
     """The modules the tree imports from outside the standard library, a
     relative import by its dots."""
@@ -166,5 +189,8 @@ def test_the_checks_catch_leftovers():
     assert public_definitions(tree) == ["UNREAD", "late"]
     assert not {"_UNREAD", "UNREAD", "_dead", "late"} & read_names(tree)
     assert foreign_imports(tree) == ["."]
+    tree = ast.parse("def f(x, text):\n    raise E(f'bad {x!r} of {len(x)}' 'x')\n    raise E('plain', 1)\n"
+                     "    raise E(text)\n    raise E\n    raise E() from None\n")
+    assert raised_texts(tree) == ["bad {} of {}x", "plain"]
     tree = ast.parse("import json, rif_forge.space\nfrom perfbench import reference\ndef f():\n    import hypothesis\n")
     assert foreign_imports(tree) == ["rif_forge.space", "perfbench", "hypothesis"]

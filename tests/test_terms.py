@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction as F
 from random import Random
@@ -30,6 +31,7 @@ from rif_forge import (
     random_set_hgos,
     random_wqrif_term,
     satisfies_class,
+    space_from_dict,
 )
 from fixture_data import FIXTURE_PATH
 from rif_forge.cli import main
@@ -185,6 +187,15 @@ class TestNestedPowLimit:
 class TestEvaluation:
     def test_default_env_names(self, fixture_space):
         assert set(default_env(fixture_space)) == {"k0", "k1", "k2"}
+
+    def test_default_env_binds_nothing_without_carriers(self):
+        doc = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
+        for entry in doc["elements"]:
+            del entry["carrier"]
+        s = space_from_dict(doc)
+        assert list(default_env(s)) == []
+        with pytest.raises(ResolutionError, match=r"^name 'k0' is not bound \(have: nothing\)$"):
+            evaluate("k0", s)
 
     def test_evaluate_matches_manual_build(self, fixture_space):
         f = evaluate("kst(k0, 1/4, 3/4)", fixture_space)
